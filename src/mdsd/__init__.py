@@ -25,7 +25,6 @@ from .drafts import (
     DraftScheme,
     iter_support,
     make_prefix_q,
-    sample_tuple,
     sample_tuples,
     tuple_prob,
 )
@@ -46,13 +45,10 @@ from .verify import (
     OTSingleKernel,
     RrsWKernel,
     RrsWoKernel,
-    greedy_verify,
     kseq_solve,
-    kseq_verify,
-    ot_single_verify,
+    make_kernel,
     rrs_w_rate_exact,
-    rrs_w_verify,
-    rrs_wo_verify,
+    supports,
 )
 
 __version__ = "0.1.0"

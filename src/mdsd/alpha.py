@@ -80,9 +80,9 @@ def _scan_ordering(p: Dist, scheme: DraftScheme) -> np.ndarray:
         # The minimizing subsets all contain the deterministic top n-1
         # prefix (Q is zero otherwise), so those tokens lead and the rest
         # follow in ratio order.
-        top = top_k_desc(scheme.q, scheme.n - 1)
-        rest = [t for t in ratio_order(p, scheme.q) if t not in set(top)]
-        return np.asarray(list(top) + rest, dtype=np.intp)
+        top = np.asarray(top_k_desc(scheme.q, scheme.n - 1), dtype=np.intp)
+        order = ratio_order(p, scheme.q)
+        return np.concatenate((top, order[~np.isin(order, top)]))
     return ratio_order(p, scheme.q)
 
 
@@ -139,14 +139,14 @@ def alpha_scan(p: Dist, scheme: DraftScheme) -> ScanResult:
 def alpha_greedy_closed(p: Dist, q: Dist, n: int) -> float:
     """Closed-form optimal acceptance rate of the greedy draft scheme:
     target mass on the deterministic top tokens plus the overlap between p
-    and the last-draft distribution."""
+    and the last-draft distribution, clamped to 1 against rounding."""
     if p.vocab_size != q.vocab_size:
         raise ValueError("size mismatch between p and q")
     if n < 1:
         raise ValueError("draft count must be >= 1")
     top, tail = greedy_tail(q, n)
     top_mass = float(p.mass[list(top)].sum()) if top else 0.0
-    return top_mass + float(np.minimum(p.mass, tail.mass).sum())
+    return min(1.0, top_mass + float(np.minimum(p.mass, tail.mass).sum()))
 
 
 def alpha_bruteforce(p: Dist, subset_q: Callable[[tuple[int, ...]], float]) -> float:

@@ -25,9 +25,9 @@ import numpy as np
 
 from .alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
 from .dists import Dist, LogitsRecord, softmax_temp
-from .drafts import DraftScheme
+from .drafts import DraftKind, DraftScheme
 from .mc import estimate_alpha
-from .verify import kseq_solve, rrs_w_rate_exact
+from .verify import kseq_solve, rrs_w_rate_exact, supports
 
 __all__ = [
     "ExperimentConfig",
@@ -141,29 +141,6 @@ def _parse_synth(spec: str) -> tuple[str, float]:
     return kind, float(param)
 
 
-_SCHEME_METHODS = {
-    "with-replacement": ("rrs-w", "kseq"),
-    "without-replacement": ("rrs-wo",),
-    "greedy": ("greedy",),
-}
-
-
-def _compatible(scheme_name: str, method: str, n: int) -> bool:
-    if method == "ot-single":
-        return n == 1 and scheme_name in ("with-replacement", "without-replacement")
-    return method in _SCHEME_METHODS.get(scheme_name, ())
-
-
-def _build_scheme(name: str, q: Dist, n: int) -> DraftScheme:
-    if name == "with-replacement":
-        return DraftScheme.with_replacement(q, n)
-    if name == "without-replacement":
-        return DraftScheme.without_replacement(q, n)
-    if name == "greedy":
-        return DraftScheme.greedy(q, n)
-    raise ValueError(f"unknown scheme {name!r}")
-
-
 def _position_seed(seed: int, position: int) -> int:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(position,))
     return int(ss.generate_state(1, np.uint64)[0])
@@ -203,11 +180,13 @@ def _run_position(task: _Task) -> list[dict]:
     q = softmax_temp(task.q_logits, task.temperature)
     rows = []
     for scheme_name in task.schemes:
-        scheme = _build_scheme(scheme_name, q, task.num_drafts)
+        kind = DraftKind(scheme_name)
+        methods = [m for m in task.methods if supports(m, kind, task.num_drafts)]
+        if not methods:
+            continue
+        scheme = DraftScheme(kind, q, task.num_drafts)
         alpha_star = alpha_scan(p, scheme).alpha_star
-        for method in task.methods:
-            if not _compatible(scheme_name, method, task.num_drafts):
-                continue
+        for method in methods:
             alpha, stderr = _method_alpha(method, p, q, scheme, task)
             rows.append(
                 dict(
@@ -247,7 +226,8 @@ def _collect_positions(cfg: ExperimentConfig) -> list[tuple[np.ndarray, np.ndarr
     return out
 
 
-def _sweep_tasks(cfg: ExperimentConfig, positions) -> list[_Task]:
+def _variants(cfg: ExperimentConfig) -> list[tuple[dict, float, int]]:
+    """(extra report columns, temperature, draft count) of every sweep variant."""
     variants: list[tuple[dict, float, int]] = []
     if cfg.sweep is None:
         variants.append(({}, cfg.temperature, cfg.num_drafts))
@@ -263,8 +243,12 @@ def _sweep_tasks(cfg: ExperimentConfig, positions) -> list[_Task]:
             )
     else:
         raise ValueError(f"unknown sweep {cfg.sweep!r}")
+    return variants
+
+
+def _sweep_tasks(cfg: ExperimentConfig, positions) -> list[_Task]:
     tasks = []
-    for extra, temperature, n in variants:
+    for extra, temperature, n in _variants(cfg):
         for idx, (pl, ql) in enumerate(positions):
             tasks.append(
                 _Task(
@@ -328,15 +312,16 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     for name in cfg.methods:
         if name not in METHOD_NAMES:
             raise ValueError(f"unknown method {name!r}")
-    skipped = [
-        f"{s}/{m}"
-        for s in cfg.schemes
+    draft_counts = {n for _, _, n in _variants(cfg)}
+    unused = [
+        m
         for m in cfg.methods
-        if not _compatible(s, m, cfg.num_drafts)
+        if not any(supports(m, DraftKind(s), n) for s in cfg.schemes for n in draft_counts)
     ]
-    if skipped:
+    if unused:
         print(
-            "warning: skipping incompatible scheme/method pairs: " + ", ".join(skipped),
+            "warning: skipping methods that apply to no requested scheme: "
+            + ", ".join(unused),
             file=sys.stderr,
         )
 

@@ -3,8 +3,8 @@
 A `DraftScheme` describes how the n draft tokens of one decoding step are
 produced from the draft-model distribution q. Each scheme exposes
 
-  * a sampler of draft tuples (single `sample_tuple` and batched
-    `sample_tuples`),
+  * a batched sampler of draft tuples, `sample_tuples` (one tuple is a
+    batch of one),
   * the exact tuple probability `tuple_prob`, and
   * where available, an incremental evaluator of the subset mass
     Q(H) = P(all n drafts land in H) via `make_prefix_q`.
@@ -24,7 +24,6 @@ __all__ = [
     "DraftKind",
     "DraftScheme",
     "greedy_tail",
-    "sample_tuple",
     "sample_tuples",
     "tuple_prob",
     "make_prefix_q",
@@ -121,62 +120,12 @@ def greedy_tail(q: Dist, n: int) -> tuple[tuple[int, ...], Dist]:
     return top, tail
 
 
-def _spechub_parts(q: Dist) -> tuple[int, Dist]:
-    """Top-1 token and the second-draw distribution used when the first draw
-    hits it. Degenerate q (all mass on top-1) falls back like `greedy_tail`."""
-    top1 = top_k_desc(q, 1)[0]
-    try:
-        tail = exclude_renorm(q, (top1,))
-    except ValueError:
-        mass = np.ones(q.vocab_size)
-        mass[top1] = 0.0
-        tail = Dist(mass)
-    return top1, tail
-
-
-def _draw(dist: Dist, rng: np.random.Generator) -> int:
-    # Inverse-CDF draw; cheaper than rng.choice for repeated scalar calls.
-    cdf = np.cumsum(dist.mass)
-    return min(int(np.searchsorted(cdf, rng.random(), side="right")), dist.vocab_size - 1)
-
-
-def sample_tuple(scheme: DraftScheme, rng: np.random.Generator) -> tuple[int, ...]:
-    """Draw one draft tuple according to the scheme."""
-    kind = scheme.kind
-    if kind is DraftKind.WITH_REPLACEMENT:
-        cdf = np.cumsum(scheme.q.mass)
-        idx = np.minimum(
-            np.searchsorted(cdf, rng.random(scheme.n), side="right"),
-            scheme.vocab_size - 1,
-        )
-        return tuple(int(t) for t in idx)
-    if kind is DraftKind.WITHOUT_REPLACEMENT:
-        out: list[int] = []
-        current = scheme.q
-        for _ in range(scheme.n):
-            t = _draw(current, rng)
-            out.append(t)
-            if len(out) < scheme.n:
-                current = exclude_renorm(scheme.q, out)
-        return tuple(out)
-    if kind is DraftKind.PRODUCT:
-        return tuple(_draw(d, rng) for d in scheme.qs)
-    if kind is DraftKind.GREEDY:
-        top, tail = greedy_tail(scheme.q, scheme.n)
-        return top + (_draw(tail, rng),)
-    if kind is DraftKind.SPECHUB:
-        top1, tail = _spechub_parts(scheme.q)
-        first = _draw(scheme.q, rng)
-        second = _draw(tail, rng) if first == top1 else top1
-        return (first, second)
-    raise ValueError(f"unknown scheme kind {kind}")
-
-
 def sample_tuples(scheme: DraftScheme, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` draft tuples as an int array of shape (count, n).
 
-    The without-replacement path uses the Gumbel-key equivalence of
-    sequential renormalized sampling so the whole batch vectorizes.
+    The without-replacement path uses the Gumbel-top-k equivalence of
+    sequential renormalized sampling (Kool, van Hoof & Welling 2019) so the
+    whole batch vectorizes.
     """
     kind = scheme.kind
     v = scheme.vocab_size
@@ -199,7 +148,7 @@ def sample_tuples(scheme: DraftScheme, count: int, rng: np.random.Generator) -> 
         out[:, -1] = rng.choice(v, size=count, p=tail.mass)
         return out
     if kind is DraftKind.SPECHUB:
-        top1, tail = _spechub_parts(scheme.q)
+        (top1,), tail = greedy_tail(scheme.q, 2)
         first = rng.choice(v, size=count, p=scheme.q.mass)
         alt = rng.choice(v, size=count, p=tail.mass)
         second = np.where(first == top1, alt, top1)
@@ -237,7 +186,7 @@ def tuple_prob(scheme: DraftScheme, tokens) -> float:
             return 0.0
         return float(tail.mass[t[-1]])
     if kind is DraftKind.SPECHUB:
-        top1, tail = _spechub_parts(scheme.q)
+        (top1,), tail = greedy_tail(scheme.q, 2)
         first, second = t
         if first == second:
             return 0.0
@@ -267,7 +216,7 @@ def iter_support(scheme: DraftScheme):
         for x in tail.support():
             yield top + (int(x),)
     elif kind is DraftKind.SPECHUB:
-        top1, tail = _spechub_parts(scheme.q)
+        (top1,), tail = greedy_tail(scheme.q, 2)
         for x in scheme.q.support():
             x = int(x)
             if x != top1:

@@ -15,23 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dists import Dist, tv_distance
-from .drafts import DraftKind, DraftScheme, greedy_tail, sample_tuples
-from .verify import KseqKernel, OTSingleKernel, _accept_probs, _residual_ladder
+from .drafts import DraftScheme, sample_tuples
+from .verify import make_kernel
 
 __all__ = [
     "McReport",
     "TvTestResult",
     "estimate_alpha",
     "tv_test",
-    "method_supports_scheme",
-    "METHOD_TAGS",
 ]
 
 BLOCK_TRIALS = 1 << 16
-
-# "first-draft" deliberately ignores the target distribution; it exists as a
-# negative control for the preservation test.
-METHOD_TAGS = ("ot-single", "rrs-w", "rrs-wo", "kseq", "greedy", "first-draft")
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,135 +45,8 @@ class TvTestResult:
     threshold: float
 
 
-def method_supports_scheme(method: str, scheme: DraftScheme) -> bool:
-    if method == "ot-single":
-        return scheme.n == 1 and scheme.kind in (
-            DraftKind.WITH_REPLACEMENT,
-            DraftKind.WITHOUT_REPLACEMENT,
-        )
-    if method in ("rrs-w", "kseq"):
-        return scheme.kind is DraftKind.WITH_REPLACEMENT
-    if method == "rrs-wo":
-        return scheme.kind is DraftKind.WITHOUT_REPLACEMENT
-    if method == "greedy":
-        return scheme.kind is DraftKind.GREEDY
-    if method == "first-draft":
-        return True
-    return False
-
-
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(block))
-
-
-def _choice_rows(mass: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.choice(mass.size, size=count, p=mass)
-
-
-class _BatchVerifier:
-    """Vectorized verification of a whole block of draft tuples."""
-
-    def __init__(self, p: Dist, scheme: DraftScheme, method: str):
-        if not method_supports_scheme(method, scheme):
-            raise ValueError(
-                f"method {method!r} does not apply to {scheme.kind.value} drafts"
-            )
-        self.method = method
-        self.p = p
-        self.v = p.vocab_size
-        q = scheme.q
-        if method == "ot-single":
-            kern = OTSingleKernel(p, q)
-            self.accept, self.residual = kern.accept, kern.residual.mass
-        elif method == "rrs-w":
-            self.residuals, self.accepts = _residual_ladder(p, q, scheme.n)
-        elif method == "rrs-wo":
-            self.q = q.mass
-        elif method == "kseq":
-            kern = KseqKernel(p, q, scheme.n)
-            self.accept = kern.accept
-            self.fallback = kern.fallback
-        elif method == "greedy":
-            _, tail = greedy_tail(q, scheme.n)
-            kern = OTSingleKernel(p, tail)
-            self.accept, self.residual = kern.accept, kern.residual.mass
-
-    def __call__(self, tuples: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return getattr(self, "_run_" + self.method.replace("-", "_"))(tuples, rng)
-
-    def _run_first_draft(self, tuples, rng):
-        return tuples[:, 0].copy()
-
-    def _run_ot_single(self, tuples, rng):
-        j = tuples[:, 0]
-        u = rng.random(j.size)
-        resample = _choice_rows(self.residual, j.size, rng)
-        return np.where(u < self.accept[j], j, resample)
-
-    def _run_greedy(self, tuples, rng):
-        j = tuples[:, -1]
-        u = rng.random(j.size)
-        resample = _choice_rows(self.residual, j.size, rng)
-        return np.where(u < self.accept[j], j, resample)
-
-    def _run_rrs_w(self, tuples, rng):
-        m, n = tuples.shape
-        out = np.full(m, -1, dtype=np.intp)
-        done = np.zeros(m, dtype=bool)
-        for k in range(n):
-            tk = tuples[:, k]
-            hit = (rng.random(m) < self.accepts[k][tk]) & ~done
-            out[hit] = tk[hit]
-            done |= hit
-        final = _choice_rows(self.residuals[-1], m, rng)
-        out[~done] = final[~done]
-        return out
-
-    def _run_kseq(self, tuples, rng):
-        m, n = tuples.shape
-        out = np.full(m, -1, dtype=np.intp)
-        done = np.zeros(m, dtype=bool)
-        for k in range(n):
-            tk = tuples[:, k]
-            hit = (rng.random(m) < self.accept[tk]) & ~done
-            out[hit] = tk[hit]
-            done |= hit
-        if not done.all():
-            if self.fallback is None:
-                raise ValueError("kseq numerical failure")
-            final = _choice_rows(self.fallback, m, rng)
-            out[~done] = final[~done]
-        return out
-
-    def _run_rrs_wo(self, tuples, rng):
-        m, n = tuples.shape
-        rows = np.arange(m)
-        r = np.tile(self.p.mass, (m, 1))
-        qw = np.tile(self.q, (m, 1))
-        out = np.full(m, -1, dtype=np.intp)
-        done = np.zeros(m, dtype=bool)
-        for k in range(n):
-            tk = tuples[:, k]
-            if k:
-                qw[rows, tuples[:, k - 1]] = 0.0
-            denom = np.maximum(qw.sum(axis=1), 1e-300)
-            qk = qw / denom[:, None]
-            qv = qk[rows, tk]
-            rv = r[rows, tk]
-            a = np.minimum(np.where(qv > 0.0, rv / np.where(qv > 0.0, qv, 1.0), 0.0), 1.0)
-            hit = (rng.random(m) < a) & ~done
-            out[hit] = tk[hit]
-            done |= hit
-            r = np.maximum(r - qk, 0.0)
-            z = r.sum(axis=1)
-            dead = z <= 1e-15  # residual vanished: stage acceptance was 1
-            r[dead] = 1.0
-            r /= r.sum(axis=1)[:, None]
-        u = rng.random(m)
-        final = (np.cumsum(r, axis=1) < u[:, None]).sum(axis=1)
-        np.minimum(final, self.v - 1, out=final)
-        out[~done] = final[~done]
-        return out
 
 
 def estimate_alpha(
@@ -194,7 +61,7 @@ def estimate_alpha(
         raise ValueError("trials must be >= 1")
     if p.vocab_size != scheme.vocab_size:
         raise ValueError("size mismatch between p and the scheme")
-    run = _BatchVerifier(p, scheme, method)
+    kernel = make_kernel(method, p, scheme)
     accepted = 0
     counts = np.zeros(p.vocab_size, dtype=np.int64)
     block = 0
@@ -203,7 +70,7 @@ def estimate_alpha(
         m = min(BLOCK_TRIALS, remaining)
         rng = _block_rng(seed, block)
         tuples = sample_tuples(scheme, m, rng)
-        out = run(tuples, rng)
+        out = kernel.sample(tuples, rng)
         accepted += int((out[:, None] == tuples).any(axis=1).sum())
         counts += np.bincount(out, minlength=p.vocab_size)
         remaining -= m

@@ -2,9 +2,12 @@
 
 Each verifier consumes a draft tuple and produces one output token whose
 marginal over draft and verifier randomness is exactly the target
-distribution p. Every kernel exposes both a sampler (`sample`) and, for
-small instances, the full conditional table (`conditional`) so output
-marginals can be enumerated exactly.
+distribution p. Every kernel exposes both a batched sampler (`sample`, an
+(m, n) array of draft tuples in, m output tokens out; one tuple is a batch
+of one) and, for small instances, the full conditional table
+(`conditional`) so output marginals can be enumerated exactly. `METHODS`
+says which draft kinds each method verifies, and `make_kernel` builds the
+kernel of a method for a scheme.
 
 Methods: the optimal single-draft transport, recursive rejection sampling
 against a running residual (with- and without-replacement variants), the
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dists import Dist, exclude_renorm, residual_dist
-from .drafts import greedy_tail
+from .drafts import DraftKind, DraftScheme, greedy_tail
 
 __all__ = [
     "OTSingleKernel",
@@ -28,12 +31,11 @@ __all__ = [
     "KseqParams",
     "KseqKernel",
     "GreedyKernel",
-    "ot_single_verify",
-    "rrs_w_verify",
-    "rrs_wo_verify",
+    "FirstDraftKernel",
+    "METHODS",
+    "supports",
+    "make_kernel",
     "kseq_solve",
-    "kseq_verify",
-    "greedy_verify",
     "rrs_w_rate_exact",
 ]
 
@@ -49,8 +51,34 @@ def _accept_probs(p_like: np.ndarray, q_like: np.ndarray) -> np.ndarray:
     return np.minimum(ratio, 1.0)
 
 
-def _sample(mass: np.ndarray, rng: np.random.Generator) -> int:
-    return int(rng.choice(mass.size, p=mass))
+def _batch(tuples) -> np.ndarray:
+    arr = np.asarray(tuples, dtype=np.intp)
+    if arr.ndim != 2:
+        raise ValueError("draft tuples must be an (m, n) array")
+    return arr
+
+
+def _choice_rows(mass: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.choice(mass.size, size=count, p=mass)
+
+
+def _first_accepted(tuples: np.ndarray, accepts, final, rng: np.random.Generator) -> np.ndarray:
+    """Stage k accepts draft k with probability ``accepts[k][token]``; the
+    first accepted draft is the output. Rows that reject every draft take a
+    draw from ``final``, which is drawn only when such a row exists."""
+    m, n = tuples.shape
+    out = np.full(m, -1, dtype=np.intp)
+    done = np.zeros(m, dtype=bool)
+    for k in range(n):
+        tk = tuples[:, k]
+        hit = (rng.random(m) < accepts[k][tk]) & ~done
+        out[hit] = tk[hit]
+        done |= hit
+    if not done.all():
+        if final is None:  # kseq's "some draft is always accepted" case
+            raise ValueError("kseq numerical failure")
+        out[~done] = _choice_rows(final, m, rng)[~done]
+    return out
 
 
 class OTSingleKernel:
@@ -67,13 +95,13 @@ class OTSingleKernel:
         self.accept = _accept_probs(p.mass, q.mass)
         self.residual = residual_dist(p, q)
 
-    def sample(self, tokens, rng: np.random.Generator) -> int:
-        j = int(tokens[0]) if not np.isscalar(tokens) else int(tokens)
-        if self.q.mass[j] <= 0.0:
+    def sample(self, tuples, rng: np.random.Generator) -> np.ndarray:
+        j = _batch(tuples)[:, 0]
+        if (self.q.mass[j] <= 0.0).any():
             raise ValueError("draft outside support")
-        if rng.random() < self.accept[j]:
-            return j
-        return _sample(self.residual.mass, rng)
+        u = rng.random(j.size)
+        resample = _choice_rows(self.residual.mass, j.size, rng)
+        return np.where(u < self.accept[j], j, resample)
 
     def conditional(self, tokens) -> np.ndarray:
         j = int(tokens[0]) if not np.isscalar(tokens) else int(tokens)
@@ -82,10 +110,6 @@ class OTSingleKernel:
         vec = (1.0 - self.accept[j]) * self.residual.mass
         vec[j] = self.accept[j]
         return vec
-
-
-def ot_single_verify(p: Dist, q: Dist, draft: int, rng: np.random.Generator) -> int:
-    return OTSingleKernel(p, q).sample(draft, rng)
 
 
 def _residual_ladder(p: Dist, q: Dist, n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -113,11 +137,8 @@ class RrsWKernel:
         self.p, self.q, self.n = p, q, n
         self.residuals, self.accepts = _residual_ladder(p, q, n)
 
-    def sample(self, tokens, rng: np.random.Generator) -> int:
-        for k, t in enumerate(tokens):
-            if rng.random() < self.accepts[k][t]:
-                return int(t)
-        return _sample(self.residuals[self.n], rng)
+    def sample(self, tuples, rng: np.random.Generator) -> np.ndarray:
+        return _first_accepted(_batch(tuples), self.accepts, self.residuals[self.n], rng)
 
     def conditional(self, tokens) -> np.ndarray:
         vec = np.zeros(self.p.vocab_size)
@@ -152,13 +173,36 @@ class RrsWoKernel:
             r = residual_dist(r, qk)
         yield None, r, None
 
-    def sample(self, tokens, rng: np.random.Generator) -> int:
-        for t, r, qk in self._stages(tokens):
-            if t is None:
-                return _sample(r.mass, rng)
-            if qk.mass[t] > 0.0 and rng.random() < min(r.mass[t] / qk.mass[t], 1.0):
-                return t
-        raise AssertionError("unreachable")
+    def sample(self, tuples, rng: np.random.Generator) -> np.ndarray:
+        tuples = _batch(tuples)
+        m, n = tuples.shape
+        ordered = np.sort(tuples, axis=1)
+        if (ordered[:, 1:] == ordered[:, :-1]).any():
+            raise ValueError("without-replacement tuple has duplicate tokens")
+        rows = np.arange(m)
+        r = np.tile(self.p.mass, (m, 1))
+        qw = np.tile(self.q.mass, (m, 1))
+        out = np.full(m, -1, dtype=np.intp)
+        done = np.zeros(m, dtype=bool)
+        for k in range(n):
+            tk = tuples[:, k]
+            if k:
+                qw[rows, tuples[:, k - 1]] = 0.0
+            denom = np.maximum(qw.sum(axis=1), 1e-300)
+            qk = qw / denom[:, None]
+            a = _accept_probs(r[rows, tk], qk[rows, tk])
+            hit = (rng.random(m) < a) & ~done
+            out[hit] = tk[hit]
+            done |= hit
+            r = np.maximum(r - qk, 0.0)
+            dead = r.sum(axis=1) <= 1e-15  # residual vanished: stage acceptance was 1
+            r[dead] = 1.0
+            r /= r.sum(axis=1)[:, None]
+        u = rng.random(m)
+        final = (np.cumsum(r, axis=1) < u[:, None]).sum(axis=1)
+        np.minimum(final, self.p.vocab_size - 1, out=final)
+        out[~done] = final[~done]
+        return out
 
     def conditional(self, tokens) -> np.ndarray:
         vec = np.zeros(self.p.vocab_size)
@@ -171,14 +215,6 @@ class RrsWoKernel:
             vec[t] += weight * a
             weight *= 1.0 - a
         return vec
-
-
-def rrs_w_verify(p: Dist, q: Dist, tokens, rng: np.random.Generator) -> int:
-    return RrsWKernel(p, q, len(tokens)).sample(tokens, rng)
-
-
-def rrs_wo_verify(p: Dist, q: Dist, tokens, rng: np.random.Generator) -> int:
-    return RrsWoKernel(p, q, len(tokens)).sample(tokens, rng)
 
 
 def rrs_w_rate_exact(p: Dist, q: Dist, n: int) -> float:
@@ -289,13 +325,9 @@ class KseqKernel:
                 raise ValueError("kseq numerical failure")
             self.fallback = base / total
 
-    def sample(self, tokens, rng: np.random.Generator) -> int:
-        for t in tokens:
-            if rng.random() < self.accept[t]:
-                return int(t)
-        if self.fallback is None:
-            raise ValueError("kseq numerical failure")
-        return _sample(self.fallback, rng)
+    def sample(self, tuples, rng: np.random.Generator) -> np.ndarray:
+        tuples = _batch(tuples)
+        return _first_accepted(tuples, [self.accept] * tuples.shape[1], self.fallback, rng)
 
     def conditional(self, tokens) -> np.ndarray:
         vec = np.zeros(self.p.vocab_size)
@@ -311,10 +343,6 @@ class KseqKernel:
         return vec
 
 
-def kseq_verify(p: Dist, q: Dist, params: KseqParams, tokens, rng: np.random.Generator) -> int:
-    return KseqKernel(p, q, len(tokens), params).sample(tokens, rng)
-
-
 class GreedyKernel:
     """Verifier for greedy drafts: the deterministic top tokens make the
     problem single-draft, so the optimal transport against the last-draft
@@ -327,18 +355,60 @@ class GreedyKernel:
         self.top, tail = greedy_tail(q, n)
         self.inner = OTSingleKernel(p, tail)
 
-    def _check(self, tokens) -> int:
-        tokens = tuple(int(t) for t in tokens)
-        if len(tokens) != self.n or tokens[: self.n - 1] != self.top:
+    def _check(self, tuples: np.ndarray) -> np.ndarray:
+        if tuples.shape[1] != self.n or (tuples[:, : self.n - 1] != self.top).any():
             raise ValueError("draft tuple does not match the greedy top prefix")
-        return tokens[-1]
+        return tuples[:, -1:]
 
-    def sample(self, tokens, rng: np.random.Generator) -> int:
-        return self.inner.sample(self._check(tokens), rng)
+    def sample(self, tuples, rng: np.random.Generator) -> np.ndarray:
+        return self.inner.sample(self._check(_batch(tuples)), rng)
 
     def conditional(self, tokens) -> np.ndarray:
-        return self.inner.conditional(self._check(tokens))
+        return self.inner.conditional(self._check(_batch([tokens]))[0])
 
 
-def greedy_verify(p: Dist, q: Dist, n: int, tokens, rng: np.random.Generator) -> int:
-    return GreedyKernel(p, q, n).sample(tokens, rng)
+class FirstDraftKernel:
+    """Emits the first draft and ignores p, so its output follows the draft
+    distribution instead of the target: the negative control of the
+    target-preservation test."""
+
+    tag = "first-draft"
+
+    def __init__(self, vocab_size: int):
+        self.vocab_size = vocab_size
+
+    def sample(self, tuples, rng: np.random.Generator) -> np.ndarray:
+        return _batch(tuples)[:, 0].copy()
+
+    def conditional(self, tokens) -> np.ndarray:
+        vec = np.zeros(self.vocab_size)
+        vec[int(tokens[0])] = 1.0
+        return vec
+
+
+_WR, _WO = DraftKind.WITH_REPLACEMENT, DraftKind.WITHOUT_REPLACEMENT
+
+# The one method/scheme table: the draft kinds each method verifies, and its
+# kernel for target p and a scheme. ot-single also needs a single draft.
+METHODS = {
+    "ot-single": ((_WR, _WO), lambda p, s: OTSingleKernel(p, s.q)),
+    "rrs-w": ((_WR,), lambda p, s: RrsWKernel(p, s.q, s.n)),
+    "kseq": ((_WR,), lambda p, s: KseqKernel(p, s.q, s.n)),
+    "rrs-wo": ((_WO,), lambda p, s: RrsWoKernel(p, s.q, s.n)),
+    "greedy": ((DraftKind.GREEDY,), lambda p, s: GreedyKernel(p, s.q, s.n)),
+    "first-draft": (tuple(DraftKind), lambda p, s: FirstDraftKernel(p.vocab_size)),
+}
+
+
+def supports(method: str, kind: DraftKind, n: int) -> bool:
+    """Whether ``method`` verifies n drafts of ``kind``."""
+    if method not in METHODS:
+        return False
+    return kind in METHODS[method][0] and (n == 1 or method != "ot-single")
+
+
+def make_kernel(method: str, p: Dist, scheme: DraftScheme):
+    """The kernel of ``method`` for target p and ``scheme``."""
+    if not supports(method, scheme.kind, scheme.n):
+        raise ValueError(f"method {method!r} does not apply to {scheme.kind.value} drafts")
+    return METHODS[method][1](p, scheme)

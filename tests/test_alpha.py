@@ -172,6 +172,20 @@ class TestAlphaGreedyClosed:
         p = Dist(np.array([1.0, 0.0, 0.0]))
         assert alpha_greedy_closed(p, Q532, 2) == pytest.approx(1.0)
 
+    def test_at_most_one_when_drafts_cover_everything(self):
+        # n = V: the top n-1 tokens plus the last draft cover the vocabulary,
+        # so the sum of the two terms is 1 up to rounding; unclamped it is
+        # 1 + 2.2e-16 here.
+        p = Dist(np.array([
+            0.0018461445471135488, 0.07125627228747278, 0.03129149798233222,
+            0.0460139284165736, 0.1310106947947761, 0.7185814619717319,
+        ]))
+        q = Dist(np.array([
+            0.0012886980304085364, 0.28212011367733625, 0.05888961732470188,
+            0.5919415879517816, 0.001692937834746239, 0.06406704518102543,
+        ]))
+        assert alpha_greedy_closed(p, q, 6) == 1.0
+
 
 class TestAlphaBruteForce:
     def test_empty_set_bound(self, rng):

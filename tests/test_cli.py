@@ -233,6 +233,39 @@ class TestRunExperiment:
             ("greedy", "greedy"),
         }
 
+    def test_temperature_zero_without_rrs_wo(self, tmp_path):
+        # q is one-hot at T=0, so no without-replacement scheme of 3 drafts
+        # exists; no requested method uses one, so the run must not build it.
+        cfg = self.config(tmp_path, temperature=0.0, methods=("rrs-w", "kseq", "greedy"))
+        rows = run_experiment(cfg)
+        assert {r["scheme"] for r in rows} == {"with-replacement", "greedy"}
+        assert all(0.0 <= r["alpha"] <= 1.0 for r in rows)
+
+    def test_default_run_does_not_warn(self, tmp_path, capsys):
+        run_experiment(self.config(tmp_path))
+        assert "warning" not in capsys.readouterr().err
+
+    def test_swept_single_draft_not_warned(self, tmp_path, capsys):
+        cfg = self.config(
+            tmp_path,
+            methods=("rrs-w", "ot-single"),
+            sweep="drafts",
+            sweep_values=(1.0, 2.0),
+        )
+        rows = run_experiment(cfg)
+        assert "warning" not in capsys.readouterr().err
+        ot = [r for r in rows if r["method"] == "ot-single" and r["position"] != "mean"]
+        assert {r["sweep_value"] for r in ot} == {1}
+        assert len(ot) == 2 * 3  # two single-draft schemes, three positions
+
+    def test_method_without_rows_warned(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, methods=("rrs-w", "ot-single", "greedy"))
+        rows = run_experiment(cfg)
+        err = capsys.readouterr().err
+        assert "warning" in err and "ot-single" in err
+        assert "rrs-w" not in err and "greedy" not in err
+        assert not any(r["method"] == "ot-single" for r in rows)
+
 
 class TestMainEntryPoint:
     def test_success_exit_zero(self, tmp_path, capsys):

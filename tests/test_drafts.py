@@ -13,7 +13,6 @@ from mdsd.drafts import (
     greedy_tail,
     iter_support,
     make_prefix_q,
-    sample_tuple,
     sample_tuples,
     tuple_prob,
 )
@@ -145,7 +144,7 @@ class TestSamplers:
             ),
         }[kind]
         rng = np.random.default_rng(11)
-        draws = [sample_tuple(scheme, rng) for _ in range(self.N_DRAWS)]
+        draws = [tuple(sample_tuples(scheme, 1, rng)[0]) for _ in range(self.N_DRAWS)]
         self.check_frequencies(scheme, draws)
 
     @pytest.mark.parametrize("kind", ["wr", "wo", "greedy", "spechub", "product"])
@@ -167,14 +166,14 @@ class TestSamplers:
         scheme = DraftScheme.greedy(Q532, 2)
         rng = np.random.default_rng(0)
         for _ in range(200):
-            t = sample_tuple(scheme, rng)
+            t = sample_tuples(scheme, 1, rng)[0]
             assert t[0] == 0
 
     def test_with_replacement_degenerate_q(self):
         q = Dist(np.array([0.0, 1.0, 0.0]))
         scheme = DraftScheme.with_replacement(q, 3)
         rng = np.random.default_rng(0)
-        assert sample_tuple(scheme, rng) == (1, 1, 1)
+        assert tuple(sample_tuples(scheme, 1, rng)[0]) == (1, 1, 1)
 
     def test_greedy_exhausted_top_falls_back_to_uniform(self):
         # Top token owns all the mass; the last draft becomes uniform over

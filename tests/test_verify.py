@@ -6,7 +6,7 @@ import pytest
 
 from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
 from mdsd.dists import Dist, top_k_desc, tv_distance
-from mdsd.drafts import DraftScheme, iter_support, tuple_prob
+from mdsd.drafts import DraftKind, DraftScheme, iter_support, tuple_prob
 from mdsd.oracle import verifier_marginal_exact
 from mdsd.verify import (
     GreedyKernel,
@@ -15,13 +15,11 @@ from mdsd.verify import (
     OTSingleKernel,
     RrsWKernel,
     RrsWoKernel,
-    greedy_verify,
+    METHODS,
     kseq_solve,
-    kseq_verify,
-    ot_single_verify,
+    make_kernel,
     rrs_w_rate_exact,
-    rrs_w_verify,
-    rrs_wo_verify,
+    supports,
 )
 
 from conftest import dirichlet_dist
@@ -48,7 +46,7 @@ class TestOTSingle:
         kern = OTSingleKernel(Q532, Q532)
         rng = np.random.default_rng(0)
         for j in range(3):
-            assert kern.sample((j,), rng) == j
+            assert kern.sample([(j,)], rng)[0] == j
             assert kern.conditional((j,))[j] == 1.0
 
     def test_hand_conditional(self):
@@ -62,7 +60,7 @@ class TestOTSingle:
         p = Dist(np.array([0.5, 0.5]))
         q = Dist(np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="draft outside support"):
-            ot_single_verify(p, q, 1, np.random.default_rng(0))
+            OTSingleKernel(p, q).sample([(0,), (1,)], np.random.default_rng(0))
 
     def test_enumerated_acceptance_is_overlap(self, rng):
         for _ in range(100):
@@ -86,7 +84,7 @@ class TestRrsWithReplacement:
     def test_identical_accepts_first(self):
         kern = RrsWKernel(Q532, Q532, 3)
         rng = np.random.default_rng(1)
-        assert kern.sample((2, 0, 1), rng) == 2
+        assert kern.sample([(2, 0, 1)], rng)[0] == 2
 
     def test_hand_rate(self):
         assert rrs_w_rate_exact(P559, Q532, 2) == pytest.approx(0.44)
@@ -115,21 +113,22 @@ class TestRrsWithReplacement:
             )
             assert tv_distance(marg, p) <= 1e-9
 
-    def test_functional_wrapper(self):
+    def test_batch_shape(self):
         rng = np.random.default_rng(2)
-        out = rrs_w_verify(P559, Q532, (0, 1), rng)
-        assert 0 <= out < 3
+        out = RrsWKernel(P559, Q532, 2).sample([(0, 1), (2, 2), (1, 0)], rng)
+        assert out.shape == (3,)
+        assert ((0 <= out) & (out < 3)).all()
 
 
 class TestRrsWithoutReplacement:
     def test_identical_accepts_first(self):
         kern = RrsWoKernel(Q532, Q532, 2)
         rng = np.random.default_rng(1)
-        assert kern.sample((1, 0), rng) == 1
+        assert kern.sample([(1, 0)], rng)[0] == 1
 
     def test_duplicate_tokens_error(self):
         with pytest.raises(ValueError, match="duplicate"):
-            rrs_wo_verify(P559, Q532, (1, 1), np.random.default_rng(0))
+            RrsWoKernel(P559, Q532, 2).sample([(0, 1), (1, 1)], np.random.default_rng(0))
 
     def test_full_vocab_uniform_always_accepts(self):
         q = Dist.uniform(3)
@@ -191,7 +190,7 @@ class TestKseqKernel:
     def test_identical_accepts_first(self):
         kern = KseqKernel(Q532, Q532, 2)
         rng = np.random.default_rng(0)
-        assert kern.sample((1, 2), rng) == 1
+        assert kern.sample([(1, 2)], rng)[0] == 1
 
     def test_enumerated_acceptance_matches_closed_form(self, rng):
         # The terminal distribution only carries tokens whose per-draft
@@ -224,10 +223,12 @@ class TestKseqKernel:
         with pytest.raises(ValueError, match="kseq numerical failure"):
             KseqKernel(P559, Q532, 2, bad)
 
-    def test_functional_wrapper(self):
+    def test_batch_shape(self):
         params = kseq_solve(P559, Q532, 2)
-        out = kseq_verify(P559, Q532, params, (0, 1), np.random.default_rng(3))
-        assert 0 <= out < 3
+        kern = KseqKernel(P559, Q532, 2, params)
+        out = kern.sample([(0, 1), (2, 2), (1, 0)], np.random.default_rng(3))
+        assert out.shape == (3,)
+        assert ((0 <= out) & (out < 3)).all()
 
 
 class TestGreedyVerify:
@@ -273,7 +274,7 @@ class TestGreedyVerify:
 
     def test_invalid_prefix_errors(self):
         with pytest.raises(ValueError, match="greedy top prefix"):
-            greedy_verify(P559, Q532, 2, (1, 0), np.random.default_rng(0))
+            GreedyKernel(P559, Q532, 2).sample([(0, 1), (1, 0)], np.random.default_rng(0))
 
     def test_conditional_matches_unfolded_formula(self, rng):
         # Spell the three-case conditional out from scratch: scale p by the
@@ -314,7 +315,48 @@ class TestDeterminism:
             lambda: GreedyKernel(P559, Q532, 2),
         ):
             kern = make()
-            t = (0, 1) if kern.tag != "ot-single" else (1,)
+            t = [(0, 1), (0, 2)] if kern.tag != "ot-single" else [(1,), (2,)]
             a = kern.sample(t, np.random.default_rng(42))
             b = kern.sample(t, np.random.default_rng(42))
-            assert a == b
+            assert np.array_equal(a, b)
+
+
+class TestSamplerMatchesTable:
+    """The batched `sample`, which is the Monte Carlo path, against the exact
+    `conditional` table: each support tuple of tiny instances is repeated M
+    times and every token count must lie within 5 sigma of M times its
+    conditional probability."""
+
+    M = 20_000
+    INSTANCES = 8
+
+    @staticmethod
+    def scheme(kind, q, n, other):
+        if kind is DraftKind.PRODUCT:
+            return DraftScheme.product([q] + [other] * (n - 1))
+        if kind is DraftKind.SPECHUB:
+            return DraftScheme.spechub(q)
+        return DraftScheme(kind, q, n)
+
+    def test_every_method(self):
+        rng = np.random.default_rng(31)
+        tuples = 0
+        for method, (kinds, _) in METHODS.items():
+            for _ in range(self.INSTANCES):
+                v = int(rng.integers(3, 5))
+                n = 1 if method == "ot-single" else int(rng.integers(1, 4))
+                p, q, other = (dirichlet_dist(rng, v) for _ in range(3))
+                for kind in kinds:
+                    scheme = self.scheme(kind, q, n, other)
+                    if not supports(method, kind, scheme.n):
+                        continue
+                    kern = make_kernel(method, p, scheme)
+                    for t in iter_support(scheme):
+                        out = kern.sample(np.tile(t, (self.M, 1)), rng)
+                        counts = np.bincount(out, minlength=v)
+                        c = kern.conditional(t)
+                        sd = np.sqrt(np.maximum(self.M * c * (1.0 - c), 1e-300))
+                        z = np.abs(counts - self.M * c) / sd
+                        assert z.max() <= 5.0, (method, kind, t, counts, c)
+                        tuples += 1
+        assert tuples > 500
