@@ -3,12 +3,10 @@ speculative decoding."""
 
 from .alpha import (
     ScanResult,
-    alpha_bruteforce,
     alpha_greedy_closed,
     alpha_scan,
     alpha_single_draft,
     ratio_order,
-    subset_q_fn,
 )
 from .dists import (
     Dist,
@@ -24,7 +22,6 @@ from .drafts import (
     DraftKind,
     DraftScheme,
     iter_support,
-    make_prefix_q,
     sample_tuples,
     tuple_prob,
 )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -160,13 +161,16 @@ class _Task:
     extra: dict = field(default_factory=dict)
 
 
-def _method_alpha(method: str, p: Dist, q: Dist, scheme: DraftScheme, task: _Task):
+def _method_alpha(
+    method: str, p: Dist, q: Dist, scheme: DraftScheme, alpha_star: float, task: _Task
+):
     if method == "rrs-w":
         return rrs_w_rate_exact(p, q, scheme.n), 0.0
     if method == "kseq":
         return kseq_solve(p, q, scheme.n).alpha_closed, 0.0
     if method == "greedy":
-        return alpha_greedy_closed(p, q, scheme.n), 0.0
+        # The greedy verifier attains the optimum of its scheme.
+        return alpha_star, 0.0
     if method == "ot-single":
         return alpha_single_draft(p, q), 0.0
     if method == "rrs-wo":
@@ -185,9 +189,12 @@ def _run_position(task: _Task) -> list[dict]:
         if not methods:
             continue
         scheme = DraftScheme(kind, q, task.num_drafts)
-        alpha_star = alpha_scan(p, scheme).alpha_star
+        if kind is DraftKind.GREEDY:
+            alpha_star = alpha_greedy_closed(p, q, scheme.n)
+        else:
+            alpha_star = alpha_scan(p, scheme).alpha_star
         for method in methods:
-            alpha, stderr = _method_alpha(method, p, q, scheme, task)
+            alpha, stderr = _method_alpha(method, p, q, scheme, alpha_star, task)
             rows.append(
                 dict(
                     position=task.position,
@@ -304,14 +311,35 @@ def _aggregate(rows: list[dict]) -> list[dict]:
     return out
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[dict]:
-    """Run all positions, write the report, and return the rows."""
+def _check_config(cfg: ExperimentConfig) -> None:
+    """Reject a config that no run can use, naming the field at fault."""
     for name in cfg.schemes:
         if name not in SCHEME_NAMES:
             raise ValueError(f"unknown scheme {name!r}")
     for name in cfg.methods:
         if name not in METHOD_NAMES:
             raise ValueError(f"unknown method {name!r}")
+    if cfg.num_drafts < 1:
+        raise ValueError(f"num_drafts must be >= 1 (got {cfg.num_drafts})")
+    if cfg.trials < 1:
+        raise ValueError(f"trials must be >= 1 (got {cfg.trials})")
+    if not (math.isfinite(cfg.temperature) and cfg.temperature >= 0.0):
+        raise ValueError(f"temperature must be finite and >= 0 (got {cfg.temperature})")
+    for v in cfg.sweep_values:
+        if cfg.sweep == "drafts" and not (float(v).is_integer() and v >= 1):
+            raise ValueError(
+                f"sweep_values of a drafts sweep must be positive integers (got {v})"
+            )
+        if cfg.sweep == "temperature" and not (math.isfinite(v) and v >= 0.0):
+            raise ValueError(
+                f"sweep_values of a temperature sweep must be finite and >= 0 (got {v})"
+            )
+
+
+def run_experiment(cfg: ExperimentConfig) -> list[dict]:
+    """Check the config, run all positions, write the report, and return the
+    rows."""
+    _check_config(cfg)
     draft_counts = {n for _, _, n in _variants(cfg)}
     unused = [
         m

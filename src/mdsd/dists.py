@@ -71,6 +71,17 @@ class Dist:
         return np.flatnonzero(self.mass > _ZERO_MASS)
 
 
+def _check_logits(arr: np.ndarray) -> None:
+    # A -inf logit masks its token out; NaN, +inf and a vector that masks
+    # every token are malformed.
+    finite = np.isfinite(arr)
+    if not finite.all():
+        if np.any(arr[~finite] != -np.inf):
+            raise ValueError("logits must be finite or -inf (masked)")
+        if not finite.any():
+            raise ValueError("logits mask out every token")
+
+
 @dataclass(frozen=True, eq=False)
 class LogitsRecord:
     """One position's raw logits for the target model and the draft model."""
@@ -87,8 +98,8 @@ class LogitsRecord:
             raise ValueError(
                 f"logits length mismatch: {p.size} vs {q.size}"
             )
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-            raise ValueError("logits must be finite")
+        _check_logits(p)
+        _check_logits(q)
         object.__setattr__(self, "p_logits", p)
         object.__setattr__(self, "q_logits", q)
 
@@ -105,11 +116,7 @@ def softmax_temp(logits, temperature: float) -> Dist:
         raise ValueError("empty distribution")
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
-    finite = np.isfinite(arr)
-    if not np.all(finite):
-        # -inf logits mean "token masked out"; anything else is malformed.
-        if np.any(arr[~finite] != -np.inf):
-            raise ValueError("logits must be finite (or -inf for masked)")
+    _check_logits(arr)
     if temperature == 0.0:
         return Dist.one_hot(arr.size, int(np.argmax(arr)))
     scaled = arr / temperature

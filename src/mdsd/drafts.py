@@ -6,8 +6,10 @@ produced from the draft-model distribution q. Each scheme exposes
   * a batched sampler of draft tuples, `sample_tuples` (one tuple is a
     batch of one),
   * the exact tuple probability `tuple_prob`, and
-  * where available, an incremental evaluator of the subset mass
-    Q(H) = P(all n drafts land in H) via `make_prefix_q`.
+  * its tuple support, `iter_support` (small instances only).
+
+The subset mass Q(H) = P(all n drafts land in H) that the optimum needs is
+evaluated in `mdsd.alpha`, along the scan's prefixes.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ __all__ = [
     "greedy_tail",
     "sample_tuples",
     "tuple_prob",
-    "make_prefix_q",
     "iter_support",
-    "PrefixQ",
 ]
 
 
@@ -226,87 +226,3 @@ def iter_support(scheme: DraftScheme):
                 yield (top1, int(x))
     else:
         raise ValueError(f"unknown scheme kind {kind}")
-
-
-class PrefixQ:
-    """Incremental evaluator of Q(H) while tokens are added one at a time.
-
-    Subclasses keep O(1) or O(n) state; after adding tokens x1..xk in any
-    order, ``value()`` equals Q({x1..xk}). The accumulator is single-owner
-    mutable state: create one per worker rather than sharing across threads.
-    """
-
-    def add(self, token: int) -> None:
-        raise NotImplementedError
-
-    def value(self) -> float:
-        raise NotImplementedError
-
-
-class _PowerPrefixQ(PrefixQ):
-    # With replacement: Q(H) = (sum of q over H) ** n.
-    def __init__(self, q: Dist, n: int):
-        self._q = q.mass
-        self._n = n
-        self._sum = 0.0
-
-    def add(self, token: int) -> None:
-        self._sum += self._q[token]
-
-    def value(self) -> float:
-        return min(self._sum, 1.0) ** self._n
-
-
-class _ElemSymPrefixQ(PrefixQ):
-    # Without replacement: Q(H) = W_{n,H} / W_{n,Sigma}, where W_{k,H} is the
-    # degree-k coefficient of prod_{i in H} (1 + q(i) t), maintained with the
-    # recurrence W_k += q(x) * W_{k-1}.
-    def __init__(self, q: Dist, n: int):
-        self._q = q.mass
-        self._n = n
-        self._w = np.zeros(n + 1)
-        self._w[0] = 1.0
-        total = np.zeros(n + 1)
-        total[0] = 1.0
-        for x in q.mass:
-            total[1:] += x * total[:-1]
-        if total[n] <= 0.0:
-            raise ValueError("without-replacement draft count exceeds support size")
-        self._w_total = float(total[n])
-
-    def add(self, token: int) -> None:
-        qx = self._q[token]
-        self._w[1:] += qx * self._w[:-1]
-
-    def value(self) -> float:
-        return float(self._w[self._n] / self._w_total)
-
-
-class _GreedyPrefixQ(PrefixQ):
-    # Greedy: Q(H) = sum of the last-draft mass over H when H contains the
-    # deterministic top n-1 prefix, else 0.
-    def __init__(self, q: Dist, n: int):
-        top, tail = greedy_tail(q, n)
-        self._top = frozenset(top)
-        self._tail = tail.mass
-        self._missing = len(top)
-        self._sum = 0.0
-
-    def add(self, token: int) -> None:
-        if token in self._top:
-            self._missing -= 1
-        self._sum += self._tail[token]
-
-    def value(self) -> float:
-        return self._sum if self._missing == 0 else 0.0
-
-
-def make_prefix_q(scheme: DraftScheme) -> PrefixQ:
-    """Create the scheme's incremental Q(H) evaluator."""
-    if scheme.kind is DraftKind.WITH_REPLACEMENT:
-        return _PowerPrefixQ(scheme.q, scheme.n)
-    if scheme.kind is DraftKind.WITHOUT_REPLACEMENT:
-        return _ElemSymPrefixQ(scheme.q, scheme.n)
-    if scheme.kind is DraftKind.GREEDY:
-        return _GreedyPrefixQ(scheme.q, scheme.n)
-    raise ValueError(f"no fast Q for {scheme.kind.value}; use the exact oracle")

@@ -3,17 +3,21 @@
 Random instances come in two flavours: integer-grid distributions (masses
 k/D for a common denominator) that convert losslessly to rationals for the
 exact oracles, and Dirichlet-random float distributions for the fast-path
-property checks.
+property checks. The float subset brute force and the conditional-Poisson
+draft law below are references that share no code with the prefix scan.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mdsd.dists import Dist
+from mdsd.drafts import iter_support, tuple_prob
 
 
 def grid_weights(rng: np.random.Generator, vocab: int, denom: int, min_positive: int = 1):
@@ -36,6 +40,39 @@ def grid_fracs(weights) -> tuple[Fraction, ...]:
 
 def dirichlet_dist(rng: np.random.Generator, vocab: int, conc: float = 1.0) -> Dist:
     return Dist(rng.dirichlet(np.full(vocab, conc)))
+
+
+def support_probs(scheme) -> dict[tuple[int, ...], float]:
+    """The scheme's draft law: every support tuple with its probability."""
+    return {t: tuple_prob(scheme, t) for t in iter_support(scheme)}
+
+
+def conditional_poisson_probs(q, n: int) -> dict:
+    """Conditional Poisson sampling of n distinct tokens: P(S) is
+    proportional to the product of q over S. Exact when ``q`` holds
+    `Fraction`s; keyed by sorted token tuples."""
+    weights = {
+        s: math.prod(q[i] for i in s) for s in itertools.combinations(range(len(q)), n)
+    }
+    total = sum(weights.values())
+    return {s: w / total for s, w in weights.items() if w > 0}
+
+
+def subset_alpha(p: Dist, tuple_probs: dict) -> float:
+    """``1 + min_H (P(H) - Q(H))`` by enumerating all 2^V token subsets in
+    floats, where Q(H) sums the probabilities of the draft tuples whose
+    tokens all lie in H."""
+    v = p.vocab_size
+    q_by_mask = np.zeros(1 << v)
+    for t, prob in tuple_probs.items():
+        q_by_mask[sum(1 << int(i) for i in set(t))] += float(prob)
+    masks = np.arange(1 << v)
+    members = (masks[:, None] >> np.arange(v)) & 1
+    for b in range(v):
+        # Subset-sum transform: Q(H) collects every tuple set inside H.
+        has = members[:, b] == 1
+        q_by_mask[has] += q_by_mask[masks[has] ^ (1 << b)]
+    return 1.0 + float(np.min(members @ p.mass - q_by_mask))
 
 
 @pytest.fixture

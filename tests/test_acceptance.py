@@ -15,13 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mdsd.alpha import (
-    alpha_bruteforce,
-    alpha_greedy_closed,
-    alpha_scan,
-    alpha_single_draft,
-    subset_q_fn,
-)
+from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
 from mdsd.cli import ExperimentConfig, run_experiment, synth_positions
 from mdsd.dists import Dist, softmax_temp, tv_distance
 from mdsd.drafts import DraftKind, DraftScheme, iter_support, tuple_prob
@@ -30,7 +24,6 @@ from mdsd.oracle import (
     RationalScheme,
     alpha_maxflow,
     alpha_subset_exact,
-    q_sequential_exact,
     verifier_marginal_exact,
 )
 from mdsd.verify import (
@@ -43,7 +36,14 @@ from mdsd.verify import (
     rrs_w_rate_exact,
 )
 
-from conftest import grid_dist, grid_fracs, grid_weights
+from conftest import (
+    conditional_poisson_probs,
+    grid_dist,
+    grid_fracs,
+    grid_weights,
+    subset_alpha,
+    support_probs,
+)
 
 
 def announce(idx, name, ok, detail=""):
@@ -79,31 +79,6 @@ def instances():
     return make_instances()
 
 
-def float_subset_q(scheme):
-    """Subset mass by enumerating the tuple support, as a plain function of
-    the member set (an independent float route for the brute force)."""
-    v = scheme.vocab_size
-    table = np.zeros(1 << v)
-    for t in iter_support(scheme):
-        mask = 0
-        for i in t:
-            mask |= 1 << i
-        table[mask] += tuple_prob(scheme, t)
-    idx = np.arange(1 << v)
-    for b in range(v):
-        bit = 1 << b
-        sel = (idx & bit) > 0
-        table[sel] += table[idx[sel] ^ bit]
-
-    def q_of(members):
-        mask = 0
-        for i in members:
-            mask |= 1 << int(i)
-        return float(table[mask])
-
-    return q_of
-
-
 class TestCriterion1:
     def test_duality_oracle_triangle(self, instances):
         started = time.time()
@@ -135,9 +110,9 @@ class TestCriterion1:
             for rational, floating in cases:
                 flow = alpha_maxflow(p_f, rational)
                 assert flow == alpha_subset_exact(p_f, rational), rational.kind
-                brute = alpha_bruteforce(p_d, float_subset_q(floating))
+                brute = subset_alpha(p_d, support_probs(floating))
                 assert brute == pytest.approx(float(flow), abs=1e-9), rational.kind
-                if floating.kind in (DraftKind.WITH_REPLACEMENT, DraftKind.GREEDY):
+                if floating.kind is DraftKind.WITH_REPLACEMENT:
                     scan = alpha_scan(p_d, floating).alpha_star
                     assert scan == pytest.approx(float(flow), abs=1e-9), rational.kind
                 if floating.kind is DraftKind.GREEDY:
@@ -164,17 +139,18 @@ class TestCriterion2:
             rational = RationalScheme(DraftKind.WITHOUT_REPLACEMENT, q_f, n)
             flow = alpha_maxflow(p_f, rational)
             # Duality with the sequential subset mass, exact and via the
-            # float brute force over the sequential Q.
+            # float brute force over the sequential draft law.
             assert flow == alpha_subset_exact(p_f, rational)
-            brute_seq = alpha_bruteforce(
-                p_d, lambda members: q_sequential_exact(q_d, members, n) if members else 0.0
-            )
-            assert brute_seq == pytest.approx(float(flow), abs=1e-9)
-            # The coefficient-ratio fast path agrees with its own brute force.
             scheme = DraftScheme.without_replacement(q_d, n)
+            brute_seq = subset_alpha(p_d, support_probs(scheme))
+            assert brute_seq == pytest.approx(float(flow), abs=1e-9)
+            # The coefficient-ratio scan is the exact LP optimum over the
+            # conditional-Poisson law, P(S) proportional to prod q_i.
+            cp_flow = alpha_maxflow(
+                p_f, rational, tuple_probs=conditional_poisson_probs(q_f, n)
+            )
             scan = alpha_scan(p_d, scheme).alpha_star
-            brute_ratio = alpha_bruteforce(p_d, subset_q_fn(scheme))
-            assert scan == pytest.approx(brute_ratio, abs=1e-9)
+            assert scan == pytest.approx(float(cp_flow), abs=1e-9)
             diffs.append(scan - float(flow))
             checked += 1
         diffs = np.asarray(diffs)

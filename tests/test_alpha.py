@@ -1,23 +1,28 @@
-"""Optimal acceptance rate solvers against hand values and the subset
-brute force."""
-
-import itertools
+"""Optimal acceptance rate solvers against hand values, the float subset
+brute force and the exact rational oracle."""
 
 import numpy as np
 import pytest
 
 from mdsd.alpha import (
-    alpha_bruteforce,
     alpha_greedy_closed,
     alpha_scan,
     alpha_single_draft,
     ratio_order,
-    subset_q_fn,
 )
 from mdsd.dists import Dist
-from mdsd.drafts import DraftScheme
+from mdsd.drafts import DraftKind, DraftScheme
+from mdsd.oracle import RationalScheme, alpha_subset_exact
 
-from conftest import dirichlet_dist
+from conftest import (
+    conditional_poisson_probs,
+    dirichlet_dist,
+    grid_dist,
+    grid_fracs,
+    grid_weights,
+    subset_alpha,
+    support_probs,
+)
 
 P631 = Dist(np.array([0.6, 0.3, 0.1]))
 Q253 = Dist(np.array([0.2, 0.5, 0.3]))
@@ -86,10 +91,7 @@ class TestAlphaScan:
     def test_structural_invariants(self, rng):
         for _ in range(50):
             v, n, p, q = random_case(rng)
-            schemes = [
-                DraftScheme.with_replacement(q, n),
-                DraftScheme.greedy(q, min(n, v)),
-            ]
+            schemes = [DraftScheme.with_replacement(q, n)]
             if q.support().size >= n:
                 schemes.append(DraftScheme.without_replacement(q, n))
             for scheme in schemes:
@@ -107,52 +109,65 @@ class TestAlphaScan:
         with pytest.raises(ValueError):
             alpha_scan(P631, DraftScheme.spechub(Q253))
 
+    def test_rejects_greedy(self):
+        # The greedy optimum has its closed form, alpha_greedy_closed.
+        with pytest.raises(ValueError, match="no prefix scan for greedy"):
+            alpha_scan(P631, DraftScheme.greedy(Q253, 2))
+
 
 class TestScanMatchesBruteForce:
-    """The prefix scan must agree with full subset enumeration."""
+    """The prefix scan and the greedy closed form must agree with optima
+    computed by full subset enumeration."""
 
     N_INSTANCES = 1000
 
     def test_all_fast_schemes(self):
+        # With replacement against the scheme's own draft law; without
+        # replacement against the conditional-Poisson law, whose subset mass
+        # is the scan's coefficient ratio.
         rng = np.random.default_rng(5150)
         checked = 0
         for _ in range(self.N_INSTANCES):
             v, n, p, q = random_case(rng)
-            schemes = [
-                DraftScheme.with_replacement(q, n),
-                DraftScheme.greedy(q, min(n, v)),
-            ]
+            laws = [(DraftScheme.with_replacement(q, n), None)]
             if q.support().size >= n:
-                schemes.append(DraftScheme.without_replacement(q, n))
-            for scheme in schemes:
+                laws.append(
+                    (
+                        DraftScheme.without_replacement(q, n),
+                        conditional_poisson_probs(q.mass, n),
+                    )
+                )
+            for scheme, probs in laws:
                 fast = alpha_scan(p, scheme).alpha_star
-                slow = alpha_bruteforce(p, subset_q_fn(scheme))
+                slow = subset_alpha(p, probs or support_probs(scheme))
                 assert fast == pytest.approx(slow, abs=1e-9), scheme.kind
                 checked += 1
-        assert checked >= 2 * self.N_INSTANCES
+        assert checked >= self.N_INSTANCES
 
     def test_greedy_closed_form(self):
         rng = np.random.default_rng(77)
         for _ in range(300):
-            v, n, p, q = random_case(rng)
-            n = min(n, v)
-            scheme = DraftScheme.greedy(q, n)
-            closed = alpha_greedy_closed(p, q, n)
-            assert closed == pytest.approx(
-                alpha_bruteforce(p, subset_q_fn(scheme)), abs=1e-9
+            v = int(rng.integers(2, 9))
+            n = min(int(rng.integers(1, 4)), v)
+            denom = int(rng.integers(5, 30))
+            wp = grid_weights(rng, v, denom)
+            wq = grid_weights(rng, v, denom)
+            exact = alpha_subset_exact(
+                grid_fracs(wp), RationalScheme(DraftKind.GREEDY, grid_fracs(wq), n)
             )
+            closed = alpha_greedy_closed(grid_dist(wp), grid_dist(wq), n)
+            assert closed == pytest.approx(float(exact), abs=1e-9)
 
     def test_adversarial_greedy_ordering(self):
-        # Top tokens can sit low in the plain mass-ratio order; the scan must
-        # still find the optimum.
-        p = Dist(np.array([0.6, 0.02, 0.36, 0.02]))
-        q = Dist(np.array([0.3, 0.25, 0.25, 0.2]))
-        scheme = DraftScheme.greedy(q, 2)
-        res = alpha_scan(p, scheme)
-        assert res.alpha_star == pytest.approx(
-            alpha_bruteforce(p, subset_q_fn(scheme)), abs=1e-12
+        # The deterministic top token sits last in the plain mass-ratio
+        # order; the optimum must still be found.
+        wp, wq = [30, 1, 18, 1], [6, 5, 5, 4]
+        assert list(ratio_order(grid_dist(wp), grid_dist(wq)))[-1] == 0
+        exact = alpha_subset_exact(
+            grid_fracs(wp), RationalScheme(DraftKind.GREEDY, grid_fracs(wq), 2)
         )
-        assert res.alpha_star == pytest.approx(alpha_greedy_closed(p, q, 2), abs=1e-12)
+        closed = alpha_greedy_closed(grid_dist(wp), grid_dist(wq), 2)
+        assert closed == pytest.approx(float(exact), abs=1e-12)
 
 
 class TestAlphaGreedyClosed:
@@ -185,24 +200,6 @@ class TestAlphaGreedyClosed:
             0.5919415879517816, 0.001692937834746239, 0.06406704518102543,
         ]))
         assert alpha_greedy_closed(p, q, 6) == 1.0
-
-
-class TestAlphaBruteForce:
-    def test_empty_set_bound(self, rng):
-        for _ in range(20):
-            v, n, p, q = random_case(rng, max_vocab=5)
-            scheme = DraftScheme.with_replacement(q, n)
-            assert alpha_bruteforce(p, subset_q_fn(scheme)) <= 1.0 + 1e-12
-
-    def test_degenerate_one_hot(self):
-        p = Dist(np.array([1.0, 0.0]))
-        scheme = DraftScheme.with_replacement(p, 2)
-        assert alpha_bruteforce(p, subset_q_fn(scheme)) == pytest.approx(1.0)
-
-    def test_vocab_guard(self):
-        p = Dist.uniform(21)
-        with pytest.raises(ValueError, match="brute force"):
-            alpha_bruteforce(p, lambda h: 0.0)
 
 
 class TestOrderingProperties:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from mdsd import cli
 from mdsd.cli import (
     ExperimentConfig,
     MalformedInputError,
@@ -52,6 +53,13 @@ class TestLoadLogits:
         path = tmp_path / "bad.jsonl"
         write_jsonl(path, [record([0, None], [1, 0])])
         with pytest.raises(MalformedInputError, match="line 1"):
+            list(load_logits(str(path)))
+
+    def test_all_masked_line_named(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        inf = float("inf")
+        write_jsonl(path, [record([0, -inf], [1, 0]), record([-inf, -inf], [1, 0])])
+        with pytest.raises(MalformedInputError, match="line 2.*every token"):
             list(load_logits(str(path)))
 
     def test_invalid_json(self, tmp_path):
@@ -156,13 +164,43 @@ class TestRunExperiment:
         assert all(r["config_hash"] == cfg.config_hash() for r in rows)
         assert all(r["seed"] == 5 for r in rows)
 
-    def test_greedy_gap_is_structurally_zero(self, tmp_path):
+    def test_greedy_gap_is_structurally_zero(self, tmp_path, monkeypatch):
+        # The greedy verifier attains its scheme's optimum, so its row reuses
+        # the one closed-form optimum computed per position.
+        calls = []
+        closed = cli.alpha_greedy_closed
+
+        def counted(*args):
+            calls.append(args)
+            return closed(*args)
+
+        monkeypatch.setattr(cli, "alpha_greedy_closed", counted)
+        monkeypatch.setenv("MDSD_THREADS", "1")
         cfg = self.config(tmp_path, schemes=("greedy",), methods=("greedy",))
         rows = run_experiment(cfg)
+        assert len(calls) == cfg.positions
+        assert len(rows) == cfg.positions + 1
         for row in rows:
-            if row["position"] == "mean":
-                continue
-            assert abs(row["gap"]) <= 1e-9
+            assert row["gap"] == 0.0
+            assert row["alpha"] == row["alpha_star"]
+
+    def test_masked_logits_dump(self, tmp_path):
+        inf = float("inf")
+        path = tmp_path / "masked.jsonl"
+        write_jsonl(
+            path,
+            [
+                record([0.5, -inf, 1.0, 0.2, -1.0, 0.0], [0.1, 0.3, -inf, 1.2, 0.4, -0.5]),
+                record([-inf, 0.3, 0.3, 2.0, -inf, 1.0], [0.0, -inf, 0.7, 1.0, -inf, 0.2]),
+            ],
+        )
+        cfg = self.config(tmp_path, synth=None, input_path=str(path))
+        rows = run_experiment(cfg)
+        assert len([r for r in rows if r["position"] != "mean"]) == 2 * 4
+        for row in rows:
+            assert math.isfinite(row["alpha"]) and math.isfinite(row["alpha_star"])
+            assert 0.0 <= row["alpha"] <= 1.0 and 0.0 <= row["alpha_star"] <= 1.0
+        assert open(cfg.output).read().startswith("position,scheme,method")
 
     def test_sweep_drafts_monotone(self, tmp_path):
         cfg = self.config(
@@ -310,3 +348,23 @@ class TestMainEntryPoint:
     def test_sweep_requires_values(self, capsys):
         code = main(["--synth", "zipf:1.0", "--sweep", "drafts"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["--num-drafts", "0"], "num_drafts"),
+            (["--trials", "0", "--methods", "rrs-w"], "trials"),
+            (["--temperature", "-0.5"], "temperature"),
+            (["--temperature", "nan"], "temperature"),
+            (["--sweep", "drafts", "--sweep-values", "1.5"], "sweep_values"),
+            (["--sweep", "drafts", "--sweep-values", "2,0"], "sweep_values"),
+            (["--sweep", "temperature", "--sweep-values", "0.5,-1"], "sweep_values"),
+            (["--sweep", "temperature", "--sweep-values", "inf"], "sweep_values"),
+        ],
+    )
+    def test_bad_config_rejected_before_input(self, tmp_path, capsys, args, field):
+        out = tmp_path / "r.csv"
+        code = main(["--input", str(tmp_path / "nope.jsonl"), "--output", str(out), *args])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()

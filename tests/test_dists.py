@@ -165,3 +165,12 @@ class TestLogitsRecord:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             LogitsRecord(np.array([0.0, np.nan]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="finite or -inf"):
+            LogitsRecord(np.array([0.0, 1.0]), np.array([np.inf, 0.0]))
+
+    def test_masked_logits(self):
+        # -inf masks a token; a vector that masks every token has no softmax.
+        rec = LogitsRecord(np.array([0.0, -np.inf]), np.array([-np.inf, 1.0]))
+        assert rec.vocab_size == 2
+        with pytest.raises(ValueError, match="every token"):
+            LogitsRecord(np.array([0.0, 1.0]), np.array([-np.inf, -np.inf]))

@@ -1,5 +1,5 @@
-"""Draft schemes: tuple probabilities, samplers and the incremental subset
-mass evaluators."""
+"""Draft schemes: tuple probabilities, samplers, and the convexity structure
+of the closed-form subset masses that the prefix scan relies on."""
 
 import itertools
 
@@ -12,7 +12,6 @@ from mdsd.drafts import (
     DraftScheme,
     greedy_tail,
     iter_support,
-    make_prefix_q,
     sample_tuples,
     tuple_prob,
 )
@@ -34,15 +33,6 @@ def all_schemes(q, n):
     if n == 2 and q.vocab_size >= 2:
         out.append(DraftScheme.spechub(q))
     return out
-
-
-def enumerated_q(scheme, members):
-    members = set(members)
-    return sum(
-        tuple_prob(scheme, t)
-        for t in itertools.product(range(scheme.vocab_size), repeat=scheme.n)
-        if set(t) <= members
-    )
 
 
 class TestSchemeValidation:
@@ -133,21 +123,6 @@ class TestSamplers:
         assert not counts
 
     @pytest.mark.parametrize("kind", ["wr", "wo", "greedy", "spechub", "product"])
-    def test_scalar_sampler_frequencies(self, kind):
-        scheme = {
-            "wr": DraftScheme.with_replacement(Q532, 2),
-            "wo": DraftScheme.without_replacement(Q532, 2),
-            "greedy": DraftScheme.greedy(Q532, 2),
-            "spechub": DraftScheme.spechub(Q532),
-            "product": DraftScheme.product(
-                [Q532, Dist(np.array([0.1, 0.6, 0.3]))]
-            ),
-        }[kind]
-        rng = np.random.default_rng(11)
-        draws = [tuple(sample_tuples(scheme, 1, rng)[0]) for _ in range(self.N_DRAWS)]
-        self.check_frequencies(scheme, draws)
-
-    @pytest.mark.parametrize("kind", ["wr", "wo", "greedy", "spechub", "product"])
     def test_batch_sampler_frequencies(self, kind):
         scheme = {
             "wr": DraftScheme.with_replacement(Q532, 2),
@@ -161,6 +136,9 @@ class TestSamplers:
         rng = np.random.default_rng(12)
         arr = sample_tuples(scheme, self.N_DRAWS, rng)
         self.check_frequencies(scheme, [tuple(int(x) for x in row) for row in arr])
+        one = sample_tuples(scheme, 1, rng)
+        assert one.shape == (1, scheme.n)
+        assert tuple_prob(scheme, one[0]) > 0.0
 
     def test_greedy_first_token_deterministic(self):
         scheme = DraftScheme.greedy(Q532, 2)
@@ -189,97 +167,29 @@ class TestSamplers:
         assert total == pytest.approx(1.0)
 
 
-class TestPrefixQ:
-    def test_with_replacement_value(self):
-        ev = make_prefix_q(DraftScheme.with_replacement(Q532, 2))
-        ev.add(0)
-        ev.add(1)
-        assert ev.value() == pytest.approx(0.64)
+def closed_form_q(kind, q, n):
+    """Q(H) as a function of a member list: q(H)**n with replacement, and
+    e_n(q_H) / e_n(q) without (elementary symmetric sums by explicit
+    combinations)."""
+    if kind == "wr":
+        return lambda members: float(q.mass[list(members)].sum()) ** n
 
-    def test_without_replacement_value(self):
-        ev = make_prefix_q(DraftScheme.without_replacement(Q532, 2))
-        ev.add(0)
-        ev.add(1)
-        assert ev.value() == pytest.approx(0.15 / 0.31, abs=1e-12)
+    def esym(ids, k):
+        return sum(
+            float(np.prod([q.mass[i] for i in combo]))
+            for combo in itertools.combinations(ids, k)
+        )
 
-    def test_empty_set_is_zero(self):
-        for scheme in all_schemes(Q532, 2):
-            if scheme.kind in (DraftKind.PRODUCT, DraftKind.SPECHUB):
-                continue
-            assert make_prefix_q(scheme).value() == 0.0
-
-    def test_no_fast_q_for_product_or_spechub(self):
-        with pytest.raises(ValueError, match="use the exact oracle"):
-            make_prefix_q(DraftScheme.product([Q532, Q532]))
-        with pytest.raises(ValueError, match="use the exact oracle"):
-            make_prefix_q(DraftScheme.spechub(Q532))
-
-    def test_matches_enumeration_wr_greedy(self, rng):
-        for _ in range(30):
-            v = int(rng.integers(2, 6))
-            n = int(rng.integers(1, 4))
-            q = dirichlet_dist(rng, v)
-            members = [int(i) for i in rng.permutation(v)[: rng.integers(0, v + 1)]]
-            for scheme in (
-                DraftScheme.with_replacement(q, n),
-                DraftScheme.greedy(q, n) if n - 1 < v else None,
-            ):
-                if scheme is None:
-                    continue
-                ev = make_prefix_q(scheme)
-                for t in members:
-                    ev.add(t)
-                assert ev.value() == pytest.approx(
-                    enumerated_q(scheme, members), abs=1e-9
-                )
-
-    def test_without_replacement_matches_coefficient_ratio(self, rng):
-        # Independent route: elementary symmetric sums by explicit
-        # combinations, not the running recurrence.
-        for _ in range(30):
-            v = int(rng.integers(2, 7))
-            n = int(rng.integers(1, 4))
-            q = dirichlet_dist(rng, v)
-            if q.support().size < n:
-                continue
-            members = sorted(int(i) for i in rng.permutation(v)[: rng.integers(0, v + 1)])
-
-            def esym(ids, k):
-                return sum(
-                    float(np.prod([q.mass[i] for i in combo]))
-                    for combo in itertools.combinations(ids, k)
-                )
-
-            ev = make_prefix_q(DraftScheme.without_replacement(q, n))
-            for t in members:
-                ev.add(t)
-            expect = esym(members, n) / esym(range(v), n)
-            assert ev.value() == pytest.approx(expect, abs=1e-12)
-
-    def test_order_independence(self, rng):
-        q = dirichlet_dist(rng, 6)
-        for scheme in (
-            DraftScheme.with_replacement(q, 3),
-            DraftScheme.without_replacement(q, 3),
-            DraftScheme.greedy(q, 3),
-        ):
-            a = make_prefix_q(scheme)
-            b = make_prefix_q(scheme)
-            for t in (4, 1, 3):
-                a.add(t)
-            for t in (3, 4, 1):
-                b.add(t)
-            assert a.value() == pytest.approx(b.value(), abs=1e-12)
+    total = esym(range(q.vocab_size), n)
+    return lambda members: esym(members, n) / total
 
 
 class TestQConvexityStructure:
-    def marginal(self, scheme, members, x):
-        ev = make_prefix_q(scheme)
-        for t in members:
-            ev.add(t)
-        base = ev.value()
-        ev.add(x)
-        return ev.value() - base
+    """The ratio-order prefix scan is exact because both closed-form subset
+    masses are q-convex and supermodular."""
+
+    def marginal(self, q_of, members, x):
+        return q_of(members + [x]) - q_of(members)
 
     @pytest.mark.parametrize("kind", ["wr", "wo"])
     def test_q_convexity(self, kind, rng):
@@ -288,16 +198,12 @@ class TestQConvexityStructure:
             v = int(rng.integers(3, 7))
             n = int(rng.integers(1, 4))
             q = dirichlet_dist(rng, v)
-            scheme = (
-                DraftScheme.with_replacement(q, n)
-                if kind == "wr"
-                else DraftScheme.without_replacement(q, n)
-            )
+            q_of = closed_form_q(kind, q, n)
             ids = rng.permutation(v)
             x, y = int(ids[0]), int(ids[1])
             members = [int(i) for i in ids[2 : 2 + rng.integers(0, v - 1)]]
-            lhs = self.marginal(scheme, members, x) / q.mass[x]
-            rhs = self.marginal(scheme, members + [x], y) / q.mass[y]
+            lhs = self.marginal(q_of, members, x) / q.mass[x]
+            rhs = self.marginal(q_of, members + [x], y) / q.mass[y]
             assert lhs <= rhs + 1e-12
 
     @pytest.mark.parametrize("kind", ["wr", "wo"])
@@ -306,14 +212,10 @@ class TestQConvexityStructure:
             v = int(rng.integers(3, 7))
             n = int(rng.integers(1, 4))
             q = dirichlet_dist(rng, v)
-            scheme = (
-                DraftScheme.with_replacement(q, n)
-                if kind == "wr"
-                else DraftScheme.without_replacement(q, n)
-            )
+            q_of = closed_form_q(kind, q, n)
             ids = rng.permutation(v)
             x, y = int(ids[0]), int(ids[1])
             members = [int(i) for i in ids[2 : 2 + rng.integers(0, v - 1)]]
-            assert self.marginal(scheme, members, x) <= (
-                self.marginal(scheme, members + [y], x) + 1e-12
+            assert self.marginal(q_of, members, x) <= (
+                self.marginal(q_of, members + [y], x) + 1e-12
             )

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mdsd.alpha import alpha_bruteforce, alpha_scan, subset_q_fn
+from mdsd.alpha import alpha_scan
 from mdsd.dists import Dist
 from mdsd.drafts import DraftKind, DraftScheme
 from mdsd.oracle import (
@@ -18,7 +18,7 @@ from mdsd.oracle import (
     tuple_probs_exact,
 )
 
-from conftest import grid_dist, grid_fracs, grid_weights
+from conftest import conditional_poisson_probs, grid_dist, grid_fracs, grid_weights
 
 Q532 = rational_dist([5, 3, 2])
 
@@ -191,9 +191,10 @@ class TestQSequentialExact:
 
 
 class TestWithoutReplacementDuality:
-    """Sequential tuple probabilities close the LP duality loop, while the
-    coefficient-ratio Q is a distinct quantity; the two subset masses are
-    reported side by side, never asserted equal."""
+    """Sequential tuple probabilities close the LP duality loop for the
+    sampler's draft law, while the scan's coefficient-ratio Q is the subset
+    mass of conditional Poisson sampling, a different law; the two subset
+    masses are reported side by side, never asserted equal."""
 
     def test_maxflow_equals_sequential_subset(self, rng):
         for _ in range(40):
@@ -205,14 +206,21 @@ class TestWithoutReplacementDuality:
             assert alpha_maxflow(p, s) == alpha_subset_exact(p, s)
 
     def test_scan_matches_ratio_bruteforce(self, rng):
+        # The exact LP over the conditional-Poisson law, P(S) ∝ prod q_i,
+        # is the optimum for the coefficient-ratio Q.
         for _ in range(40):
             v, n, wp, wq = random_grid_case(rng)
             if sum(1 for w in wq if w > 0) < n:
                 continue
-            p, q = grid_dist(wp), grid_dist(wq)
-            scheme = DraftScheme.without_replacement(q, n)
-            assert alpha_scan(p, scheme).alpha_star == pytest.approx(
-                alpha_bruteforce(p, subset_q_fn(scheme)), abs=1e-9
+            q_f = grid_fracs(wq)
+            exact = alpha_maxflow(
+                grid_fracs(wp),
+                RationalScheme(DraftKind.WITHOUT_REPLACEMENT, q_f, n),
+                tuple_probs=conditional_poisson_probs(q_f, n),
+            )
+            scheme = DraftScheme.without_replacement(grid_dist(wq), n)
+            assert alpha_scan(grid_dist(wp), scheme).alpha_star == pytest.approx(
+                float(exact), abs=1e-9
             )
 
     def test_known_divergence_between_q_variants(self, capsys):
@@ -220,12 +228,22 @@ class TestWithoutReplacementDuality:
         # versus coefficient ratio 15/31. Both are legitimate readings of
         # "all drafts land in H" and they genuinely differ.
         seq = q_sequential_exact(Q532, [0, 1], 2)
-        scheme = DraftScheme.without_replacement(Dist(np.array([0.5, 0.3, 0.2])), 2)
-        ratio = subset_q_fn(scheme)((0, 1))
+        ratio = sum(
+            pr
+            for s, pr in conditional_poisson_probs(Q532, 2).items()
+            if set(s) <= {0, 1}
+        )
+        # The scan's prefix Q matches: p puts tokens 0 and 1 first in the
+        # ratio order, so its length-2 prefix is H.
+        p = Dist(np.array([0.1, 0.3, 0.6]))
+        q = Dist(np.array([0.5, 0.3, 0.2]))
+        res = alpha_scan(p, DraftScheme.without_replacement(q, 2))
+        assert list(res.ordering[:2]) == [0, 1]
+        assert 0.4 - res.f_values[2] == pytest.approx(15 / 31, abs=1e-12)
         assert seq == Fraction(18, 35)
-        assert ratio == pytest.approx(15 / 31, abs=1e-12)
-        assert abs(float(seq) - ratio) > 0.03
+        assert ratio == Fraction(15, 31)
+        assert abs(seq - ratio) > Fraction(3, 100)
         print(
             f"\nwithout-replacement Q variants on q=(.5,.3,.2), H={{0,1}}, n=2: "
-            f"sequential={float(seq):.6f} coefficient-ratio={ratio:.6f}"
+            f"sequential={float(seq):.6f} coefficient-ratio={float(ratio):.6f}"
         )
