@@ -32,6 +32,7 @@ from .oracle import (
     alpha_subset_exact,
     q_sequential_exact,
     rational_dist,
+    rrs_wo_conditional,
     tuple_probs_exact,
     verifier_marginal_exact,
 )

@@ -170,13 +170,16 @@ def tuple_prob(scheme: DraftScheme, tokens) -> float:
     if kind is DraftKind.WITHOUT_REPLACEMENT:
         if len(set(t)) != len(t):
             return 0.0
+        # The remaining mass is summed over the tokens not yet drawn, not
+        # found by subtraction, which cancels near a one-hot q.
+        rest = scheme.q.mass.copy()
         prob = 1.0
-        remaining = 1.0
         for x in t:
+            remaining = rest.sum()
             if remaining <= 1e-12:
                 return 0.0
-            prob *= scheme.q.mass[x] / remaining
-            remaining -= scheme.q.mass[x]
+            prob *= rest[x] / remaining
+            rest[x] = 0.0
         return float(prob)
     if kind is DraftKind.PRODUCT:
         return float(np.prod([d.mass[x] for d, x in zip(scheme.qs, t)]))

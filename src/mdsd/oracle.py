@@ -4,8 +4,10 @@ Everything here is deliberately brute force and (where probabilities allow)
 exact over rationals, so the fast paths elsewhere can be validated against
 answers that share none of their code: the transport LP value via bipartite
 max flow, subset-selection minima by full enumeration, the sequential
-without-replacement subset mass, and verifier output marginals by summing
-over every draft tuple.
+without-replacement subset mass, verifier output marginals by summing
+over every draft tuple, and a scalar walk of without-replacement rejection
+sampling (`rrs_wo_conditional`), the float reference for the batched stages
+of `mdsd.verify.RrsWoKernel`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dists import Dist
+from .dists import Dist, exclude_renorm, residual_dist
 from .drafts import DraftKind, DraftScheme, iter_support, tuple_prob
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "alpha_subset_exact",
     "q_sequential_exact",
     "verifier_marginal_exact",
+    "rrs_wo_conditional",
 ]
 
 MAX_TUPLE_NODES = 20000
@@ -298,3 +301,25 @@ def verifier_marginal_exact(p: Dist, scheme: DraftScheme, kernel) -> Dist:
     if abs(acc.sum() - 1.0) > 1e-9:
         raise ValueError("verifier conditional tables do not sum to 1")
     return Dist(acc)
+
+
+def rrs_wo_conditional(p: Dist, q: Dist, tokens) -> np.ndarray:
+    """Output distribution of without-replacement rejection sampling given one
+    draft tuple, walked one `Dist` at a time: stage k accepts draft t_k with
+    probability min(r_k / q_k, 1) at t_k, where q_k is q renormalized to
+    exclude the earlier drafts and r_{k+1} is the residual of r_k against q_k;
+    when every draft is rejected the output is drawn from the last residual.
+    """
+    if len(set(int(t) for t in tokens)) != len(tokens):
+        raise ValueError("without-replacement tuple has duplicate tokens")
+    vec = np.zeros(p.vocab_size)
+    weight = 1.0
+    r = p
+    for k, t in enumerate(int(t) for t in tokens):
+        qk = exclude_renorm(q, tokens[:k]) if k else q
+        a = min(r.mass[t] / qk.mass[t], 1.0) if qk.mass[t] > 0.0 else 0.0
+        vec[t] += weight * a
+        weight *= 1.0 - a
+        r = residual_dist(r, qk)
+    vec += weight * r.mass
+    return vec

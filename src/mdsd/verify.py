@@ -2,12 +2,14 @@
 
 Each verifier consumes a draft tuple and produces one output token whose
 marginal over draft and verifier randomness is exactly the target
-distribution p. Every kernel exposes both a batched sampler (`sample`, an
-(m, n) array of draft tuples in, m output tokens out; one tuple is a batch
-of one) and, for small instances, the full conditional table
-(`conditional`) so output marginals can be enumerated exactly. `METHODS`
-says which draft kinds each method verifies, and `make_kernel` builds the
-kernel of a method for a scheme.
+distribution p. Each kernel states its rule once, as stages (`_stages`:
+the drafts it reads, the probability of accepting each, and the
+distribution drawn when all are rejected). The shared base derives from
+them the batched sampler (`sample`, an (m, n) array of draft tuples in, m
+output tokens out) and the exact conditional table (`conditional`), so the
+Monte Carlo path and the exact enumeration cannot disagree. `METHODS` says
+which draft kinds each method verifies, and `make_kernel` builds the kernel
+of a method for a scheme.
 
 Methods: the optimal single-draft transport, recursive rejection sampling
 against a running residual (with- and without-replacement variants), the
@@ -17,11 +19,12 @@ exact verifier for greedy drafts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import Dist, exclude_renorm, residual_dist
+from .dists import Dist, residual_dist
 from .drafts import DraftKind, DraftScheme, greedy_tail
 
 __all__ = [
@@ -51,130 +54,128 @@ def _accept_probs(p_like: np.ndarray, q_like: np.ndarray) -> np.ndarray:
     return np.minimum(ratio, 1.0)
 
 
-def _batch(tuples) -> np.ndarray:
-    arr = np.asarray(tuples, dtype=np.intp)
-    if arr.ndim != 2:
-        raise ValueError("draft tuples must be an (m, n) array")
-    return arr
+class _Kernel:
+    """A verifier stated once, as stages.
+
+    A subclass defines ``_stages`` for an (m, n) batch of draft tuples. It
+    returns the draft columns the verifier reads, the probability that each
+    row accepts each of those drafts (same shape), and the distribution
+    drawn when every draft is rejected: one vector, one row per tuple, or
+    None when that cannot happen. The first accepted draft is the output.
+    `sample` walks the stages with coins and `conditional` walks them as
+    weights, so the Monte Carlo path and the exact table share one rule.
+    ``q`` is the distribution the read drafts come from; a draft it cannot
+    produce is an error (None skips the check).
+    """
+
+    tag: str
+
+    def __init__(self, p: Dist, q: Dist | None, n: int = 1):
+        if q is not None and p.vocab_size != q.vocab_size:
+            raise ValueError("size mismatch between p and q")
+        self.p, self.q, self.n = p, q, n
+
+    def _walk(self, tuples):
+        tuples = np.asarray(tuples, dtype=np.intp)
+        if tuples.ndim != 2:
+            raise ValueError("draft tuples must be an (m, n) array")
+        cols, accept, final = self._stages(tuples)
+        if self.q is not None and (self.q.mass[cols] <= 0.0).any():
+            raise ValueError("draft outside support")
+        return cols, accept, final
+
+    def _final(self, final):
+        if final is None:
+            raise ValueError(f"{self.tag} numerical failure")
+        return final
+
+    def sample(self, tuples, rng: np.random.Generator) -> np.ndarray:
+        """One output token per row of an (m, n) batch of draft tuples. The
+        final distribution is drawn from only when some row needs it."""
+        cols, accept, final = self._walk(tuples)
+        m = cols.shape[0]
+        out = np.full(m, -1, dtype=np.intp)
+        done = np.zeros(m, dtype=bool)
+        for k in range(cols.shape[1]):
+            tk = cols[:, k]
+            hit = (rng.random(m) < accept[:, k]) & ~done
+            out[hit] = tk[hit]
+            done |= hit
+        if not done.all():
+            final = self._final(final)
+            if final.ndim == 1:
+                drawn = rng.choice(final.size, size=m, p=final)
+            else:  # one distribution per row: inverse CDF of one uniform each
+                u = rng.random(m)
+                drawn = (np.cumsum(final, axis=1) < u[:, None]).sum(axis=1)
+                np.minimum(drawn, final.shape[1] - 1, out=drawn)
+            out[~done] = drawn[~done]
+        return out
+
+    def conditional(self, tokens) -> np.ndarray:
+        """The exact output distribution given one draft tuple."""
+        cols, accept, final = self._walk([tokens])
+        vec = np.zeros(self.p.vocab_size)
+        weight = 1.0
+        for t, a in zip(cols[0], accept[0]):
+            vec[t] += weight * a
+            weight *= 1.0 - a
+        if weight > 0.0:
+            final = self._final(final)
+            vec += weight * (final if final.ndim == 1 else final[0])
+        return vec
 
 
-def _choice_rows(mass: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.choice(mass.size, size=count, p=mass)
-
-
-def _first_accepted(tuples: np.ndarray, accepts, final, rng: np.random.Generator) -> np.ndarray:
-    """Stage k accepts draft k with probability ``accepts[k][token]``; the
-    first accepted draft is the output. Rows that reject every draft take a
-    draw from ``final``, which is drawn only when such a row exists."""
-    m, n = tuples.shape
-    out = np.full(m, -1, dtype=np.intp)
-    done = np.zeros(m, dtype=bool)
-    for k in range(n):
-        tk = tuples[:, k]
-        hit = (rng.random(m) < accepts[k][tk]) & ~done
-        out[hit] = tk[hit]
-        done |= hit
-    if not done.all():
-        if final is None:  # kseq's "some draft is always accepted" case
-            raise ValueError("kseq numerical failure")
-        out[~done] = _choice_rows(final, m, rng)[~done]
-    return out
-
-
-class OTSingleKernel:
+class OTSingleKernel(_Kernel):
     """Optimal single-draft transport: accept the draft with probability
     min(p/q, 1), otherwise resample from the residual of p minus q."""
 
     tag = "ot-single"
 
     def __init__(self, p: Dist, q: Dist):
-        if p.vocab_size != q.vocab_size:
-            raise ValueError("size mismatch between p and q")
-        self.p = p
-        self.q = q
+        super().__init__(p, q)
         self.accept = _accept_probs(p.mass, q.mass)
-        self.residual = residual_dist(p, q)
+        self.residual = residual_dist(p, q).mass
 
-    def sample(self, tuples, rng: np.random.Generator) -> np.ndarray:
-        j = _batch(tuples)[:, 0]
-        if (self.q.mass[j] <= 0.0).any():
-            raise ValueError("draft outside support")
-        u = rng.random(j.size)
-        resample = _choice_rows(self.residual.mass, j.size, rng)
-        return np.where(u < self.accept[j], j, resample)
-
-    def conditional(self, tokens) -> np.ndarray:
-        j = int(tokens[0]) if not np.isscalar(tokens) else int(tokens)
-        if self.q.mass[j] <= 0.0:
-            raise ValueError("draft outside support")
-        vec = (1.0 - self.accept[j]) * self.residual.mass
-        vec[j] = self.accept[j]
-        return vec
+    def _stages(self, tuples):
+        j = tuples[:, :1]
+        return j, self.accept[j], self.residual
 
 
-def _residual_ladder(p: Dist, q: Dist, n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Stage residuals r_1..r_{n+1} and stage accept tables for rejection
-    sampling with replacement. The residual sequence is draft-independent:
-    r_{k+1} is the normalized positive part of r_k - q."""
-    residuals = [p.mass]
-    accepts = []
+def _residual_ladder(p: Dist, q: Dist):
+    """Stage residuals r_1 = p, r_2, ... of rejection sampling with
+    replacement, r_{k+1} the normalized positive part of r_k - q. The ladder
+    does not depend on which tokens were drawn."""
     r = p
-    for _ in range(n):
-        accepts.append(_accept_probs(r.mass, q.mass))
+    while True:
+        yield r.mass
         r = residual_dist(r, q)
-        residuals.append(r.mass)
-    return residuals, accepts
 
 
-class RrsWKernel:
-    """Recursive rejection sampling for drafts sampled with replacement."""
+class RrsWKernel(_Kernel):
+    """Recursive rejection sampling for drafts sampled with replacement:
+    stage k accepts its draft with probability min(r_k/q, 1)."""
 
     tag = "rrs-w"
 
     def __init__(self, p: Dist, q: Dist, n: int):
-        if p.vocab_size != q.vocab_size:
-            raise ValueError("size mismatch between p and q")
-        self.p, self.q, self.n = p, q, n
-        self.residuals, self.accepts = _residual_ladder(p, q, n)
+        super().__init__(p, q, n)
+        ladder = list(itertools.islice(_residual_ladder(p, q), n + 1))
+        self.accepts = np.array([_accept_probs(r, q.mass) for r in ladder[:n]])
+        self.final = ladder[n]
 
-    def sample(self, tuples, rng: np.random.Generator) -> np.ndarray:
-        return _first_accepted(_batch(tuples), self.accepts, self.residuals[self.n], rng)
-
-    def conditional(self, tokens) -> np.ndarray:
-        vec = np.zeros(self.p.vocab_size)
-        weight = 1.0
-        for k, t in enumerate(tokens):
-            a = self.accepts[k][t]
-            vec[t] += weight * a
-            weight *= 1.0 - a
-        vec += weight * self.residuals[self.n]
-        return vec
+    def _stages(self, tuples):
+        return tuples, self.accepts[np.arange(tuples.shape[1]), tuples], self.final
 
 
-class RrsWoKernel:
+class RrsWoKernel(_Kernel):
     """Recursive rejection sampling for drafts sampled without replacement:
     stage k compares the running residual against q renormalized to exclude
-    the drafts already rejected."""
+    the drafts already rejected, so every row has its own residuals."""
 
     tag = "rrs-wo"
 
-    def __init__(self, p: Dist, q: Dist, n: int):
-        if p.vocab_size != q.vocab_size:
-            raise ValueError("size mismatch between p and q")
-        self.p, self.q, self.n = p, q, n
-
-    def _stages(self, tokens):
-        if len(set(int(t) for t in tokens)) != len(tokens):
-            raise ValueError("without-replacement tuple has duplicate tokens")
-        r = self.p
-        for k, t in enumerate(tokens):
-            qk = exclude_renorm(self.q, tokens[:k]) if k else self.q
-            yield int(t), r, qk
-            r = residual_dist(r, qk)
-        yield None, r, None
-
-    def sample(self, tuples, rng: np.random.Generator) -> np.ndarray:
-        tuples = _batch(tuples)
+    def _stages(self, tuples):
         m, n = tuples.shape
         ordered = np.sort(tuples, axis=1)
         if (ordered[:, 1:] == ordered[:, :-1]).any():
@@ -182,39 +183,19 @@ class RrsWoKernel:
         rows = np.arange(m)
         r = np.tile(self.p.mass, (m, 1))
         qw = np.tile(self.q.mass, (m, 1))
-        out = np.full(m, -1, dtype=np.intp)
-        done = np.zeros(m, dtype=bool)
+        accept = np.empty((m, n))
         for k in range(n):
             tk = tuples[:, k]
             if k:
                 qw[rows, tuples[:, k - 1]] = 0.0
             denom = np.maximum(qw.sum(axis=1), 1e-300)
             qk = qw / denom[:, None]
-            a = _accept_probs(r[rows, tk], qk[rows, tk])
-            hit = (rng.random(m) < a) & ~done
-            out[hit] = tk[hit]
-            done |= hit
+            accept[:, k] = _accept_probs(r[rows, tk], qk[rows, tk])
             r = np.maximum(r - qk, 0.0)
             dead = r.sum(axis=1) <= 1e-15  # residual vanished: stage acceptance was 1
             r[dead] = 1.0
             r /= r.sum(axis=1)[:, None]
-        u = rng.random(m)
-        final = (np.cumsum(r, axis=1) < u[:, None]).sum(axis=1)
-        np.minimum(final, self.p.vocab_size - 1, out=final)
-        out[~done] = final[~done]
-        return out
-
-    def conditional(self, tokens) -> np.ndarray:
-        vec = np.zeros(self.p.vocab_size)
-        weight = 1.0
-        for t, r, qk in self._stages(tokens):
-            if t is None:
-                vec += weight * r.mass
-                break
-            a = min(r.mass[t] / qk.mass[t], 1.0) if qk.mass[t] > 0.0 else 0.0
-            vec[t] += weight * a
-            weight *= 1.0 - a
-        return vec
+        return tuples, accept, r
 
 
 def rrs_w_rate_exact(p: Dist, q: Dist, n: int) -> float:
@@ -227,13 +208,10 @@ def rrs_w_rate_exact(p: Dist, q: Dist, n: int) -> float:
     if n < 1:
         raise ValueError("draft count must be >= 1")
     reject = 1.0
-    r = p
-    for _ in range(n):
-        a = float(np.minimum(r.mass, q.mass).sum())
-        reject *= 1.0 - a
+    for _, r in zip(range(n), _residual_ladder(p, q)):
+        reject *= 1.0 - float(np.minimum(r, q.mass).sum())
         if reject <= 0.0:
             return 1.0
-        r = residual_dist(r, q)
     return 1.0 - reject
 
 
@@ -296,7 +274,7 @@ def kseq_solve(p: Dist, q: Dist, n: int) -> KseqParams:
     return params(best)
 
 
-class KseqKernel:
+class KseqKernel(_Kernel):
     """Per-draft thresholded acceptance: each draft independently accepted
     with probability min(p/(rho q), 1); if all fail, sample the terminal
     distribution determined by rho."""
@@ -304,9 +282,7 @@ class KseqKernel:
     tag = "kseq"
 
     def __init__(self, p: Dist, q: Dist, n: int, params: KseqParams | None = None):
-        if p.vocab_size != q.vocab_size:
-            raise ValueError("size mismatch between p and q")
-        self.p, self.q, self.n = p, q, n
+        super().__init__(p, q, n)
         self.params = params if params is not None else kseq_solve(p, q, n)
         rho, beta = self.params.rho, self.params.beta_at_rho
         self.accept = _accept_probs(p.mass / rho, q.mass)
@@ -325,25 +301,11 @@ class KseqKernel:
                 raise ValueError("kseq numerical failure")
             self.fallback = base / total
 
-    def sample(self, tuples, rng: np.random.Generator) -> np.ndarray:
-        tuples = _batch(tuples)
-        return _first_accepted(tuples, [self.accept] * tuples.shape[1], self.fallback, rng)
-
-    def conditional(self, tokens) -> np.ndarray:
-        vec = np.zeros(self.p.vocab_size)
-        weight = 1.0
-        for t in tokens:
-            a = self.accept[t]
-            vec[t] += weight * a
-            weight *= 1.0 - a
-        if weight > 0.0:
-            if self.fallback is None:
-                raise ValueError("kseq numerical failure")
-            vec += weight * self.fallback
-        return vec
+    def _stages(self, tuples):
+        return tuples, self.accept[tuples], self.fallback
 
 
-class GreedyKernel:
+class GreedyKernel(OTSingleKernel):
     """Verifier for greedy drafts: the deterministic top tokens make the
     problem single-draft, so the optimal transport against the last-draft
     distribution achieves the scheme's optimal acceptance rate exactly."""
@@ -351,39 +313,28 @@ class GreedyKernel:
     tag = "greedy"
 
     def __init__(self, p: Dist, q: Dist, n: int):
-        self.n = n
         self.top, tail = greedy_tail(q, n)
-        self.inner = OTSingleKernel(p, tail)
+        super().__init__(p, tail)
+        self.n = n
 
-    def _check(self, tuples: np.ndarray) -> np.ndarray:
+    def _stages(self, tuples):
         if tuples.shape[1] != self.n or (tuples[:, : self.n - 1] != self.top).any():
             raise ValueError("draft tuple does not match the greedy top prefix")
-        return tuples[:, -1:]
-
-    def sample(self, tuples, rng: np.random.Generator) -> np.ndarray:
-        return self.inner.sample(self._check(_batch(tuples)), rng)
-
-    def conditional(self, tokens) -> np.ndarray:
-        return self.inner.conditional(self._check(_batch([tokens]))[0])
+        return super()._stages(tuples[:, -1:])
 
 
-class FirstDraftKernel:
+class FirstDraftKernel(_Kernel):
     """Emits the first draft and ignores p, so its output follows the draft
     distribution instead of the target: the negative control of the
-    target-preservation test."""
+    target-preservation test, and so exempt from the support check."""
 
     tag = "first-draft"
 
-    def __init__(self, vocab_size: int):
-        self.vocab_size = vocab_size
+    def __init__(self, p: Dist):
+        super().__init__(p, None)
 
-    def sample(self, tuples, rng: np.random.Generator) -> np.ndarray:
-        return _batch(tuples)[:, 0].copy()
-
-    def conditional(self, tokens) -> np.ndarray:
-        vec = np.zeros(self.vocab_size)
-        vec[int(tokens[0])] = 1.0
-        return vec
+    def _stages(self, tuples):
+        return tuples[:, :1], np.ones((tuples.shape[0], 1)), None
 
 
 _WR, _WO = DraftKind.WITH_REPLACEMENT, DraftKind.WITHOUT_REPLACEMENT
@@ -396,7 +347,7 @@ METHODS = {
     "kseq": ((_WR,), lambda p, s: KseqKernel(p, s.q, s.n)),
     "rrs-wo": ((_WO,), lambda p, s: RrsWoKernel(p, s.q, s.n)),
     "greedy": ((DraftKind.GREEDY,), lambda p, s: GreedyKernel(p, s.q, s.n)),
-    "first-draft": (tuple(DraftKind), lambda p, s: FirstDraftKernel(p.vocab_size)),
+    "first-draft": (tuple(DraftKind), lambda p, s: FirstDraftKernel(p)),
 }
 
 

@@ -80,11 +80,23 @@ class TestTupleProb:
         with pytest.raises(ValueError):
             tuple_prob(DraftScheme.with_replacement(Q532, 2), (0, 1, 2))
 
-    def test_sums_to_one_all_schemes(self, rng):
-        for _ in range(40):
-            v = int(rng.integers(2, 7))
+    # Near one-hot draft distributions, where the mass left after a draw
+    # must not be found by subtraction.
+    NEAR_ONE_HOT = [
+        (Dist(np.array([1.0, 2.687e-12])), 2),
+        (Dist(np.array([0.7, 0.3 - 3e-11, 3e-11])), 3),
+    ]
+
+    def random_cases(self, rng, count, max_vocab):
+        for _ in range(count):
+            v = int(rng.integers(2, max_vocab + 1))
             n = int(rng.integers(1, 4))
-            q = dirichlet_dist(rng, v)
+            yield dirichlet_dist(rng, v), n
+        yield from self.NEAR_ONE_HOT
+
+    def test_sums_to_one_all_schemes(self, rng):
+        for q, n in self.random_cases(rng, 40, 6):
+            v = q.vocab_size
             for scheme in all_schemes(q, n):
                 total = sum(
                     tuple_prob(scheme, t)
@@ -93,10 +105,7 @@ class TestTupleProb:
                 assert total == pytest.approx(1.0, abs=1e-9), scheme.kind
 
     def test_support_iterator_matches(self, rng):
-        for _ in range(20):
-            v = int(rng.integers(2, 6))
-            n = int(rng.integers(1, 4))
-            q = dirichlet_dist(rng, v)
+        for q, n in self.random_cases(rng, 20, 5):
             for scheme in all_schemes(q, n):
                 support = list(iter_support(scheme))
                 assert len(support) == len(set(support))

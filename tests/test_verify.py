@@ -7,7 +7,7 @@ import pytest
 from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
 from mdsd.dists import Dist, top_k_desc, tv_distance
 from mdsd.drafts import DraftKind, DraftScheme, iter_support, tuple_prob
-from mdsd.oracle import verifier_marginal_exact
+from mdsd.oracle import rrs_wo_conditional, verifier_marginal_exact
 from mdsd.verify import (
     GreedyKernel,
     KseqKernel,
@@ -61,6 +61,22 @@ class TestOTSingle:
         q = Dist(np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="draft outside support"):
             OTSingleKernel(p, q).sample([(0,), (1,)], np.random.default_rng(0))
+        # Every verifier but the first-draft control refuses a draft its draft
+        # distribution cannot produce, in `sample` and in `conditional`;
+        # token 0 has no draft mass (greedy's fixed prefix is token 1).
+        p = Dist(np.array([0.2, 0.3, 0.5]))
+        q = Dist(np.array([0.0, 0.5, 0.5]))
+        tuples = {"ot-single": (0,), "greedy": (1, 0)}
+        for method, (kinds, _) in METHODS.items():
+            t = tuples.get(method, (0, 1))
+            kern = make_kernel(method, p, DraftScheme(kinds[0], q, len(t)))
+            if method == "first-draft":
+                assert kern.sample([t], np.random.default_rng(0))[0] == 0
+                continue
+            with pytest.raises(ValueError, match="draft outside support"):
+                kern.sample([t], np.random.default_rng(0))
+            with pytest.raises(ValueError, match="draft outside support"):
+                kern.conditional(t)
 
     def test_enumerated_acceptance_is_overlap(self, rng):
         for _ in range(100):
@@ -145,6 +161,33 @@ class TestRrsWithoutReplacement:
                 p, DraftScheme.without_replacement(q, n), RrsWoKernel(p, q, n)
             )
             assert tv_distance(marg, p) <= 1e-9
+
+    def test_table_matches_reference(self, rng):
+        # The batched stages against the scalar `Dist` walk of the oracle, on
+        # every support tuple: Dirichlet draws, integer ties, masses near
+        # 1e-12, zeros, and p == q.
+        def draw(v, style):
+            if style == 0:
+                return rng.dirichlet(np.ones(v))
+            if style == 1:
+                return rng.integers(1, 4, size=v).astype(float)
+            mass = rng.dirichlet(np.ones(v))
+            mass[rng.random(v) < 0.4] = 0.0 if style == 2 else 1e-12 * rng.uniform(0.3, 3.0)
+            return mass if mass.sum() > 0.0 else np.ones(v)
+
+        tuples = 0
+        for i in range(240):
+            v = int(rng.integers(2, 6))
+            p = Dist(draw(v, i % 4))
+            q = p if i % 5 == 0 else Dist(draw(v, (i // 4) % 4))
+            support = q.support().size
+            n = int(rng.integers(1, min(support, 3) + 1))
+            kern = RrsWoKernel(p, q, n)
+            for t in iter_support(DraftScheme.without_replacement(q, n)):
+                got = kern.conditional(t)
+                assert np.abs(got - rrs_wo_conditional(p, q, t)).max() <= 1e-12, (p, q, t)
+                tuples += 1
+        assert tuples > 1000
 
 
 class TestKseqSolve:
