@@ -14,13 +14,14 @@ Logits provenance is the caller's responsibility: records are treated as
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,22 +148,8 @@ def _position_seed(seed: int, position: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass
-class _Task:
-    position: int
-    p_logits: np.ndarray
-    q_logits: np.ndarray
-    temperature: float
-    num_drafts: int
-    schemes: tuple[str, ...]
-    methods: tuple[str, ...]
-    trials: int
-    mc_seed: int
-    extra: dict = field(default_factory=dict)
-
-
 def _method_alpha(
-    method: str, p: Dist, q: Dist, scheme: DraftScheme, alpha_star: float, task: _Task
+    method: str, p: Dist, q: Dist, scheme: DraftScheme, alpha_star: float, trials: int, seed: int
 ):
     if method == "rrs-w":
         return rrs_w_rate_exact(p, q, scheme.n), 0.0
@@ -174,40 +161,51 @@ def _method_alpha(
     if method == "ot-single":
         return alpha_single_draft(p, q), 0.0
     if method == "rrs-wo":
-        rep = estimate_alpha(p, scheme, "rrs-wo", task.trials, task.mc_seed)
+        rep = estimate_alpha(p, scheme, "rrs-wo", trials, seed)
         return rep.acceptance_mean, rep.acceptance_stderr
     raise ValueError(f"unknown method {method!r}")
 
 
-def _run_position(task: _Task) -> list[dict]:
-    p = softmax_temp(task.p_logits, task.temperature)
-    q = softmax_temp(task.q_logits, task.temperature)
-    rows = []
-    for scheme_name in task.schemes:
-        kind = DraftKind(scheme_name)
-        methods = [m for m in task.methods if supports(m, kind, task.num_drafts)]
-        if not methods:
-            continue
-        scheme = DraftScheme(kind, q, task.num_drafts)
-        if kind is DraftKind.GREEDY:
-            alpha_star = alpha_greedy_closed(p, q, scheme.n)
-        else:
-            alpha_star = alpha_scan(p, scheme).alpha_star
-        for method in methods:
-            alpha, stderr = _method_alpha(method, p, q, scheme, alpha_star, task)
-            rows.append(
-                dict(
-                    position=task.position,
-                    scheme=scheme_name,
-                    method=method,
-                    alpha=alpha,
-                    alpha_star=alpha_star,
-                    gap=alpha - alpha_star,
-                    stderr=stderr,
-                    **task.extra,
+def _run_position(cfg: ExperimentConfig, position: int, logits) -> list[list[dict]]:
+    """One position's rows for every sweep variant, in `_variants` order. The
+    Monte Carlo seed is the position's, and each distinct temperature's
+    softmax is taken once."""
+    mc_seed = _position_seed(cfg.seed, position)
+    pq_at: dict[float, tuple[Dist, Dist]] = {}
+    out = []
+    for extra, temperature, n in _variants(cfg):
+        if temperature not in pq_at:
+            pq_at[temperature] = tuple(softmax_temp(lg, temperature) for lg in logits)
+        p, q = pq_at[temperature]
+        rows = []
+        for scheme_name in cfg.schemes:
+            kind = DraftKind(scheme_name)
+            methods = [m for m in cfg.methods if supports(m, kind, n)]
+            if not methods:
+                continue
+            scheme = DraftScheme(kind, q, n)
+            if kind is DraftKind.GREEDY:
+                alpha_star = alpha_greedy_closed(p, q, n)
+            else:
+                alpha_star = alpha_scan(p, scheme).alpha_star
+            for method in methods:
+                alpha, stderr = _method_alpha(
+                    method, p, q, scheme, alpha_star, cfg.trials, mc_seed
                 )
-            )
-    return rows
+                rows.append(
+                    dict(
+                        position=position,
+                        scheme=scheme_name,
+                        method=method,
+                        alpha=alpha,
+                        alpha_star=alpha_star,
+                        gap=alpha - alpha_star,
+                        stderr=stderr,
+                        **extra,
+                    )
+                )
+        out.append(rows)
+    return out
 
 
 def _worker_count(tasks: int) -> int:
@@ -251,27 +249,6 @@ def _variants(cfg: ExperimentConfig) -> list[tuple[dict, float, int]]:
     else:
         raise ValueError(f"unknown sweep {cfg.sweep!r}")
     return variants
-
-
-def _sweep_tasks(cfg: ExperimentConfig, positions) -> list[_Task]:
-    tasks = []
-    for extra, temperature, n in _variants(cfg):
-        for idx, (pl, ql) in enumerate(positions):
-            tasks.append(
-                _Task(
-                    position=idx,
-                    p_logits=pl,
-                    q_logits=ql,
-                    temperature=temperature,
-                    num_drafts=n,
-                    schemes=cfg.schemes,
-                    methods=cfg.methods,
-                    trials=cfg.trials,
-                    mc_seed=_position_seed(cfg.seed, idx),
-                    extra=dict(extra),
-                )
-            )
-    return tasks
 
 
 def _fmt(value) -> str:
@@ -356,18 +333,16 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     positions = _collect_positions(cfg)
     if not positions:
         print("warning: no positions in input", file=sys.stderr)
-        _write_report(cfg, [])
-        return []
-
-    tasks = _sweep_tasks(cfg, positions)
-    workers = _worker_count(len(tasks))
+    run = functools.partial(_run_position, cfg)
+    workers = _worker_count(len(positions))
     if workers > 1:
-        chunk = max(1, len(tasks) // (4 * workers))
+        chunk = max(1, len(positions) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_task = list(pool.map(_run_position, tasks, chunksize=chunk))
+            per_position = list(pool.map(run, range(len(positions)), positions, chunksize=chunk))
     else:
-        per_task = [_run_position(t) for t in tasks]
-    rows = [row for batch in per_task for row in batch]
+        per_position = list(map(run, range(len(positions)), positions))
+    # Variant-major: every position of the first variant, then the next.
+    rows = [row for variant in zip(*per_position) for batch in variant for row in batch]
     rows.extend(_aggregate(rows))
 
     hash_ = cfg.config_hash()

@@ -151,23 +151,28 @@ def exclude_renorm(q: Dist, exclude) -> Dist:
     return Dist(mass)
 
 
-def _mass_order(q: Dist) -> np.ndarray:
-    # Descending mass, ties toward the lowest token id.
-    return np.lexsort((np.arange(q.vocab_size), -q.mass))
+def _mass_order(q: Dist, k: int) -> np.ndarray:
+    # The k largest masses, descending, ties toward the lowest token id. Only
+    # the tokens at or above the k-th largest mass are sorted.
+    if k == 0:
+        return np.empty(0, dtype=np.intp)
+    neg = -q.mass
+    cand = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+    return cand[np.argsort(neg[cand], kind="stable")][:k]
 
 
 def top_k(q: Dist, k: int) -> tuple[int, ...]:
     """The ``k`` largest-mass tokens as a sorted id tuple."""
     if k < 0 or k > q.vocab_size:
         raise ValueError("k out of range")
-    return tuple(sorted(int(t) for t in _mass_order(q)[:k]))
+    return tuple(sorted(int(t) for t in _mass_order(q, k)))
 
 
 def top_k_desc(q: Dist, k: int) -> tuple[int, ...]:
     """Like `top_k` but ordered by descending mass (ties by lowest id)."""
     if k < 0 or k > q.vocab_size:
         raise ValueError("k out of range")
-    return tuple(int(t) for t in _mass_order(q)[:k])
+    return tuple(int(t) for t in _mass_order(q, k))
 
 
 def tv_distance(a: Dist, b: Dist) -> float:

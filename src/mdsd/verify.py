@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import Dist, residual_dist
+from .dists import _ZERO_MASS, Dist, residual_dist
 from .drafts import DraftKind, DraftScheme, greedy_tail
 
 __all__ = [
@@ -192,7 +192,8 @@ class RrsWoKernel(_Kernel):
             qk = qw / denom[:, None]
             accept[:, k] = _accept_probs(r[rows, tk], qk[rows, tk])
             r = np.maximum(r - qk, 0.0)
-            dead = r.sum(axis=1) <= 1e-15  # residual vanished: stage acceptance was 1
+            # Residual vanished (stage acceptance was 1): the same rule as `residual_dist`.
+            dead = r.sum(axis=1) <= _ZERO_MASS
             r[dead] = 1.0
             r /= r.sum(axis=1)[:, None]
         return tuples, accept, r

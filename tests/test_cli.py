@@ -250,15 +250,32 @@ class TestRunExperiment:
         assert {"position", "scheme", "method", "alpha", "alpha_star"} <= set(parsed)
 
     def test_thread_cap_env_var(self, tmp_path, monkeypatch):
+        # The pool returns each position's rows for every variant; the report
+        # is variant-major whatever the worker count.
+        for sweep in ({}, dict(sweep="drafts", sweep_values=(1.0, 2.0, 3.0))):
+            reports = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("MDSD_THREADS", threads)
+                cfg = self.config(tmp_path, output=str(tmp_path / f"t{threads}.csv"), **sweep)
+                run_experiment(cfg)
+                reports.append(open(cfg.output, "rb").read())
+            assert reports[0] == reports[1]
+
+    def test_softmax_once_per_temperature(self, tmp_path, monkeypatch):
+        calls = []
+        softmax = cli.softmax_temp
+
+        def counted(*args):
+            calls.append(args)
+            return softmax(*args)
+
+        monkeypatch.setattr(cli, "softmax_temp", counted)
         monkeypatch.setenv("MDSD_THREADS", "1")
-        cfg_serial = self.config(tmp_path, output=str(tmp_path / "serial.csv"))
-        run_experiment(cfg_serial)
-        monkeypatch.delenv("MDSD_THREADS")
-        cfg_par = self.config(tmp_path, output=str(tmp_path / "par.csv"))
-        run_experiment(cfg_par)
-        assert (
-            open(cfg_serial.output, "rb").read() == open(cfg_par.output, "rb").read()
-        )
+        cfg = self.config(tmp_path, sweep="drafts", sweep_values=(1.0, 2.0, 3.0))
+        rows = run_experiment(cfg)
+        assert len(calls) == 2 * cfg.positions
+        swept = [r["sweep_value"] for r in rows if r["position"] != "mean"]
+        assert swept == sorted(swept)
 
     def test_aggregate_rows_present(self, tmp_path):
         cfg = self.config(tmp_path)

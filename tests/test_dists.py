@@ -147,6 +147,13 @@ class TestTopK:
             q = dirichlet_dist(rng, 8)
             for k in range(8):
                 assert set(top_k(q, k)) <= set(top_k(q, k + 1))
+        # Tie-heavy integer masses: every prefix is the full sort's prefix.
+        mass = rng.integers(0, 40, size=3000).astype(float)
+        q = Dist(mass)
+        full = np.lexsort((np.arange(mass.size), -q.mass))
+        for k in (0, 1, 7, 100, 2999, 3000):
+            assert top_k_desc(q, k) == tuple(int(t) for t in full[:k])
+            assert top_k(q, k) == tuple(sorted(int(t) for t in full[:k]))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

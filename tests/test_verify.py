@@ -166,6 +166,23 @@ class TestRrsWithoutReplacement:
         # The batched stages against the scalar `Dist` walk of the oracle, on
         # every support tuple: Dirichlet draws, integer ties, masses near
         # 1e-12, zeros, and p == q.
+        def check(p, q, n):
+            kern = RrsWoKernel(p, q, n)
+            count = 0
+            for t in iter_support(DraftScheme.without_replacement(q, n)):
+                got = kern.conditional(t)
+                assert np.abs(got - rrs_wo_conditional(p, q, t)).max() <= 1e-12, (p, q, t)
+                count += 1
+            return count
+
+        # After draft 2 the residual keeps a total mass of 9e-13: both sides
+        # must treat it as vanished, by the one rule of `residual_dist`.
+        check(
+            Dist(np.array([0.5, 0.5 - 6e-13, 6e-13])),
+            Dist(np.array([0.5, 0.5 - 1.5e-12, 1.5e-12])),
+            2,
+        )
+
         def draw(v, style):
             if style == 0:
                 return rng.dirichlet(np.ones(v))
@@ -182,11 +199,7 @@ class TestRrsWithoutReplacement:
             q = p if i % 5 == 0 else Dist(draw(v, (i // 4) % 4))
             support = q.support().size
             n = int(rng.integers(1, min(support, 3) + 1))
-            kern = RrsWoKernel(p, q, n)
-            for t in iter_support(DraftScheme.without_replacement(q, n)):
-                got = kern.conditional(t)
-                assert np.abs(got - rrs_wo_conditional(p, q, t)).max() <= 1e-12, (p, q, t)
-                tuples += 1
+            tuples += check(p, q, n)
         assert tuples > 1000
 
 
