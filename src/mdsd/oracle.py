@@ -267,19 +267,22 @@ def q_sequential_exact(q, members, n: int):
     if n > positive:
         raise ValueError("draw count exceeds support size")
 
-    def recurse(pool: list[int], remaining, depth: int):
+    def recurse(pool: list[int], drawn: frozenset, depth: int):
         if depth == n:
             return one
+        # The remaining mass is summed over the tokens not yet drawn, not
+        # found by subtraction, which cancels near a one-hot q.
+        remaining = sum(m for i, m in enumerate(masses) if i not in drawn)
         total = one - one  # zero of the right type
         for idx, i in enumerate(pool):
             if masses[i] <= 0 or remaining <= 0:
                 continue
             total += (masses[i] / remaining) * recurse(
-                pool[:idx] + pool[idx + 1 :], remaining - masses[i], depth + 1
+                pool[:idx] + pool[idx + 1 :], drawn | {i}, depth + 1
             )
         return total
 
-    return recurse(members, one, 0)
+    return recurse(members, frozenset(), 0)
 
 
 def verifier_marginal_exact(p: Dist, scheme: DraftScheme, kernel) -> Dist:

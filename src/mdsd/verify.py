@@ -19,13 +19,14 @@ exact verifier for greedy drafts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dists import _ZERO_MASS, Dist, residual_dist
-from .drafts import DraftKind, DraftScheme, greedy_tail
+from .drafts import AscendingQ, DraftKind, DraftScheme, greedy_tail
 
 __all__ = [
     "OTSingleKernel",
@@ -60,8 +61,9 @@ class _Kernel:
     A subclass defines ``_stages`` for an (m, n) batch of draft tuples. It
     returns the draft columns the verifier reads, the probability that each
     row accepts each of those drafts (same shape), and the distribution
-    drawn when every draft is rejected: one vector, one row per tuple, or
-    None when that cannot happen. The first accepted draft is the output.
+    drawn when every draft is rejected: one vector, a per-row residual
+    (`_WoResidual`, with ``draw`` and ``row``), or None when that cannot
+    happen. The first accepted draft is the output.
     `sample` walks the stages with coins and `conditional` walks them as
     weights, so the Monte Carlo path and the exact table share one rule.
     ``q`` is the distribution the read drafts come from; a draft it cannot
@@ -103,13 +105,10 @@ class _Kernel:
             done |= hit
         if not done.all():
             final = self._final(final)
-            if final.ndim == 1:
-                drawn = rng.choice(final.size, size=m, p=final)
-            else:  # one distribution per row: inverse CDF of one uniform each
-                u = rng.random(m)
-                drawn = (np.cumsum(final, axis=1) < u[:, None]).sum(axis=1)
-                np.minimum(drawn, final.shape[1] - 1, out=drawn)
-            out[~done] = drawn[~done]
+            if isinstance(final, np.ndarray):
+                out[~done] = rng.choice(final.size, size=m, p=final)[~done]
+            else:
+                out[~done] = final.draw(~done, rng)
         return out
 
     def conditional(self, tokens) -> np.ndarray:
@@ -122,7 +121,7 @@ class _Kernel:
             weight *= 1.0 - a
         if weight > 0.0:
             final = self._final(final)
-            vec += weight * (final if final.ndim == 1 else final[0])
+            vec += weight * (final if isinstance(final, np.ndarray) else final.row(0))
         return vec
 
 
@@ -170,33 +169,190 @@ class RrsWKernel(_Kernel):
 
 class RrsWoKernel(_Kernel):
     """Recursive rejection sampling for drafts sampled without replacement:
-    stage k compares the running residual against q renormalized to exclude
-    the drafts already rejected, so every row has its own residuals."""
+    stage k compares the running residual r_k against q_k, q renormalised
+    to the tokens not yet drafted, and accepts draft t_k with probability
+    min(r_k / q_k, 1) at t_k.
+
+    The residual keeps one parameter per row. Over the tokens not yet
+    drafted, r_k = max(a - c_k q, 0) / M_k, with a = p (or a = 1 once the
+    residual has vanished and been reset to uniform), and
+    c_{k+1} = c_k + M_k / s_k, where s_k is the undrafted q mass, summed
+    over the runs between the drafts (`AscendingQ.undrawn`). A drafted
+    token keeps the value it had after its own stage, which is 0 unless the
+    stage accepted it surely (and then nothing later is read) or a reset
+    gave it 1. M_k comes from prefix sums of a and q in descending a/q
+    order plus O(n) corrections, so a batch costs O(n log V) per row after
+    the O(V log V) sorts here, and no (rows, V) array is formed.
+
+    On the tokens at the top ratio, the largest finite p/q, the residual is
+    q u with u = max(top ratio - c, 0), and the row carries u beside c. As
+    the residual shrinks onto those tokens, c nears the top ratio and
+    p - c q cancels to rounding noise, while u keeps its relative
+    precision. After a reset the residual holds the reset drafts at 1 and
+    cannot shrink; there u = 0 and the top tokens count with the rest.
+    """
 
     tag = "rrs-wo"
 
+    def __init__(self, p: Dist, q: Dist, n: int):
+        super().__init__(p, q, n)
+        v = p.vocab_size
+        self.asc = AscendingQ(q)
+        # Tokens by descending p/q; those with q = 0 lead (p > 0) or trail
+        # (p = 0). ``keys`` are the negated ratios, ascending, to count the
+        # tokens with p > c q. The tokens at the top ratio sit at positions
+        # lead..top_end-1; the prefix sums ``sums`` of p and q leave them
+        # out, and a third row sums their q.
+        ratio = np.divide(p.mass, q.mass, out=np.where(p.mass > 0.0, np.inf, -1.0), where=q.mass > 0.0)
+        self.order = (-ratio).argsort(kind="stable")
+        self.keys = -ratio[self.order]
+        lead = int(self.keys.searchsorted(-np.inf, side="right"))
+        self.top_ratio = -self.keys[lead]
+        self.top_end = int(self.keys.searchsorted(-self.top_ratio, side="right"))
+        self.top = np.zeros(v, dtype=bool)
+        self.top[self.order[lead : self.top_end]] = True
+        self.sums = np.zeros((3, v + 1))
+        mass = np.empty((2, v))
+        p.mass.take(self.order, out=mass[0])
+        q.mass.take(self.order, out=mass[1])
+        at_top = self.sums[2]
+        mass[1, lead : self.top_end].cumsum(out=at_top[lead + 1 : self.top_end + 1])
+        mass[:, lead : self.top_end] = 0.0
+        mass.cumsum(axis=1, out=self.sums[:2, 1:])
+        at_top[self.top_end + 1 :] = at_top[self.top_end]
+        self.q_top = at_top[-1]
+
+    @functools.cached_property
+    def flat_keys(self) -> np.ndarray:
+        """The keys after a reset (a = 1): -1/q by ascending q."""
+        with np.errstate(divide="ignore"):
+            return -1.0 / self.asc.sorted
+
+    def positive(self, c, flat, any_flat: bool):
+        """Per row: the count j of leading tokens of its order with a > c q,
+        and the sum of a - c q over them, leaving out the top tokens. A row
+        in ``flat`` has been reset (a = 1, tokens by ascending q)."""
+        j = self.keys.searchsorted(-c)
+        rest = self.sums[0, j] - c * self.sums[1, j]
+        if any_flat:
+            j1 = self.flat_keys.searchsorted(-c)
+            j = np.where(flat, j1, j)
+            rest = np.where(flat, j1 - c * self.asc.head[j1], rest)
+        return j, rest
+
     def _stages(self, tuples):
         m, n = tuples.shape
-        ordered = np.sort(tuples, axis=1)
-        if (ordered[:, 1:] == ordered[:, :-1]).any():
+        v = self.p.vocab_size
+        drafts = tuples.T
+        ranks = self.asc.rank[drafts]
+        qt = self.q.mass[drafts]
+        at = self.p.mass[drafts]  # a at each draft
+        top = self.top[drafts]
+        flat = np.zeros(m, dtype=bool)
+        reset = np.zeros((n, m), dtype=bool)  # drafts given the value 1 by a reset
+        any_flat = False
+        # Stage 0: r_0 = p, as the top tokens plus the rest.
+        c, up, q_top = 0.0, self.top_ratio, self.q_top
+        other = self.sums[0, v]
+        total = other + up * q_top
+        drawn = []  # the ranks drafted before the stage, as `AscendingQ.insert` keeps them
+        accept = np.empty((n, m))
+        # A draft with no q mass gives inf or nan here; `_walk` rejects it.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k in range(n):
+                if k:
+                    drawn = self.asc.insert(drawn, ranks[k - 1])
+                s = self.asc.undrawn(drawn)
+                # a - c q as the prefix sums take it, so that a residual left
+                # on one token cancels the same way in both.
+                value = np.where(top[k], qt[k] * up, np.maximum(at[k] - c * qt[k], 0.0))
+                accept[k] = np.minimum(value * s / (qt[k] * total), 1.0)
+                # c + M / s, and u - M / s with the undrafted mass off the
+                # top tokens taken as a whole, each in its own precision.
+                c = c + total / s
+                up = np.maximum((up * (s - q_top) - other) / s, 0.0)
+                j, other = self.positive(c, flat, any_flat)
+                if any_flat:  # the reset drafts sit in the prefix sums at 1 - c q
+                    other = other + (reset * np.minimum(c * qt, 1.0)).sum(axis=0)
+                new = other + up * q_top
+                # Residual vanished (stage acceptance was 1): the same rule as `residual_dist`.
+                dead = new <= _ZERO_MASS * total
+                if dead.any():
+                    c, up, j, other, new = (np.broadcast_to(x, (m,)).copy() for x in (c, up, j, other, new))
+                    dead = np.broadcast_to(dead, (m,))
+                    any_flat = True
+                    flat |= dead
+                    q_top = np.where(flat, 0.0, self.q_top)
+                    reset[:, dead] = (np.arange(n) <= k)[:, None]
+                    at[:, dead] = 1.0
+                    top[:, dead] = False
+                    c[dead], up[dead], j[dead], other[dead], new[dead] = 0.0, 0.0, v, v, v
+                total = new
+        drawn = self.asc.insert(drawn, ranks[-1])
+        if any((x == y).any() for x, y in zip(drawn, drawn[1:])):
             raise ValueError("without-replacement tuple has duplicate tokens")
-        rows = np.arange(m)
-        r = np.tile(self.p.mass, (m, 1))
-        qw = np.tile(self.q.mass, (m, 1))
-        accept = np.empty((m, n))
-        for k in range(n):
-            tk = tuples[:, k]
-            if k:
-                qw[rows, tuples[:, k - 1]] = 0.0
-            denom = np.maximum(qw.sum(axis=1), 1e-300)
-            qk = qw / denom[:, None]
-            accept[:, k] = _accept_probs(r[rows, tk], qk[rows, tk])
-            r = np.maximum(r - qk, 0.0)
-            # Residual vanished (stage acceptance was 1): the same rule as `residual_dist`.
-            dead = r.sum(axis=1) <= _ZERO_MASS
-            r[dead] = 1.0
-            r /= r.sum(axis=1)[:, None]
-        return tuples, accept, r
+        if np.ndim(c) == 0:  # one draft: every row has the same residual
+            final = self._dense(False, c, up)
+            return tuples, accept.T, final / final.sum()
+        return tuples, accept.T, _WoResidual(self, drafts, qt, flat, c, up, total, j, reset)
+
+    def _dense(self, flat: bool, c: float, up: float) -> np.ndarray:
+        """The undrafted values over the whole vocabulary."""
+        if flat:
+            return np.maximum(1.0 - c * self.q.mass, 0.0)
+        return np.where(self.top, self.q.mass * up, np.maximum(self.p.mass - c * self.q.mass, 0.0))
+
+
+class _WoResidual:
+    """The residual each row of an rrs-wo batch draws from when every draft
+    is rejected: the undrafted tokens at their values, 1 on the drafts a
+    reset left at 1 and 0 on the others, over their total."""
+
+    def __init__(self, kernel, drafts, qt, flat, c, up, total, count, reset):
+        self.kernel, self.drafts, self.qt, self.flat = kernel, drafts, qt, flat
+        self.c, self.up, self.total, self.count, self.reset = c, up, total, count, reset
+
+    def row(self, i: int) -> np.ndarray:
+        """Row i as a dense distribution over the vocabulary."""
+        vec = self.kernel._dense(self.flat[i], self.c[i], self.up[i])
+        vec[self.drafts[:, i]] = self.reset[:, i]
+        return vec / vec.sum()
+
+    def draw(self, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One token for each row selected by the mask ``rows``: a reset
+        draft by its value 1, else the undrafted token found by bisection
+        over the prefix sums, less the reset drafts among them."""
+        kern = self.kernel
+        flat, c, up = self.flat[rows], self.c[rows], self.up[rows]
+        y = rng.random(flat.size) * self.total[rows]
+        any_flat, at_top = bool(flat.any()), bool(up.any())
+        if any_flat:
+            reset, drafts = self.reset[:, rows], self.drafts[:, rows]
+            ends = reset.cumsum(axis=0)
+            pick = drafts[np.minimum((ends <= y).sum(axis=0), drafts.shape[0] - 1), np.arange(flat.size)]
+            y = y - ends[-1]
+            value = reset * np.maximum(1.0 - c * self.qt[:, rows], 0.0)
+            rank = kern.asc.rank[drafts]
+        lo = np.zeros(flat.size, dtype=np.intp)
+        hi = self.count[rows]
+        if at_top:
+            hi = np.where(up > 0.0, np.maximum(hi, kern.top_end), hi)
+        for _ in range(int(hi.max(initial=0)).bit_length()):
+            mid = (lo + hi) >> 1
+            below = kern.sums[0, mid] - c * kern.sums[1, mid]
+            if at_top:
+                below += up * kern.sums[2, mid]
+            if any_flat:
+                below = np.where(flat, mid - c * kern.asc.head[mid], below)
+                below -= (value * (rank < mid)).sum(axis=0)
+            go = below <= y
+            lo = np.where(go, mid, lo)
+            hi = np.where(go, hi, mid)
+        out = kern.order[lo]
+        if not any_flat:
+            return out
+        out = np.where(flat, kern.asc.order[lo], out)
+        return np.where(y >= 0.0, out, pick)
 
 
 def rrs_w_rate_exact(p: Dist, q: Dist, n: int) -> float:

@@ -1,6 +1,7 @@
 """Exact rational oracles: transport LP value via max flow, subset
 enumeration, and the sequential without-replacement subset mass."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -164,6 +165,18 @@ class TestQSequentialExact:
     def test_float_route_matches(self):
         q = Dist(np.array([0.5, 0.3, 0.2]))
         assert q_sequential_exact(q, [0, 1], 2) == pytest.approx(18 / 35)
+
+    def test_float_route_near_one_hot(self):
+        # Two large masses and two tiny ones: the mass left after the large
+        # draws must be summed, not found by subtracting them from 1.
+        q = Dist(np.array([9.3e-5, 0.483, 1.7e-10, 0.517]))
+        exact = [Fraction(float(x)) for x in q.mass]
+        exact = [x / sum(exact) for x in exact]
+        for size in range(1, 5):
+            for members in itertools.combinations(range(4), size):
+                for n in range(1, 5):
+                    want = float(q_sequential_exact(exact, members, n))
+                    assert q_sequential_exact(q, members, n) == pytest.approx(want, abs=1e-12)
 
     def test_guards(self):
         with pytest.raises(ValueError, match="too large"):

@@ -1,0 +1,70 @@
+"""Property tests of the without-replacement sampler and verifier on
+degenerate inputs: exact zeros, ties, masses near 1e-12, one-hot q,
+p == q, and as many drafts as q has support."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mdsd.dists import Dist
+from mdsd.drafts import DraftScheme, iter_support, sample_tuples, tuple_prob
+from mdsd.oracle import rrs_wo_conditional
+from mdsd.verify import RrsWoKernel
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+# One token's mass before normalisation: an exact zero, a tie-prone small
+# integer, a mass near 1e-12, or an arbitrary positive float.
+MASS = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1.0, 2.0, 3.0]),
+    st.floats(3e-13, 3e-12),
+    st.floats(1e-3, 1.0),
+)
+
+
+@st.composite
+def instances(draw):
+    """(p, q, n) with n at most the support of q, often equal to it."""
+    v = draw(st.integers(2, 6))
+    shape = st.lists(MASS, min_size=v, max_size=v).filter(lambda m: sum(m) > 1e-10)
+    if draw(st.booleans()):
+        q = np.zeros(v)
+        q[draw(st.integers(0, v - 1))] = 1.0
+        q += np.array(draw(st.lists(st.sampled_from([0.0, 1e-12]), min_size=v, max_size=v)))
+        q = Dist(q)
+    else:
+        q = Dist(np.array(draw(shape)))
+    p = q if draw(st.booleans()) else Dist(np.array(draw(shape)))
+    support = q.support().size
+    n = draw(st.one_of(st.just(support), st.integers(1, support)))
+    return p, q, n
+
+
+@PROPERTY
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_sampler_never_repeats_or_draws_zero_mass(case, seed):
+    _, q, n = case
+    tuples = sample_tuples(DraftScheme.without_replacement(q, n), 500, np.random.default_rng(seed))
+    assert tuples.shape == (500, n)
+    ordered = np.sort(tuples, axis=1)
+    assert not (ordered[:, 1:] == ordered[:, :-1]).any()
+    assert (q.mass[tuples] > 0.0).all()
+
+
+@PROPERTY
+@given(instances())
+def test_table_sums_to_one_and_matches_reference(case):
+    # Per tuple the tables agree to 1e-12 once weighted by the tuple's draft
+    # probability. Unweighted, a tuple that reaches a residual of mass r
+    # (relative to the last) carries rounding of relative size 1e-16 / r on
+    # both sides, and reaching it has probability at most r.
+    p, q, n = case
+    scheme = DraftScheme.without_replacement(q, n)
+    kern = RrsWoKernel(p, q, n)
+    for t in iter_support(scheme):
+        got = kern.conditional(t)
+        assert abs(got.sum() - 1.0) <= 1e-12
+        assert (got >= 0.0).all()
+        err = np.abs(got - rrs_wo_conditional(p, q, t)).max()
+        assert tuple_prob(scheme, t) * err <= 1e-12, (t, err)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
-from mdsd.dists import Dist, top_k_desc, tv_distance
-from mdsd.drafts import DraftKind, DraftScheme, iter_support, tuple_prob
+from mdsd.cli import synth_positions
+from mdsd.dists import Dist, softmax_temp, top_k_desc, tv_distance
+from mdsd.drafts import DraftKind, DraftScheme, iter_support, sample_tuples, tuple_prob
 from mdsd.oracle import rrs_wo_conditional, verifier_marginal_exact
 from mdsd.verify import (
     GreedyKernel,
@@ -182,6 +183,11 @@ class TestRrsWithoutReplacement:
             Dist(np.array([0.5, 0.5 - 1.5e-12, 1.5e-12])),
             2,
         )
+        # The residual stays on token 2 while its mass, relative to the stage
+        # before, falls to 4e-12 and then 2e-12: above the vanishing rule, so
+        # drafts (0, 1, 2) end on token 2, provided the shrinking is tracked
+        # in relative precision.
+        check(Dist(np.array([0.0, 0.0, 1.0])), Dist(np.array([2.1e-12, 2.1e-12, 1.0])), 3)
 
         def draw(v, style):
             if style == 0:
@@ -201,6 +207,38 @@ class TestRrsWithoutReplacement:
             n = int(rng.integers(1, min(support, 3) + 1))
             tuples += check(p, q, n)
         assert tuples > 1000
+
+    def test_sampler_after_reset(self):
+        # Draft 0 is rejected, and the residual, about (0, 0.6, 0.4, 0), is
+        # within 1e-12 of q renormalised without token 0, so after the tiny
+        # draft 3 it vanishes and resets to uniform, which holds drafts 0
+        # and 3 at 1/4 each from then on. Draft 1 is accepted with
+        # probability 5/12; otherwise the final draw lands on 0 or 3.
+        p = Dist(np.array([0.0, 0.6, 0.4, 0.0]))
+        q = Dist(np.array([0.5, 0.3, 0.2 - 2e-13, 2e-13]))
+        t = (0, 3, 1)
+        kern = RrsWoKernel(p, q, 3)
+        table = kern.conditional(t)
+        assert np.abs(table - rrs_wo_conditional(p, q, t)).max() <= 1e-12
+        assert table == pytest.approx([7 / 24, 5 / 12, 0.0, 7 / 24])
+        m = 200_000
+        counts = np.bincount(kern.sample(np.tile(t, (m, 1)), np.random.default_rng(5)), minlength=4)
+        sd = np.sqrt(np.maximum(m * table * (1.0 - table), 1e-300))
+        assert (np.abs(counts - m * table) <= 5.0 * sd).all(), counts
+
+    @pytest.mark.parametrize("vocab, n", [(1000, 3), (32000, 8)])
+    def test_table_matches_reference_large_vocab(self, vocab, n):
+        # The one-parameter residual against the dense `Dist` walk at the
+        # benchmark's vocabulary sizes: zipf p and q at T = 0.7, 10
+        # positions of 2 sampled tuples each.
+        rng = np.random.default_rng(vocab)
+        for pd, qd in synth_positions("zipf", 1.0, vocab, 10, vocab + n):
+            p = softmax_temp(np.log(pd.mass), 0.7)
+            q = softmax_temp(np.log(qd.mass), 0.7)
+            kern = RrsWoKernel(p, q, n)
+            for t in sample_tuples(DraftScheme.without_replacement(q, n), 2, rng):
+                got = kern.conditional(t)
+                assert np.abs(got - rrs_wo_conditional(p, q, t)).max() <= 1e-12, t
 
 
 class TestKseqSolve:
