@@ -14,7 +14,6 @@ from .dists import (
     exclude_renorm,
     residual_dist,
     softmax_temp,
-    top_k,
     top_k_desc,
     tv_distance,
 )

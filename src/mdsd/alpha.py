@@ -88,7 +88,7 @@ def alpha_scan(p: Dist, scheme: DraftScheme) -> ScanResult:
 
     Runs in O(V log V + n V). Only the with- and without-replacement schemes
     have the structure this relies on; the greedy optimum is
-    `alpha_greedy_closed`, and other kinds go through the exact oracle.
+    `alpha_greedy_closed`.
     """
     if scheme.kind not in (DraftKind.WITH_REPLACEMENT, DraftKind.WITHOUT_REPLACEMENT):
         raise ValueError(f"no prefix scan for {scheme.kind.value} drafts")

@@ -40,7 +40,7 @@ __all__ = [
     "main",
 ]
 
-SCHEME_NAMES = ("with-replacement", "without-replacement", "greedy")
+SCHEME_NAMES = tuple(k.value for k in DraftKind)
 METHOD_NAMES = ("rrs-w", "kseq", "rrs-wo", "greedy", "ot-single")
 BASE_COLUMNS = (
     "position",

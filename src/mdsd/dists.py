@@ -1,5 +1,5 @@
 """Probability-vector primitives: validation, temperature softmax, residuals,
-exclusion renormalization and top-k selection.
+exclusion renormalization and the k most likely tokens.
 
 Everything downstream works with `Dist` objects. A `Dist` is renormalized once
 on construction and is immutable afterwards, so the sum-to-one invariant can be
@@ -18,7 +18,6 @@ __all__ = [
     "softmax_temp",
     "residual_dist",
     "exclude_renorm",
-    "top_k",
     "top_k_desc",
     "tv_distance",
 ]
@@ -161,15 +160,8 @@ def _mass_order(q: Dist, k: int) -> np.ndarray:
     return cand[np.argsort(neg[cand], kind="stable")][:k]
 
 
-def top_k(q: Dist, k: int) -> tuple[int, ...]:
-    """The ``k`` largest-mass tokens as a sorted id tuple."""
-    if k < 0 or k > q.vocab_size:
-        raise ValueError("k out of range")
-    return tuple(sorted(int(t) for t in _mass_order(q, k)))
-
-
 def top_k_desc(q: Dist, k: int) -> tuple[int, ...]:
-    """Like `top_k` but ordered by descending mass (ties by lowest id)."""
+    """The ``k`` largest-mass tokens by descending mass (ties by lowest id)."""
     if k < 0 or k > q.vocab_size:
         raise ValueError("k out of range")
     return tuple(int(t) for t in _mass_order(q, k))

@@ -1,7 +1,9 @@
 """Draft-tuple distributions.
 
 A `DraftScheme` describes how the n draft tokens of one decoding step are
-produced from the draft-model distribution q. Each scheme exposes
+produced from the draft-model distribution q: n independent draws (with
+replacement), n distinct draws (without replacement), or the n - 1 most
+likely tokens and one draw from the rest (greedy). Each scheme exposes
 
   * a batched sampler of draft tuples, `sample_tuples` (one tuple is a
     batch of one),
@@ -43,33 +45,21 @@ __all__ = [
 class DraftKind(Enum):
     WITH_REPLACEMENT = "with-replacement"
     WITHOUT_REPLACEMENT = "without-replacement"
-    PRODUCT = "product"
     GREEDY = "greedy"
-    SPECHUB = "spechub"
 
 
 @dataclass(frozen=True, eq=False)
 class DraftScheme:
-    """A draft construction: the kind, the base distribution(s) and the
-    draft count n."""
+    """A draft construction: the kind, the base distribution and the draft
+    count n."""
 
     kind: DraftKind
-    q: Dist | None
+    q: Dist
     n: int
-    qs: tuple[Dist, ...] | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("draft count must be >= 1")
-        if self.kind is DraftKind.PRODUCT:
-            if not self.qs or len(self.qs) != self.n:
-                raise ValueError("product scheme needs one distribution per draft")
-            sizes = {d.vocab_size for d in self.qs}
-            if len(sizes) != 1:
-                raise ValueError("product distributions must share a vocabulary")
-            return
-        if self.q is None:
-            raise ValueError(f"{self.kind.value} scheme needs a base distribution")
         if self.kind is DraftKind.WITHOUT_REPLACEMENT:
             if self.n > self.q.support().size:
                 raise ValueError(
@@ -77,15 +67,10 @@ class DraftScheme:
                 )
         if self.kind is DraftKind.GREEDY and self.n - 1 >= self.q.vocab_size:
             raise ValueError("greedy scheme needs n - 1 < vocab_size")
-        if self.kind is DraftKind.SPECHUB:
-            if self.n != 2:
-                raise ValueError("spechub requires exactly 2 drafts")
-            if self.q.vocab_size < 2:
-                raise ValueError("spechub needs at least 2 tokens")
 
     @property
     def vocab_size(self) -> int:
-        return self.qs[0].vocab_size if self.kind is DraftKind.PRODUCT else self.q.vocab_size
+        return self.q.vocab_size
 
     # Convenience constructors.
     @staticmethod
@@ -97,17 +82,8 @@ class DraftScheme:
         return DraftScheme(DraftKind.WITHOUT_REPLACEMENT, q, n)
 
     @staticmethod
-    def product(qs) -> "DraftScheme":
-        qs = tuple(qs)
-        return DraftScheme(DraftKind.PRODUCT, None, len(qs), qs)
-
-    @staticmethod
     def greedy(q: Dist, n: int) -> "DraftScheme":
         return DraftScheme(DraftKind.GREEDY, q, n)
-
-    @staticmethod
-    def spechub(q: Dist) -> "DraftScheme":
-        return DraftScheme(DraftKind.SPECHUB, q, 2)
 
 
 def greedy_tail(q: Dist, n: int) -> tuple[tuple[int, ...], Dist]:
@@ -217,21 +193,12 @@ def sample_tuples(scheme: DraftScheme, count: int, rng: np.random.Generator) -> 
                 drawn = asc.insert(drawn, ranks[k - 1])
             ranks[k] = asc.draw(drawn, u[k])
         return asc.order[ranks.T]
-    if kind is DraftKind.PRODUCT:
-        cols = [rng.choice(v, size=count, p=d.mass) for d in scheme.qs]
-        return np.stack(cols, axis=1)
     if kind is DraftKind.GREEDY:
         top, tail = greedy_tail(scheme.q, scheme.n)
         out = np.empty((count, scheme.n), dtype=np.intp)
         out[:, : scheme.n - 1] = np.asarray(top, dtype=np.intp)
         out[:, -1] = rng.choice(v, size=count, p=tail.mass)
         return out
-    if kind is DraftKind.SPECHUB:
-        (top1,), tail = greedy_tail(scheme.q, 2)
-        first = rng.choice(v, size=count, p=scheme.q.mass)
-        alt = rng.choice(v, size=count, p=tail.mass)
-        second = np.where(first == top1, alt, top1)
-        return np.stack([first, second], axis=1)
     raise ValueError(f"unknown scheme kind {kind}")
 
 
@@ -260,29 +227,16 @@ def tuple_prob(scheme: DraftScheme, tokens) -> float:
             prob *= rest[x] / remaining
             rest[x] = 0.0
         return float(prob)
-    if kind is DraftKind.PRODUCT:
-        return float(np.prod([d.mass[x] for d, x in zip(scheme.qs, t)]))
     if kind is DraftKind.GREEDY:
         top, tail = greedy_tail(scheme.q, scheme.n)
         if t[: scheme.n - 1] != top:
             return 0.0
         return float(tail.mass[t[-1]])
-    if kind is DraftKind.SPECHUB:
-        (top1,), tail = greedy_tail(scheme.q, 2)
-        first, second = t
-        if first == second:
-            return 0.0
-        if first == top1:
-            return float(scheme.q.mass[first] * tail.mass[second])
-        if second == top1:
-            return float(scheme.q.mass[first])
-        return 0.0
     raise ValueError(f"unknown scheme kind {kind}")
 
 
 def iter_support(scheme: DraftScheme):
     """Iterate the tuples with positive probability (small instances only)."""
-    v = scheme.vocab_size
     kind = scheme.kind
     if kind is DraftKind.WITH_REPLACEMENT:
         pos = [int(x) for x in scheme.q.support()]
@@ -290,21 +244,9 @@ def iter_support(scheme: DraftScheme):
     elif kind is DraftKind.WITHOUT_REPLACEMENT:
         pos = [int(x) for x in scheme.q.support()]
         yield from itertools.permutations(pos, scheme.n)
-    elif kind is DraftKind.PRODUCT:
-        supports = [[int(x) for x in d.support()] for d in scheme.qs]
-        yield from itertools.product(*supports)
     elif kind is DraftKind.GREEDY:
         top, tail = greedy_tail(scheme.q, scheme.n)
         for x in tail.support():
             yield top + (int(x),)
-    elif kind is DraftKind.SPECHUB:
-        (top1,), tail = greedy_tail(scheme.q, 2)
-        for x in scheme.q.support():
-            x = int(x)
-            if x != top1:
-                yield (x, top1)
-        if scheme.q.mass[top1] > 1e-12:
-            for x in tail.support():
-                yield (top1, int(x))
     else:
         raise ValueError(f"unknown scheme kind {kind}")

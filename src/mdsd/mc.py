@@ -46,7 +46,9 @@ class TvTestResult:
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed).jumped(block))
+    # The stream of ``Philox(key=seed).jumped(block)``: a jump adds 2**128
+    # to the counter, one in its third word, so set that word directly.
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, block, 0]))
 
 
 def estimate_alpha(

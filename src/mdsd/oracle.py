@@ -52,13 +52,12 @@ class RationalScheme:
     `DraftScheme`; kept separate so no float ever enters the oracle path)."""
 
     kind: DraftKind
-    q: tuple[Fraction, ...] | None
+    q: tuple[Fraction, ...]
     n: int
-    qs: tuple[tuple[Fraction, ...], ...] | None = None
 
     @property
     def vocab_size(self) -> int:
-        return len(self.qs[0]) if self.kind is DraftKind.PRODUCT else len(self.q)
+        return len(self.q)
 
 
 def _top_desc_rational(q: Sequence[Fraction], k: int) -> tuple[int, ...]:
@@ -102,25 +101,11 @@ def tuple_probs_exact(scheme: RationalScheme) -> dict[tuple[int, ...], Fraction]
                 prob *= scheme.q[i] / remaining
                 remaining -= scheme.q[i]
             out[t] = prob
-    elif kind is DraftKind.PRODUCT:
-        supports = [[i for i in range(v) if qj[i] > 0] for qj in scheme.qs]
-        for t in itertools.product(*supports):
-            out[t] = math.prod(
-                (qj[i] for qj, i in zip(scheme.qs, t)), start=Fraction(1)
-            )
     elif kind is DraftKind.GREEDY:
         top, tail = _greedy_tail_rational(scheme.q, scheme.n)
         for i in range(v):
             if tail[i] > 0:
                 out[top + (i,)] = tail[i]
-    elif kind is DraftKind.SPECHUB:
-        top1 = _top_desc_rational(scheme.q, 1)[0]
-        _, tail = _greedy_tail_rational(scheme.q, 2)
-        for i in range(v):
-            if i != top1 and scheme.q[i] > 0:
-                out[(i, top1)] = scheme.q[i]
-            if scheme.q[top1] > 0 and tail[i] > 0:
-                out[(top1, i)] = scheme.q[top1] * tail[i]
     else:
         raise ValueError(f"unknown scheme kind {kind}")
     assert sum(out.values()) == 1
@@ -192,8 +177,8 @@ def alpha_maxflow(
     The relaxed transport program is a bipartite flow problem: tokens on the
     left with capacity p(i), draft tuples on the right with capacity
     p_draft(t), and an uncapped edge wherever the token appears in the tuple.
-    Works for every scheme kind, including product drafts. ``tuple_probs``
-    overrides the enumerated support (the value must not depend on its
+    Works for every scheme kind. ``tuple_probs`` overrides the enumerated
+    support with any other tuple law (the value must not depend on its
     ordering).
     """
     if len(p) != scheme.vocab_size:

@@ -103,12 +103,6 @@ class TestAlphaScan:
                 assert res.f_values.size == v + 1
                 assert sorted(res.ordering) == list(range(v))
 
-    def test_rejects_product_and_spechub(self):
-        with pytest.raises(ValueError):
-            alpha_scan(P631, DraftScheme.product([Q253, Q253]))
-        with pytest.raises(ValueError):
-            alpha_scan(P631, DraftScheme.spechub(Q253))
-
     def test_rejects_greedy(self):
         # The greedy optimum has its closed form, alpha_greedy_closed.
         with pytest.raises(ValueError, match="no prefix scan for greedy"):

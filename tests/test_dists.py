@@ -1,5 +1,5 @@
 """Distribution primitives: construction, softmax, residuals, exclusion
-renormalization and top-k selection."""
+renormalization and the k most likely tokens."""
 
 import math
 
@@ -12,7 +12,6 @@ from mdsd.dists import (
     exclude_renorm,
     residual_dist,
     softmax_temp,
-    top_k,
     top_k_desc,
     tv_distance,
 )
@@ -131,13 +130,13 @@ class TestExcludeRenorm:
 
 class TestTopK:
     def test_unique_maximum(self):
-        assert top_k(Dist(np.array([0.5, 0.3, 0.2])), 1) == (0,)
+        assert top_k_desc(Dist(np.array([0.5, 0.3, 0.2])), 1) == (0,)
 
     def test_tie_breaks_low(self):
-        assert top_k(Dist(np.array([0.4, 0.4, 0.2])), 1) == (0,)
+        assert top_k_desc(Dist(np.array([0.4, 0.4, 0.2])), 1) == (0,)
 
     def test_sorted_by_mass(self):
-        assert top_k(Dist(np.array([0.1, 0.2, 0.3, 0.4])), 2) == (2, 3)
+        assert top_k_desc(Dist(np.array([0.1, 0.2, 0.3, 0.4])), 2) == (3, 2)
 
     def test_desc_order(self):
         assert top_k_desc(Dist(np.array([0.1, 0.2, 0.3, 0.4])), 3) == (3, 2, 1)
@@ -146,18 +145,17 @@ class TestTopK:
         for _ in range(50):
             q = dirichlet_dist(rng, 8)
             for k in range(8):
-                assert set(top_k(q, k)) <= set(top_k(q, k + 1))
+                assert top_k_desc(q, k) == top_k_desc(q, k + 1)[:k]
         # Tie-heavy integer masses: every prefix is the full sort's prefix.
         mass = rng.integers(0, 40, size=3000).astype(float)
         q = Dist(mass)
         full = np.lexsort((np.arange(mass.size), -q.mass))
         for k in (0, 1, 7, 100, 2999, 3000):
             assert top_k_desc(q, k) == tuple(int(t) for t in full[:k])
-            assert top_k(q, k) == tuple(sorted(int(t) for t in full[:k]))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            top_k(Dist.uniform(3), 4)
+            top_k_desc(Dist.uniform(3), 4)
 
 
 class TestLogitsRecord:

@@ -26,12 +26,9 @@ def all_schemes(q, n):
     out = [
         DraftScheme.with_replacement(q, n),
         DraftScheme.greedy(q, n),
-        DraftScheme.product([q] * n),
     ]
     if q.support().size >= n:
         out.append(DraftScheme.without_replacement(q, n))
-    if n == 2 and q.vocab_size >= 2:
-        out.append(DraftScheme.spechub(q))
     return out
 
 
@@ -41,17 +38,9 @@ class TestSchemeValidation:
         with pytest.raises(ValueError):
             DraftScheme.without_replacement(q, 3)
 
-    def test_spechub_needs_two_drafts(self):
-        with pytest.raises(ValueError):
-            DraftScheme(DraftKind.SPECHUB, Q532, 3)
-
     def test_greedy_needs_room_for_last_draft(self):
         with pytest.raises(ValueError):
             DraftScheme.greedy(Dist(np.array([0.5, 0.5])), 3)
-
-    def test_product_needs_matching_count(self):
-        with pytest.raises(ValueError):
-            DraftScheme(DraftKind.PRODUCT, None, 3, (Q532, Q532))
 
 
 class TestTupleProb:
@@ -68,13 +57,6 @@ class TestTupleProb:
         s = DraftScheme.greedy(Q532, 2)
         assert tuple_prob(s, (1, 0)) == 0.0
         assert tuple_prob(s, (0, 1)) == pytest.approx(0.6)
-
-    def test_spechub_cases(self):
-        s = DraftScheme.spechub(Q532)
-        assert tuple_prob(s, (1, 0)) == pytest.approx(0.3)  # second draft forced to top-1
-        assert tuple_prob(s, (0, 1)) == pytest.approx(0.5 * 0.6)
-        assert tuple_prob(s, (1, 2)) == 0.0
-        assert tuple_prob(s, (0, 0)) == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -131,16 +113,12 @@ class TestSamplers:
                 assert abs(freq - prob) <= 4 * se + 1e-12, (t, freq, prob)
         assert not counts
 
-    @pytest.mark.parametrize("kind", ["wr", "wo", "greedy", "spechub", "product"])
+    @pytest.mark.parametrize("kind", ["wr", "wo", "greedy"])
     def test_batch_sampler_frequencies(self, kind):
         scheme = {
             "wr": DraftScheme.with_replacement(Q532, 2),
             "wo": DraftScheme.without_replacement(Q532, 2),
             "greedy": DraftScheme.greedy(Q532, 2),
-            "spechub": DraftScheme.spechub(Q532),
-            "product": DraftScheme.product(
-                [Q532, Dist(np.array([0.1, 0.6, 0.3]))]
-            ),
         }[kind]
         rng = np.random.default_rng(12)
         arr = sample_tuples(scheme, self.N_DRAWS, rng)

@@ -7,7 +7,7 @@ import pytest
 from mdsd.alpha import alpha_greedy_closed, alpha_single_draft
 from mdsd.dists import Dist
 from mdsd.drafts import DraftScheme
-from mdsd.mc import BLOCK_TRIALS, estimate_alpha, tv_test
+from mdsd.mc import BLOCK_TRIALS, _block_rng, estimate_alpha, tv_test
 from mdsd.verify import kseq_solve, rrs_w_rate_exact
 
 from conftest import dirichlet_dist
@@ -32,6 +32,14 @@ class TestDeterminism:
         assert not np.array_equal(
             a.empirical_marginal.mass, b.empirical_marginal.mass
         )
+
+    def test_block_stream_is_the_jumped_philox(self):
+        for seed in (0, 3, 2**63 + 5, 2**64 - 1):
+            for block in range(4):
+                want = np.random.Generator(np.random.Philox(key=seed).jumped(block))
+                got = _block_rng(seed, block)
+                assert np.array_equal(got.random(64), want.random(64))
+                assert np.array_equal(got.integers(0, 1000, 64), want.integers(0, 1000, 64))
 
     def test_block_boundary_sizes(self):
         scheme = DraftScheme.with_replacement(Q532, 2)

@@ -61,10 +61,6 @@ class TestTupleProbsExact:
                     RationalScheme(DraftKind.GREEDY, q_frac, min(n, v)),
                     DraftScheme.greedy(q_dist, min(n, v)),
                 ),
-                (
-                    RationalScheme(DraftKind.SPECHUB, q_frac, 2),
-                    DraftScheme.spechub(q_dist),
-                ),
             ]
             if sum(1 for w in wq if w > 0) >= n:
                 pairs.append(
@@ -127,13 +123,6 @@ class TestDualityTriangle:
             schemes = [
                 RationalScheme(DraftKind.WITH_REPLACEMENT, q, n),
                 RationalScheme(DraftKind.GREEDY, q, min(n, v)),
-                RationalScheme(DraftKind.SPECHUB, q, 2),
-                RationalScheme(
-                    DraftKind.PRODUCT,
-                    None,
-                    n,
-                    tuple(grid_fracs(grid_weights(rng, v, 11)) for _ in range(n)),
-                ),
             ]
             if sum(1 for w in wq if w > 0) >= n:
                 schemes.append(RationalScheme(DraftKind.WITHOUT_REPLACEMENT, q, n))

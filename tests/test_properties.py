@@ -1,15 +1,17 @@
-"""Property tests of the without-replacement sampler and verifier on
-degenerate inputs: exact zeros, ties, masses near 1e-12, one-hot q,
-p == q, and as many drafts as q has support."""
+"""Property tests on degenerate inputs (exact zeros, ties, masses near
+1e-12, one-hot q, p == q, and as many drafts as q has support): the
+without-replacement sampler and verifier, and weak duality of the
+with-replacement optimum against the verifiers' exact rates."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
 from mdsd.dists import Dist
 from mdsd.drafts import DraftScheme, iter_support, sample_tuples, tuple_prob
 from mdsd.oracle import rrs_wo_conditional
-from mdsd.verify import RrsWoKernel
+from mdsd.verify import RrsWoKernel, kseq_solve, rrs_w_rate_exact
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -68,3 +70,17 @@ def test_table_sums_to_one_and_matches_reference(case):
         assert (got >= 0.0).all()
         err = np.abs(got - rrs_wo_conditional(p, q, t)).max()
         assert tuple_prob(scheme, t) * err <= 1e-12, (t, err)
+
+
+@PROPERTY
+@given(instances())
+def test_verifier_rates_within_optimum(case):
+    # No verifier of n drafts with replacement beats their optimum, and
+    # neither does the optimum of the first draft alone.
+    p, q, n = case
+    star = alpha_scan(p, DraftScheme.with_replacement(q, n)).alpha_star
+    assert 0.0 <= star <= 1.0
+    assert 0.0 <= alpha_greedy_closed(p, q, n) <= 1.0
+    assert rrs_w_rate_exact(p, q, n) <= star + 1e-9
+    assert kseq_solve(p, q, n).alpha_closed <= star + 1e-9
+    assert alpha_single_draft(p, q) <= star + 1e-9
