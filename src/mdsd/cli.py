@@ -7,6 +7,11 @@ between them. Methods with exact formulas (rejection sampling with
 replacement, the thresholded scheme, the greedy verifier) are evaluated in
 closed form; the rest are estimated by seeded Monte Carlo.
 
+Positions are streamed: records are parsed as the run reaches them and go
+to the worker pool in chunks of consecutive positions, a bounded number in
+flight, so the logits held at once do not grow with the input's length.
+The report is the same whatever the worker count (``MDSD_THREADS``).
+
 Logits provenance is the caller's responsibility: records are treated as
 "the two models' logits at one decoding position" and nothing more.
 """
@@ -14,12 +19,13 @@ Logits provenance is the caller's responsibility: records are treated as
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -53,6 +59,10 @@ BASE_COLUMNS = (
     "seed",
     "config_hash",
 )
+# A pool task is a run of consecutive positions holding at least this many
+# logit values, p and q together: one position at V=32000, 17 at V=1000,
+# where one task per position would pay the per-task overhead 17 times.
+_CHUNK_VALUES = 1 << 15
 
 
 class MalformedInputError(ValueError):
@@ -208,27 +218,76 @@ def _run_position(cfg: ExperimentConfig, position: int, logits) -> list[list[dic
     return out
 
 
-def _worker_count(tasks: int) -> int:
+def _thread_cap() -> int:
+    """Worker processes allowed: the CPU count, capped by MDSD_THREADS."""
     cap = os.cpu_count() or 1
     env = os.environ.get("MDSD_THREADS")
     if env:
-        cap = min(cap, max(1, int(env)))
-    return max(1, min(cap, tasks))
+        try:
+            cap = min(cap, max(1, int(env)))
+        except ValueError:
+            raise ValueError(f"MDSD_THREADS must be an integer (got {env!r})") from None
+    return cap
 
 
-def _collect_positions(cfg: ExperimentConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+def _positions(cfg: ExperimentConfig):
+    """Yield each position's (p_logits, q_logits), read or drawn lazily."""
     if (cfg.input_path is None) == (cfg.synth is None):
         raise ValueError("exactly one of input_path / synth must be set")
-    out = []
     if cfg.input_path is not None:
         for rec in load_logits(cfg.input_path):
-            out.append((rec.p_logits, rec.q_logits))
+            yield rec.p_logits, rec.q_logits
     else:
         kind, param = _parse_synth(cfg.synth)
-        with np.errstate(divide="ignore"):
-            for p, q in synth_positions(kind, param, cfg.vocab, cfg.positions, cfg.seed):
-                out.append((np.log(p.mass), np.log(q.mass)))
-    return out
+        for p, q in synth_positions(kind, param, cfg.vocab, cfg.positions, cfg.seed):
+            with np.errstate(divide="ignore"):
+                logits = np.log(p.mass), np.log(q.mass)
+            yield logits
+
+
+def _chunks(positions):
+    """Group consecutive (position, logits) pairs into lists; a list closes
+    once it holds _CHUNK_VALUES logit values, p and q counted together."""
+    chunk, values = [], 0
+    for item in positions:
+        chunk.append(item)
+        values += sum(lg.size for lg in item[1])
+        if values >= _CHUNK_VALUES:
+            yield chunk
+            chunk, values = [], 0
+    if chunk:
+        yield chunk
+
+
+def _run_chunk(cfg: ExperimentConfig, chunk) -> list[list[list[dict]]]:
+    return [_run_position(cfg, position, logits) for position, logits in chunk]
+
+
+def _run_positions(cfg: ExperimentConfig, cap: int) -> list[list[list[dict]]]:
+    """Every position's `_run_position` result, in position order.
+
+    Positions stream from the input. Once more than one chunk is read and
+    ``cap`` allows it, chunks run on a pool of up to ``cap`` workers with at
+    most two per worker in flight, so only those chunks' logits are held at
+    once; otherwise positions run serially as they are read."""
+    positions = enumerate(_positions(cfg))
+    if cap > 1:
+        chunks = _chunks(positions)
+        head = list(itertools.islice(chunks, cap))
+        workers, chunks = len(head), itertools.chain(head, chunks)
+        del head  # from here on, only the window holds chunks
+        if workers > 1:
+            out, window = [], deque()
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for chunk in chunks:
+                    if len(window) == 2 * workers:
+                        out.extend(window.popleft().result())
+                    window.append(pool.submit(_run_chunk, cfg, chunk))
+                for future in window:
+                    out.extend(future.result())
+            return out
+        positions = itertools.chain.from_iterable(chunks)
+    return [_run_position(cfg, position, logits) for position, logits in positions]
 
 
 def _variants(cfg: ExperimentConfig) -> list[tuple[dict, float, int]]:
@@ -317,6 +376,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Check the config, run all positions, write the report, and return the
     rows."""
     _check_config(cfg)
+    cap = _thread_cap()
     draft_counts = {n for _, _, n in _variants(cfg)}
     unused = [
         m
@@ -330,17 +390,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
             file=sys.stderr,
         )
 
-    positions = _collect_positions(cfg)
-    if not positions:
+    per_position = _run_positions(cfg, cap)
+    if not per_position:
         print("warning: no positions in input", file=sys.stderr)
-    run = functools.partial(_run_position, cfg)
-    workers = _worker_count(len(positions))
-    if workers > 1:
-        chunk = max(1, len(positions) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_position = list(pool.map(run, range(len(positions)), positions, chunksize=chunk))
-    else:
-        per_position = list(map(run, range(len(positions)), positions))
     # Variant-major: every position of the first variant, then the next.
     rows = [row for variant in zip(*per_position) for batch in variant for row in batch]
     rows.extend(_aggregate(rows))

@@ -3,6 +3,7 @@ structure and the command-line entry point."""
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -322,6 +323,99 @@ class TestRunExperiment:
         assert not any(r["method"] == "ot-single" for r in rows)
 
 
+def logits_file(path, positions, vocab, seed=0):
+    rng = np.random.default_rng(seed)
+    write_jsonl(
+        path,
+        [record(rng.normal(size=vocab), rng.normal(size=vocab)) for _ in range(positions)],
+    )
+
+
+class TestStreaming:
+    """Positions stream from the input into the pool, one chunk per task."""
+
+    def config(self, tmp_path, path, name, **kw):
+        return ExperimentConfig(
+            input_path=str(path), trials=64, seed=3, output=str(tmp_path / name), **kw
+        )
+
+    def test_window_reports_match_serial(self, tmp_path, monkeypatch):
+        # Every position is its own chunk, so 12 chunks pass through a window
+        # of at most 2 * 2 pool tasks.
+        monkeypatch.setattr(cli, "_CHUNK_VALUES", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        submitted = []
+
+        class CountingPool(cli.ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(args[-1])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+        path = tmp_path / "in.jsonl"
+        logits_file(path, 12, 60)
+        for sweep in ({}, dict(sweep="drafts", sweep_values=(1.0, 2.0, 3.0))):
+            reports = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("MDSD_THREADS", threads)
+                submitted.clear()
+                cfg = self.config(tmp_path, path, f"t{threads}.csv", **sweep)
+                run_experiment(cfg)
+                reports.append(open(cfg.output, "rb").read())
+            assert [pos for chunk in submitted for pos, _ in chunk] == list(range(12))
+            assert reports[0] == reports[1]
+
+    def test_first_position_runs_before_later_records_are_read(self, tmp_path, monkeypatch):
+        events = []
+        load, run = cli.load_logits, cli._run_position
+
+        def logged_load(path):
+            for i, rec in enumerate(load(path)):
+                events.append(("read", i))
+                yield rec
+
+        def logged_run(cfg, position, logits):
+            events.append(("run", position))
+            return run(cfg, position, logits)
+
+        monkeypatch.setattr(cli, "load_logits", logged_load)
+        monkeypatch.setattr(cli, "_run_position", logged_run)
+        monkeypatch.setenv("MDSD_THREADS", "1")
+        path = tmp_path / "in.jsonl"
+        logits_file(path, 4, 20)
+        run_experiment(self.config(tmp_path, path, "r.csv"))
+        assert events.index(("run", 0)) < events.index(("read", 2))
+        assert events.count(("read", 3)) == events.count(("run", 3)) == 1
+
+    def test_malformed_line_mid_stream(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_CHUNK_VALUES", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("MDSD_THREADS", "2")
+        path = tmp_path / "bad.jsonl"
+        logits_file(path, 5, 20)
+        lines = path.read_text().splitlines()
+        lines[3] = json.dumps(record([0, 1], [1, 0, 2]))
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.csv"
+        code = main(["--input", str(path), "--trials", "64", "--output", str(out)])
+        assert code == 2
+        assert "line 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_position_starts_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for one position")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "_CHUNK_VALUES", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("MDSD_THREADS", "2")
+        path = tmp_path / "one.jsonl"
+        logits_file(path, 1, 20)
+        rows = run_experiment(self.config(tmp_path, path, "r.csv"))
+        assert {r["position"] for r in rows} == {0, "mean"}
+
+
 class TestMainEntryPoint:
     def test_success_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -384,4 +478,12 @@ class TestMainEntryPoint:
         code = main(["--input", str(tmp_path / "nope.jsonl"), "--output", str(out), *args])
         assert code == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_thread_cap_rejected_before_input(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MDSD_THREADS", "abc")
+        out = tmp_path / "r.csv"
+        code = main(["--input", str(tmp_path / "nope.jsonl"), "--output", str(out)])
+        assert code == 2
+        assert "MDSD_THREADS" in capsys.readouterr().err
         assert not out.exists()
