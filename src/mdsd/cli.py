@@ -59,10 +59,14 @@ BASE_COLUMNS = (
     "seed",
     "config_hash",
 )
-# A pool task is a run of consecutive positions holding at least this many
-# logit values, p and q together: one position at V=32000, 17 at V=1000,
-# where one task per position would pay the per-task overhead 17 times.
+# A pool task is a run of consecutive positions. It closes once it holds
+# _CHUNK_VALUES logit values, p and q together (one position at V=32000), or
+# at its position limit: about four tasks per worker where the count is known
+# in advance (synthetic input), _CHUNK_POSITIONS for a file, whose length is
+# only known once it is read. One task per position would cost ref-zipf1k
+# (V=1000, 2 workers) about 9% in per-task overhead.
 _CHUNK_VALUES = 1 << 15
+_CHUNK_POSITIONS = 16
 
 
 class MalformedInputError(ValueError):
@@ -245,14 +249,14 @@ def _positions(cfg: ExperimentConfig):
             yield logits
 
 
-def _chunks(positions):
-    """Group consecutive (position, logits) pairs into lists; a list closes
-    once it holds _CHUNK_VALUES logit values, p and q counted together."""
+def _chunks(positions, limit: int):
+    """Group consecutive (position, logits) pairs into lists; a list closes at
+    ``limit`` pairs or once it holds _CHUNK_VALUES logit values."""
     chunk, values = [], 0
     for item in positions:
         chunk.append(item)
         values += sum(lg.size for lg in item[1])
-        if values >= _CHUNK_VALUES:
+        if len(chunk) == limit or values >= _CHUNK_VALUES:
             yield chunk
             chunk, values = [], 0
     if chunk:
@@ -266,21 +270,27 @@ def _run_chunk(cfg: ExperimentConfig, chunk) -> list[list[list[dict]]]:
 def _run_positions(cfg: ExperimentConfig, cap: int) -> list[list[list[dict]]]:
     """Every position's `_run_position` result, in position order.
 
-    Positions stream from the input. Once more than one chunk is read and
-    ``cap`` allows it, chunks run on a pool of up to ``cap`` workers with at
-    most two per worker in flight, so only those chunks' logits are held at
-    once; otherwise positions run serially as they are read."""
+    Positions stream from the input in chunks (see _CHUNK_VALUES). Once a
+    second chunk is read and ``cap`` allows it, chunks run on a pool with at
+    most two per worker in flight, so at most 2 * workers + 2 chunks' logits
+    are held at once; otherwise positions run serially as they are read.
+    The pool has ``cap`` workers, or one per position when a synthetic
+    input has fewer."""
+    if cfg.synth is not None:
+        cap = max(1, min(cap, cfg.positions))
+        limit = max(1, cfg.positions // (4 * cap))
+    else:
+        limit = _CHUNK_POSITIONS
     positions = enumerate(_positions(cfg))
     if cap > 1:
-        chunks = _chunks(positions)
-        head = list(itertools.islice(chunks, cap))
-        workers, chunks = len(head), itertools.chain(head, chunks)
-        del head  # from here on, only the window holds chunks
-        if workers > 1:
+        chunks = _chunks(positions, limit)
+        head = list(itertools.islice(chunks, 2))
+        chunks = itertools.chain(head, chunks)
+        if len(head) > 1:
             out, window = [], deque()
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=cap) as pool:
                 for chunk in chunks:
-                    if len(window) == 2 * workers:
+                    if len(window) == 2 * cap:
                         out.extend(window.popleft().result())
                     window.append(pool.submit(_run_chunk, cfg, chunk))
                 for future in window:

@@ -339,31 +339,73 @@ class TestStreaming:
             input_path=str(path), trials=64, seed=3, output=str(tmp_path / name), **kw
         )
 
-    def test_window_reports_match_serial(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def pool_log(self, monkeypatch):
+        """Swap in a pool that logs each submitted chunk, and check at every
+        submit that at most two chunks per worker are in flight, counting a
+        chunk as done once its result has been taken."""
+        log = dict(chunks=[], taken=0, peak=0, workers=[])
+
+        class CountingPool(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers=max_workers)
+                self.workers = max_workers
+                log["workers"].append(max_workers)
+
+            def submit(self, fn, *args, **kwargs):
+                log["chunks"].append([pos for pos, _ in args[-1]])
+                in_flight = len(log["chunks"]) - log["taken"]
+                assert in_flight <= 2 * self.workers
+                log["peak"] = max(log["peak"], in_flight)
+                future = super().submit(fn, *args, **kwargs)
+                result = future.result
+
+                def counted(*a, **kw):
+                    log["taken"] += 1
+                    return result(*a, **kw)
+
+                future.result = counted
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        return log
+
+    def test_window_reports_match_serial(self, tmp_path, monkeypatch, pool_log):
         # Every position is its own chunk, so 12 chunks pass through a window
         # of at most 2 * 2 pool tasks.
         monkeypatch.setattr(cli, "_CHUNK_VALUES", 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        submitted = []
-
-        class CountingPool(cli.ProcessPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                submitted.append(args[-1])
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
         path = tmp_path / "in.jsonl"
         logits_file(path, 12, 60)
         for sweep in ({}, dict(sweep="drafts", sweep_values=(1.0, 2.0, 3.0))):
             reports = []
             for threads in ("1", "2"):
                 monkeypatch.setenv("MDSD_THREADS", threads)
-                submitted.clear()
+                pool_log.update(chunks=[], taken=0, peak=0)
                 cfg = self.config(tmp_path, path, f"t{threads}.csv", **sweep)
                 run_experiment(cfg)
                 reports.append(open(cfg.output, "rb").read())
-            assert [pos for chunk in submitted for pos, _ in chunk] == list(range(12))
+            assert pool_log["chunks"] == [[pos] for pos in range(12)]
+            assert pool_log["peak"] == 4 and pool_log["taken"] == 12
             assert reports[0] == reports[1]
+
+    def test_small_vocab_input_is_split(self, tmp_path, monkeypatch, pool_log):
+        # V=8 holds far fewer than _CHUNK_VALUES logits per position, so the
+        # position limit must split the input across the workers.
+        monkeypatch.setenv("MDSD_THREADS", "2")
+        path = tmp_path / "in.jsonl"
+        logits_file(path, 40, 8)
+        run_experiment(self.config(tmp_path, path, "file.csv"))
+        assert [len(c) for c in pool_log["chunks"]] == [16, 16, 8]
+        pool_log.update(chunks=[], taken=0)
+        synth = ExperimentConfig(
+            synth="dirichlet:1.0", vocab=8, positions=40, trials=64, seed=3,
+            output=str(tmp_path / "synth.csv"),
+        )
+        run_experiment(synth)
+        # A synthetic input's count is known: about four chunks per worker.
+        assert [len(c) for c in pool_log["chunks"]] == [5] * 8
+        assert pool_log["workers"] == [2, 2]
 
     def test_first_position_runs_before_later_records_are_read(self, tmp_path, monkeypatch):
         events = []
@@ -387,9 +429,8 @@ class TestStreaming:
         assert events.index(("run", 0)) < events.index(("read", 2))
         assert events.count(("read", 3)) == events.count(("run", 3)) == 1
 
-    def test_malformed_line_mid_stream(self, tmp_path, monkeypatch, capsys):
+    def test_malformed_line_mid_stream(self, tmp_path, monkeypatch, capsys, pool_log):
         monkeypatch.setattr(cli, "_CHUNK_VALUES", 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setenv("MDSD_THREADS", "2")
         path = tmp_path / "bad.jsonl"
         logits_file(path, 5, 20)
@@ -401,6 +442,8 @@ class TestStreaming:
         assert code == 2
         assert "line 4" in capsys.readouterr().err
         assert not out.exists()
+        # The pool had taken the three good records when line 4 was reached.
+        assert pool_log["chunks"] == [[0], [1], [2]]
 
     def test_single_position_starts_no_pool(self, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
