@@ -58,8 +58,21 @@ def ratio_order(p: Dist, q: Dist) -> np.ndarray:
     if p.vocab_size != q.vocab_size:
         raise ValueError("size mismatch between p and q")
     pm = p.mass
-    ratios = np.where(pm > 0.0, q.mass / np.where(pm > 0.0, pm, 1.0), np.inf)
-    return np.lexsort((np.arange(p.vocab_size), -ratios))
+    keys = -np.where(pm > 0.0, q.mass / np.where(pm > 0.0, pm, 1.0), np.inf)
+    order = keys.argsort()
+    keys = keys[order]
+    new = keys[1:] != keys[:-1]
+    if new.all():
+        return order
+    # The sort is not stable: put each run of equal ratios in id order by
+    # sorting (dense rank of the ratio) * V + id once.
+    v = p.vocab_size
+    rank = np.zeros(v, dtype=np.int64)
+    np.cumsum(new, out=rank[1:])
+    rank *= v
+    rank += order
+    rank.sort()
+    return rank % v
 
 
 def _prefix_q_values(scheme: DraftScheme, order: np.ndarray) -> np.ndarray:

@@ -7,10 +7,11 @@ between them. Methods with exact formulas (rejection sampling with
 replacement, the thresholded scheme, the greedy verifier) are evaluated in
 closed form; the rest are estimated by seeded Monte Carlo.
 
-Positions are streamed: records are parsed as the run reaches them and go
-to the worker pool in chunks of consecutive positions, a bounded number in
-flight, so the logits held at once do not grow with the input's length.
-The report is the same whatever the worker count (``MDSD_THREADS``).
+Positions are streamed: the input's lines go to the worker pool in chunks
+of consecutive positions, a bounded number in flight, and each record is
+parsed where its position runs, so the main process only reads lines and
+the input held at once does not grow with its length. The report is the
+same whatever the worker count (``MDSD_THREADS``).
 
 Logits provenance is the caller's responsibility: records are treated as
 "the two models' logits at one decoding position" and nothing more.
@@ -24,6 +25,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -41,6 +43,7 @@ __all__ = [
     "ExperimentConfig",
     "MalformedInputError",
     "load_logits",
+    "parse_record",
     "synth_positions",
     "run_experiment",
     "main",
@@ -60,12 +63,13 @@ BASE_COLUMNS = (
     "config_hash",
 )
 # A pool task is a run of consecutive positions. It closes once it holds
-# _CHUNK_VALUES logit values, p and q together (one position at V=32000), or
-# at its position limit: about four tasks per worker where the count is known
-# in advance (synthetic input), _CHUNK_POSITIONS for a file, whose length is
-# only known once it is read. One task per position would cost ref-zipf1k
-# (V=1000, 2 workers) about 9% in per-task overhead.
-_CHUNK_VALUES = 1 << 15
+# _CHUNK_BYTES of input, a record line's length or the logit arrays' size
+# (one position at V=32000 either way), or at its position limit: about four
+# tasks per worker where the count is known in advance (synthetic input),
+# _CHUNK_POSITIONS for a file, whose length is only known once it is read.
+# One task per position would cost ref-zipf1k (V=1000, 2 workers) about 9% in
+# per-task overhead.
+_CHUNK_BYTES = 1 << 18
 _CHUNK_POSITIONS = 16
 
 
@@ -101,30 +105,40 @@ class ExperimentConfig:
         return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()[:12]
 
 
-def load_logits(path: str):
-    """Stream `LogitsRecord`s from a line-delimited file of objects with
-    "p_logits" and "q_logits" array fields. Malformed lines raise
-    `MalformedInputError` naming the line number."""
+def _lines(path: str):
+    """Yield (line number, line) for each line of ``path`` that is not blank."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedInputError(f"line {lineno}: invalid JSON ({exc.msg})")
-            if not isinstance(obj, dict):
-                raise MalformedInputError(f"line {lineno}: record is not an object")
-            for key in ("p_logits", "q_logits"):
-                if key not in obj:
-                    raise MalformedInputError(f"line {lineno}: missing field {key!r}")
-            try:
-                yield LogitsRecord(
-                    np.asarray(obj["p_logits"], dtype=np.float64),
-                    np.asarray(obj["q_logits"], dtype=np.float64),
-                )
-            except (TypeError, ValueError) as exc:
-                raise MalformedInputError(f"line {lineno}: {exc}")
+            if not line.isspace():
+                yield lineno, line
+
+
+def parse_record(lineno: int, line: str) -> LogitsRecord:
+    """Parse one line, a JSON object with "p_logits" and "q_logits" array
+    fields. A malformed line raises `MalformedInputError` naming ``lineno``."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedInputError(f"line {lineno}: invalid JSON ({exc.msg})")
+    if not isinstance(obj, dict):
+        raise MalformedInputError(f"line {lineno}: record is not an object")
+    for key in ("p_logits", "q_logits"):
+        if key not in obj:
+            raise MalformedInputError(f"line {lineno}: missing field {key!r}")
+    try:
+        return LogitsRecord(
+            np.asarray(obj["p_logits"], dtype=np.float64),
+            np.asarray(obj["q_logits"], dtype=np.float64),
+        )
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(f"line {lineno}: {exc}")
+
+
+def load_logits(path: str):
+    """Stream `LogitsRecord`s from a line-delimited file, `parse_record`
+    over its lines."""
+    for lineno, line in _lines(path):
+        yield parse_record(lineno, line)
 
 
 def synth_positions(kind: str, param: float, vocab: int, count: int, seed: int):
@@ -163,12 +177,19 @@ def _position_seed(seed: int, position: int) -> int:
 
 
 def _method_alpha(
-    method: str, p: Dist, q: Dist, scheme: DraftScheme, alpha_star: float, trials: int, seed: int
+    method: str,
+    p: Dist,
+    q: Dist,
+    scheme: DraftScheme,
+    alpha_star: float,
+    order: np.ndarray | None,
+    trials: int,
+    seed: int,
 ):
     if method == "rrs-w":
         return rrs_w_rate_exact(p, q, scheme.n), 0.0
     if method == "kseq":
-        return kseq_solve(p, q, scheme.n).alpha_closed, 0.0
+        return kseq_solve(p, q, scheme.n, order=order).alpha_closed, 0.0
     if method == "greedy":
         # The greedy verifier attains the optimum of its scheme.
         return alpha_star, 0.0
@@ -180,10 +201,16 @@ def _method_alpha(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _run_position(cfg: ExperimentConfig, position: int, logits) -> list[list[dict]]:
-    """One position's rows for every sweep variant, in `_variants` order. The
-    Monte Carlo seed is the position's, and each distinct temperature's
-    softmax is taken once."""
+def _run_position(cfg: ExperimentConfig, position: int, source) -> list[list[dict]]:
+    """One position's rows for every sweep variant, in `_variants` order.
+    ``source`` is a file's (line number, line), parsed here, or the
+    position's (p_logits, q_logits). The Monte Carlo seed is the position's,
+    and each distinct temperature's softmax is taken once."""
+    if isinstance(source[1], str):
+        rec = parse_record(*source)
+        logits = rec.p_logits, rec.q_logits
+    else:
+        logits = source
     mc_seed = _position_seed(cfg.seed, position)
     pq_at: dict[float, tuple[Dist, Dist]] = {}
     out = []
@@ -199,12 +226,14 @@ def _run_position(cfg: ExperimentConfig, position: int, logits) -> list[list[dic
                 continue
             scheme = DraftScheme(kind, q, n)
             if kind is DraftKind.GREEDY:
-                alpha_star = alpha_greedy_closed(p, q, n)
+                alpha_star, order = alpha_greedy_closed(p, q, n), None
             else:
-                alpha_star = alpha_scan(p, scheme).alpha_star
+                # kseq reads the scan's ratio order, so it sorts nothing.
+                scan = alpha_scan(p, scheme)
+                alpha_star, order = scan.alpha_star, scan.ordering
             for method in methods:
                 alpha, stderr = _method_alpha(
-                    method, p, q, scheme, alpha_star, cfg.trials, mc_seed
+                    method, p, q, scheme, alpha_star, order, cfg.trials, mc_seed
                 )
                 rows.append(
                     dict(
@@ -235,12 +264,13 @@ def _thread_cap() -> int:
 
 
 def _positions(cfg: ExperimentConfig):
-    """Yield each position's (p_logits, q_logits), read or drawn lazily."""
+    """Yield each position's source for `_run_position`, read or drawn
+    lazily: a file's (line number, line), unparsed, or (p_logits,
+    q_logits)."""
     if (cfg.input_path is None) == (cfg.synth is None):
         raise ValueError("exactly one of input_path / synth must be set")
     if cfg.input_path is not None:
-        for rec in load_logits(cfg.input_path):
-            yield rec.p_logits, rec.q_logits
+        yield from _lines(cfg.input_path)
     else:
         kind, param = _parse_synth(cfg.synth)
         for p, q in synth_positions(kind, param, cfg.vocab, cfg.positions, cfg.seed):
@@ -250,32 +280,34 @@ def _positions(cfg: ExperimentConfig):
 
 
 def _chunks(positions, limit: int):
-    """Group consecutive (position, logits) pairs into lists; a list closes at
-    ``limit`` pairs or once it holds _CHUNK_VALUES logit values."""
-    chunk, values = [], 0
+    """Group consecutive (position, source) pairs into lists; a list closes
+    at ``limit`` pairs or once it holds _CHUNK_BYTES of input."""
+    chunk, size = [], 0
     for item in positions:
         chunk.append(item)
-        values += sum(lg.size for lg in item[1])
-        if len(chunk) == limit or values >= _CHUNK_VALUES:
+        second = item[1][1]  # a file's line, or the q logits
+        size += len(second) if isinstance(second, str) else 2 * second.nbytes
+        if len(chunk) == limit or size >= _CHUNK_BYTES:
             yield chunk
-            chunk, values = [], 0
+            chunk, size = [], 0
     if chunk:
         yield chunk
 
 
 def _run_chunk(cfg: ExperimentConfig, chunk) -> list[list[list[dict]]]:
-    return [_run_position(cfg, position, logits) for position, logits in chunk]
+    return [_run_position(cfg, position, source) for position, source in chunk]
 
 
 def _run_positions(cfg: ExperimentConfig, cap: int) -> list[list[list[dict]]]:
     """Every position's `_run_position` result, in position order.
 
-    Positions stream from the input in chunks (see _CHUNK_VALUES). Once a
+    Positions stream from the input in chunks (see _CHUNK_BYTES). Once a
     second chunk is read and ``cap`` allows it, chunks run on a pool with at
-    most two per worker in flight, so at most 2 * workers + 2 chunks' logits
-    are held at once; otherwise positions run serially as they are read.
-    The pool has ``cap`` workers, or one per position when a synthetic
-    input has fewer."""
+    most two per worker in flight, so at most 2 * workers + 2 chunks are
+    held at once; otherwise positions run serially as they are read. The
+    pool has ``cap`` workers, or one per position when a synthetic input
+    has fewer. If a chunk fails or the run is stopped, the chunks not yet
+    started are cancelled."""
     if cfg.synth is not None:
         cap = max(1, min(cap, cfg.positions))
         limit = max(1, cfg.positions // (4 * cap))
@@ -289,15 +321,19 @@ def _run_positions(cfg: ExperimentConfig, cap: int) -> list[list[list[dict]]]:
         if len(head) > 1:
             out, window = [], deque()
             with ProcessPoolExecutor(max_workers=cap) as pool:
-                for chunk in chunks:
-                    if len(window) == 2 * cap:
-                        out.extend(window.popleft().result())
-                    window.append(pool.submit(_run_chunk, cfg, chunk))
-                for future in window:
-                    out.extend(future.result())
+                try:
+                    for chunk in chunks:
+                        if len(window) == 2 * cap:
+                            out.extend(window.popleft().result())
+                        window.append(pool.submit(_run_chunk, cfg, chunk))
+                    for future in window:
+                        out.extend(future.result())
+                except BaseException:
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    raise
             return out
         positions = itertools.chain.from_iterable(chunks)
-    return [_run_position(cfg, position, logits) for position, logits in positions]
+    return [_run_position(cfg, position, source) for position, source in positions]
 
 
 def _variants(cfg: ExperimentConfig) -> list[tuple[dict, float, int]]:
@@ -462,6 +498,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _stop(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     sweep_values = tuple(float(v) for v in args.sweep_values.split(",") if v.strip())
@@ -484,11 +524,16 @@ def main(argv=None) -> int:
         output=args.output,
         fmt=args.fmt,
     )
+    # A SIGTERM ends the run as an exception does, so the pool is shut down
+    # with it instead of leaving its workers running.
+    previous = signal.signal(signal.SIGTERM, _stop)
     try:
         run_experiment(cfg)
     except (MalformedInputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

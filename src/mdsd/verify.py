@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .alpha import ratio_order
 from .dists import _ZERO_MASS, Dist, residual_dist
 from .drafts import AscendingQ, DraftKind, DraftScheme, greedy_tail
 
@@ -43,7 +44,6 @@ __all__ = [
     "rrs_w_rate_exact",
 ]
 
-RHO_RESIDUAL_TOL = 1e-12
 _FALLBACK_SLACK = 1e-9
 
 
@@ -382,53 +382,75 @@ class KseqParams:
     alpha_closed: float
 
 
-def _beta(p: Dist, q: Dist, rho: float) -> float:
-    return float(np.minimum(p.mass / rho, q.mass).sum())
+def kseq_solve(p: Dist, q: Dist, n: int, order: np.ndarray | None = None) -> KseqParams:
+    """Solve 1 - (1 - beta(rho))^n = rho * beta(rho) for rho >= 1, where
+    beta(rho) = sum min(p/rho, q).
 
+    ``order`` is `ratio_order(p, q)`, computed here when not given. Along it
+    the breakpoints p_i/q_i ascend, and with the first k tokens of the order
+    in the head, beta = a/rho + b between two of them: a is the head's p
+    mass and b the tail's q mass. g(rho) = 1 - (1 - beta)^n - rho beta does
+    not increase, is >= 0 at rho = 1 and <= 0 at rho = n. A binary search
+    over the breakpoints finds the root's segment, and bisection solves
+    g = 0 on it to adjacent floats.
 
-def kseq_solve(p: Dist, q: Dist, n: int) -> KseqParams:
-    """Solve 1 - (1 - beta(rho))^n = rho * beta(rho) for rho >= 1.
-
-    The left side dominates at rho = 1 and the right side dominates for
-    large rho, so a doubling bracket plus bisection always finds the root;
-    iteration stops once the fixed-point residual is below 1e-12.
+    g = beta (sum_{j<n} (1 - beta)^j - rho), so for beta > 0 its sign is
+    that of sum_{0<j<n} s^j - (rho - 1), with s = 1 - beta taken as
+    (c - b) + a (rho - 1) / rho, c the tail's p mass. No step cancels, so
+    the root keeps its relative precision both near rho = 1 and where beta
+    is tiny.
     """
     if p.vocab_size != q.vocab_size:
         raise ValueError("size mismatch between p and q")
     if n < 1:
         raise ValueError("draft count must be >= 1")
+    if order is None:
+        order = ratio_order(p, q)
+    pm, qm = p.mass.take(order), q.mass.take(order)
 
-    def g(rho: float) -> float:
-        b = _beta(p, q, rho)
-        return 1.0 - (1.0 - b) ** n - rho * b
+    def sign_g(rho: float, a: float, c: float, b: float) -> float:
+        s = max(c - b, 0.0) + a * (rho - 1.0) / rho
+        total = 0.0
+        for _ in range(n - 1):
+            total = s * (1.0 + total)
+        return total - (rho - 1.0)
 
-    def params(rho: float) -> KseqParams:
-        b = _beta(p, q, rho)
-        return KseqParams(rho=rho, beta_at_rho=b, alpha_closed=1.0 - (1.0 - b) ** n)
+    def breakpoint(j: int) -> float:
+        if qm[j] > 0.0:
+            return float(pm[j] / qm[j])
+        return np.inf if pm[j] > 0.0 else 0.0
 
-    lo, g_lo = 1.0, g(1.0)
-    if abs(g_lo) <= RHO_RESIDUAL_TOL:
-        return params(lo)
-    hi = 2.0
-    while g(hi) > 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > 2.0 ** 60:
-            raise ValueError("failed to bracket the fixed point")
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if abs(g_mid) <= RHO_RESIDUAL_TOL:
-            return params(mid)
-        if g_mid > 0.0:
-            lo = mid
+    # The root lies in [1, n]. Find the first token whose breakpoint is past
+    # n, or past 1 with g <= 0 there: the root's segment ends at it. The p
+    # mass before lo and the p and q masses from hi on are kept, so each
+    # step sums only the tokens between.
+    lo, hi = 0, pm.size
+    a, c, b = 0.0, 0.0, 0.0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        at = breakpoint(mid)
+        head = a + float(pm[lo : mid + 1].sum())
+        tail_p, tail_q = c + float(pm[mid + 1 : hi].sum()), b + float(qm[mid + 1 : hi].sum())
+        if at >= n or (at > 1.0 and sign_g(at, head, tail_p, tail_q) <= 0.0):
+            hi, c, b = mid, tail_p + float(pm[mid]), tail_q + float(qm[mid])
         else:
-            hi = mid
-        if hi - lo <= np.finfo(float).eps * hi:
+            lo, a = mid + 1, head
+    left = max(breakpoint(lo - 1), 1.0) if lo else 1.0
+    right = min(breakpoint(lo), float(n)) if lo < pm.size else float(n)
+    # With beta = 0 everywhere (p and q disjoint) every rho solves; take 1.
+    if sign_g(left, a, c, b) <= 0.0 or a == b == 0.0:
+        right = left
+    while True:
+        mid = 0.5 * (left + right)
+        if not left < mid < right:
             break
-    # Interval has collapsed to adjacent floats; take the better endpoint.
-    best = min((lo, hi), key=lambda r: abs(g(r)))
-    return params(best)
+        if sign_g(mid, a, c, b) > 0.0:
+            left = mid
+        else:
+            right = mid
+    rho = min((left, right), key=lambda r: abs(sign_g(r, a, c, b)))
+    beta = a / rho + b
+    return KseqParams(rho=rho, beta_at_rho=beta, alpha_closed=1.0 - (1.0 - beta) ** n)
 
 
 class KseqKernel(_Kernel):

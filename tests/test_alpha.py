@@ -71,6 +71,19 @@ class TestRatioOrder:
         q = Dist(np.array([0.5, 0.5, 0.0]))
         assert list(ratio_order(p, q))[0] == 2
 
+    def test_matches_stable_lexsort_on_ties(self, rng):
+        # Integer masses in 0..3 tie often, and zeros give ratio +inf (p = 0)
+        # and 0 (q = 0): the unstable sort must still break every tie by id.
+        for _ in range(300):
+            v = int(rng.integers(2, 40))
+            wp = grid_weights(rng, v, 3 * v)
+            wq = grid_weights(rng, v, 3 * v)
+            p, q = grid_dist(wp), grid_dist(wq)
+            pm = p.mass
+            ratio = np.where(pm > 0.0, q.mass / np.where(pm > 0.0, pm, 1.0), np.inf)
+            want = np.lexsort((np.arange(v), -ratio))
+            assert (ratio_order(p, q) == want).all()
+
 
 class TestAlphaScan:
     def test_with_replacement_hand_case(self):

@@ -4,6 +4,10 @@ structure and the command-line entry point."""
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -344,7 +348,7 @@ class TestStreaming:
         """Swap in a pool that logs each submitted chunk, and check at every
         submit that at most two chunks per worker are in flight, counting a
         chunk as done once its result has been taken."""
-        log = dict(chunks=[], taken=0, peak=0, workers=[])
+        log = dict(chunks=[], taken=0, peak=0, workers=[], done=[])
 
         class CountingPool(cli.ProcessPoolExecutor):
             def __init__(self, max_workers):
@@ -358,11 +362,13 @@ class TestStreaming:
                 assert in_flight <= 2 * self.workers
                 log["peak"] = max(log["peak"], in_flight)
                 future = super().submit(fn, *args, **kwargs)
-                result = future.result
+                result, chunk = future.result, log["chunks"][-1]
 
                 def counted(*a, **kw):
                     log["taken"] += 1
-                    return result(*a, **kw)
+                    out = result(*a, **kw)
+                    log["done"].append(chunk)
+                    return out
 
                 future.result = counted
                 return future
@@ -374,7 +380,7 @@ class TestStreaming:
     def test_window_reports_match_serial(self, tmp_path, monkeypatch, pool_log):
         # Every position is its own chunk, so 12 chunks pass through a window
         # of at most 2 * 2 pool tasks.
-        monkeypatch.setattr(cli, "_CHUNK_VALUES", 1)
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", 1)
         path = tmp_path / "in.jsonl"
         logits_file(path, 12, 60)
         for sweep in ({}, dict(sweep="drafts", sweep_values=(1.0, 2.0, 3.0))):
@@ -390,7 +396,7 @@ class TestStreaming:
             assert reports[0] == reports[1]
 
     def test_small_vocab_input_is_split(self, tmp_path, monkeypatch, pool_log):
-        # V=8 holds far fewer than _CHUNK_VALUES logits per position, so the
+        # V=8 holds far fewer than _CHUNK_BYTES of input per position, so the
         # position limit must split the input across the workers.
         monkeypatch.setenv("MDSD_THREADS", "2")
         path = tmp_path / "in.jsonl"
@@ -409,18 +415,18 @@ class TestStreaming:
 
     def test_first_position_runs_before_later_records_are_read(self, tmp_path, monkeypatch):
         events = []
-        load, run = cli.load_logits, cli._run_position
+        lines, run = cli._lines, cli._run_position
 
-        def logged_load(path):
-            for i, rec in enumerate(load(path)):
+        def logged_lines(path):
+            for i, line in enumerate(lines(path)):
                 events.append(("read", i))
-                yield rec
+                yield line
 
-        def logged_run(cfg, position, logits):
+        def logged_run(cfg, position, source):
             events.append(("run", position))
-            return run(cfg, position, logits)
+            return run(cfg, position, source)
 
-        monkeypatch.setattr(cli, "load_logits", logged_load)
+        monkeypatch.setattr(cli, "_lines", logged_lines)
         monkeypatch.setattr(cli, "_run_position", logged_run)
         monkeypatch.setenv("MDSD_THREADS", "1")
         path = tmp_path / "in.jsonl"
@@ -430,7 +436,7 @@ class TestStreaming:
         assert events.count(("read", 3)) == events.count(("run", 3)) == 1
 
     def test_malformed_line_mid_stream(self, tmp_path, monkeypatch, capsys, pool_log):
-        monkeypatch.setattr(cli, "_CHUNK_VALUES", 1)
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", 1)
         monkeypatch.setenv("MDSD_THREADS", "2")
         path = tmp_path / "bad.jsonl"
         logits_file(path, 5, 20)
@@ -442,15 +448,18 @@ class TestStreaming:
         assert code == 2
         assert "line 4" in capsys.readouterr().err
         assert not out.exists()
-        # The pool had taken the three good records when line 4 was reached.
-        assert pool_log["chunks"] == [[0], [1], [2]]
+        # Line 4 is parsed in a worker: positions 0-2 ran, and the run
+        # stopped at the result of position 3.
+        assert pool_log["chunks"] == [[0], [1], [2], [3], [4]]
+        assert pool_log["done"] == [[0], [1], [2]]
+        assert pool_log["taken"] == 4
 
     def test_single_position_starts_no_pool(self, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started for one position")
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(cli, "_CHUNK_VALUES", 1)
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", 1)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setenv("MDSD_THREADS", "2")
         path = tmp_path / "one.jsonl"
@@ -522,6 +531,56 @@ class TestMainEntryPoint:
         assert code == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_sigterm_leaves_no_worker(self, tmp_path):
+        def group_size(pgid):
+            count = 0
+            for pid in filter(str.isdigit, os.listdir("/proc")):
+                try:
+                    with open(f"/proc/{pid}/stat") as fh:
+                        fields = fh.read().rsplit(")", 1)[1].split()
+                except OSError:
+                    continue
+                count += int(fields[2]) == pgid
+            return count
+
+        # V=20000 puts one position in each chunk, so a run of 1000 positions
+        # keeps both workers busy for many seconds.
+        code = (
+            "import sys; from mdsd.cli import main; sys.exit(main(['--synth', 'zipf:1.0', "
+            "'--vocab', '20000', '--positions', '1000', '--trials', '64', '--output', sys.argv[1]]))"
+        )
+        env = dict(os.environ, MDSD_THREADS="2")
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, str(tmp_path / "r.csv")],
+            env=env, start_new_session=True, stderr=subprocess.DEVNULL,
+        )
+        pgid = proc.pid
+        try:
+            deadline = time.monotonic() + 30
+            while group_size(pgid) < 3:  # the runner and its two workers
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 128 + signal.SIGTERM
+            deadline = time.monotonic() + 5
+            while True:
+                try:
+                    os.killpg(pgid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a worker outlived the run"
+                time.sleep(0.05)
+        finally:
+            try:
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+        assert not (tmp_path / "r.csv").exists()
 
     def test_bad_thread_cap_rejected_before_input(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MDSD_THREADS", "abc")

@@ -1,7 +1,8 @@
 """Property tests on degenerate inputs (exact zeros, ties, masses near
 1e-12, one-hot q, p == q, and as many drafts as q has support): the
-without-replacement sampler and verifier, and weak duality of the
-with-replacement optimum against the verifiers' exact rates."""
+without-replacement sampler and verifier, the kseq fixed point, and weak
+duality of the with-replacement optimum against the verifiers' exact
+rates."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -84,3 +85,19 @@ def test_verifier_rates_within_optimum(case):
     assert rrs_w_rate_exact(p, q, n) <= star + 1e-9
     assert kseq_solve(p, q, n).alpha_closed <= star + 1e-9
     assert alpha_single_draft(p, q) <= star + 1e-9
+
+
+@PROPERTY
+@given(instances())
+def test_kseq_solves_its_fixed_point(case):
+    # The root found on the breakpoint segment is a root of the direct
+    # definition, and the scan's ratio order gives the same solve.
+    p, q, n = case
+    params = kseq_solve(p, q, n)
+    rho, beta = params.rho, params.beta_at_rho
+    assert rho >= 1.0
+    assert abs(1.0 - (1.0 - beta) ** n - rho * beta) <= 1e-12
+    direct = float(np.minimum(p.mass / rho, q.mass).sum())
+    assert abs(beta - direct) <= 1e-15 * direct
+    scan = alpha_scan(p, DraftScheme.with_replacement(q, n))
+    assert kseq_solve(p, q, n, order=scan.ordering) == params

@@ -257,6 +257,23 @@ class TestKseqSolve:
         assert params.rho == pytest.approx(1.5, abs=1e-10)
         assert params.alpha_closed == pytest.approx(0.75, abs=1e-10)
 
+    def test_no_false_root_at_one(self):
+        # g(1) is only about 1.1e-13 here; a solve that accepts a small
+        # residual stops at rho = 1. The root solves (rho - 1)^2 ~ p_0.
+        eps = 1.075e-13
+        p = Dist(np.array([eps, 1.0 - eps]))
+        q = Dist(np.array([0.0, 1.0]))
+        params = kseq_solve(p, q, 2)
+        assert params.rho - 1.0 == pytest.approx(3.28e-7, rel=1e-3)
+        beta = params.beta_at_rho
+        assert abs(1 - (1 - beta) ** 2 - params.rho * beta) <= 1e-15
+
+    def test_disjoint_supports(self):
+        p = Dist(np.array([1.0, 0.0, 0.0]))
+        q = Dist(np.array([0.0, 0.5, 0.5]))
+        params = kseq_solve(p, q, 3)
+        assert (params.rho, params.beta_at_rho, params.alpha_closed) == (1.0, 0.0, 0.0)
+
     def test_residual_tolerance(self, rng):
         for _ in range(100):
             v = int(rng.integers(2, 8))
