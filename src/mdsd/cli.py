@@ -51,6 +51,7 @@ __all__ = [
 
 SCHEME_NAMES = tuple(k.value for k in DraftKind)
 METHOD_NAMES = ("rrs-w", "kseq", "rrs-wo", "greedy", "ot-single")
+FORMATS = ("csv", "jsonl")
 BASE_COLUMNS = (
     "position",
     "scheme",
@@ -64,11 +65,10 @@ BASE_COLUMNS = (
 )
 # A pool task is a run of consecutive positions. It closes once it holds
 # _CHUNK_BYTES of input, a record line's length or the logit arrays' size
-# (one position at V=32000 either way), or at its position limit: about four
-# tasks per worker where the count is known in advance (synthetic input),
-# _CHUNK_POSITIONS for a file, whose length is only known once it is read.
-# One task per position would cost ref-zipf1k (V=1000, 2 workers) about 9% in
-# per-task overhead.
+# (one position at V=32000 either way), or _CHUNK_POSITIONS positions, for a
+# file and a synthetic input alike, so a small-V run is split into tasks
+# that a stop can cancel. One task per position would cost ref-zipf1k
+# (V=1000, 2 workers) about 9% in per-task overhead.
 _CHUNK_BYTES = 1 << 18
 _CHUNK_POSITIONS = 16
 
@@ -279,15 +279,15 @@ def _positions(cfg: ExperimentConfig):
             yield logits
 
 
-def _chunks(positions, limit: int):
+def _chunks(positions):
     """Group consecutive (position, source) pairs into lists; a list closes
-    at ``limit`` pairs or once it holds _CHUNK_BYTES of input."""
+    at _CHUNK_POSITIONS pairs or once it holds _CHUNK_BYTES of input."""
     chunk, size = [], 0
     for item in positions:
         chunk.append(item)
         second = item[1][1]  # a file's line, or the q logits
         size += len(second) if isinstance(second, str) else 2 * second.nbytes
-        if len(chunk) == limit or size >= _CHUNK_BYTES:
+        if len(chunk) == _CHUNK_POSITIONS or size >= _CHUNK_BYTES:
             yield chunk
             chunk, size = [], 0
     if chunk:
@@ -302,20 +302,14 @@ def _run_positions(cfg: ExperimentConfig, cap: int) -> list[list[list[dict]]]:
     """Every position's `_run_position` result, in position order.
 
     Positions stream from the input in chunks (see _CHUNK_BYTES). Once a
-    second chunk is read and ``cap`` allows it, chunks run on a pool with at
-    most two per worker in flight, so at most 2 * workers + 2 chunks are
-    held at once; otherwise positions run serially as they are read. The
-    pool has ``cap`` workers, or one per position when a synthetic input
-    has fewer. If a chunk fails or the run is stopped, the chunks not yet
-    started are cancelled."""
-    if cfg.synth is not None:
-        cap = max(1, min(cap, cfg.positions))
-        limit = max(1, cfg.positions // (4 * cap))
-    else:
-        limit = _CHUNK_POSITIONS
+    second chunk is read and ``cap`` allows it, chunks run on a pool of
+    ``cap`` workers with at most two per worker in flight, so at most
+    2 * workers + 2 chunks are held at once; otherwise positions run
+    serially as they are read. If a chunk fails or the run is stopped, the
+    chunks not yet started are cancelled."""
     positions = enumerate(_positions(cfg))
     if cap > 1:
-        chunks = _chunks(positions, limit)
+        chunks = _chunks(positions)
         head = list(itertools.islice(chunks, 2))
         chunks = itertools.chain(head, chunks)
         if len(head) > 1:
@@ -401,6 +395,10 @@ def _check_config(cfg: ExperimentConfig) -> None:
     for name in cfg.methods:
         if name not in METHOD_NAMES:
             raise ValueError(f"unknown method {name!r}")
+    if cfg.fmt not in FORMATS:
+        raise ValueError(f"unknown format {cfg.fmt!r}")
+    if cfg.positions < 0:
+        raise ValueError(f"positions must be >= 0 (got {cfg.positions})")
     if cfg.num_drafts < 1:
         raise ValueError(f"num_drafts must be >= 1 (got {cfg.num_drafts})")
     if cfg.trials < 1:
@@ -460,13 +458,11 @@ def _write_report(cfg: ExperimentConfig, rows: list[dict]) -> None:
         lines.append(",".join(columns))
         for row in rows:
             lines.append(",".join(_fmt(row.get(c, "")) for c in columns))
-    elif cfg.fmt == "jsonl":
+    else:
         for row in rows:
             lines.append(
                 json.dumps({c: row[c] for c in columns if c in row}, sort_keys=True)
             )
-    else:
-        raise ValueError(f"unknown format {cfg.fmt!r}")
     text = "\n".join(lines) + "\n"
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:
@@ -494,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--sweep", choices=("temperature", "drafts"))
     ap.add_argument("--sweep-values", default="", help="comma-separated sweep values")
     ap.add_argument("--output", help="report path (default: stdout)")
-    ap.add_argument("--format", dest="fmt", choices=("csv", "jsonl"), default="csv")
+    ap.add_argument("--format", dest="fmt", choices=FORMATS, default="csv")
     return ap
 
 

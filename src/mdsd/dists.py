@@ -123,19 +123,22 @@ def softmax_temp(logits, temperature: float) -> Dist:
     return Dist(np.exp(scaled))
 
 
-def residual_dist(p: Dist, q: Dist) -> Dist:
-    """Normalized positive part of ``p - q``.
+def _positive_part(diff: np.ndarray) -> Dist:
+    # The normalized positive part of ``diff``. When it vanishes (mass at
+    # most _ZERO_MASS) the uniform distribution is returned, so the result
+    # is always a valid `Dist`.
+    pos = np.maximum(diff, 0.0)
+    if pos.sum() <= _ZERO_MASS:
+        return Dist.uniform(pos.size)
+    return Dist(pos)
 
-    When ``p == q`` the positive part vanishes; the uniform distribution is
-    returned so the result is always a valid `Dist`.
-    """
+
+def residual_dist(p: Dist, q: Dist) -> Dist:
+    """Normalized positive part of ``p - q``, uniform when it vanishes (as
+    when ``p == q``)."""
     if p.vocab_size != q.vocab_size:
         raise ValueError("size mismatch between p and q")
-    pos = np.maximum(p.mass - q.mass, 0.0)
-    total = pos.sum()
-    if total <= _ZERO_MASS:
-        return Dist.uniform(p.vocab_size)
-    return Dist(pos)
+    return _positive_part(p.mass - q.mass)
 
 
 def exclude_renorm(q: Dist, exclude) -> Dist:
@@ -150,21 +153,16 @@ def exclude_renorm(q: Dist, exclude) -> Dist:
     return Dist(mass)
 
 
-def _mass_order(q: Dist, k: int) -> np.ndarray:
-    # The k largest masses, descending, ties toward the lowest token id. Only
-    # the tokens at or above the k-th largest mass are sorted.
-    if k == 0:
-        return np.empty(0, dtype=np.intp)
-    neg = -q.mass
-    cand = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
-    return cand[np.argsort(neg[cand], kind="stable")][:k]
-
-
 def top_k_desc(q: Dist, k: int) -> tuple[int, ...]:
     """The ``k`` largest-mass tokens by descending mass (ties by lowest id)."""
     if k < 0 or k > q.vocab_size:
         raise ValueError("k out of range")
-    return tuple(int(t) for t in _mass_order(q, k))
+    if k == 0:
+        return ()
+    # Only the tokens at or above the k-th largest mass are sorted.
+    neg = -q.mass
+    cand = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+    return tuple(int(t) for t in cand[np.argsort(neg[cand], kind="stable")][:k])
 
 
 def tv_distance(a: Dist, b: Dist) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alpha import ratio_order
-from .dists import _ZERO_MASS, Dist, residual_dist
+from .dists import _ZERO_MASS, Dist, _positive_part, residual_dist
 from .drafts import AscendingQ, DraftKind, DraftScheme, greedy_tail
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
     "kseq_solve",
     "rrs_w_rate_exact",
 ]
-
-_FALLBACK_SLACK = 1e-9
 
 
 def _accept_probs(p_like: np.ndarray, q_like: np.ndarray) -> np.ndarray:
@@ -86,11 +84,6 @@ class _Kernel:
             raise ValueError("draft outside support")
         return cols, accept, final
 
-    def _final(self, final):
-        if final is None:
-            raise ValueError(f"{self.tag} numerical failure")
-        return final
-
     def sample(self, tuples, rng: np.random.Generator) -> np.ndarray:
         """One output token per row of an (m, n) batch of draft tuples. The
         final distribution is drawn from only when some row needs it."""
@@ -104,7 +97,6 @@ class _Kernel:
             out[hit] = tk[hit]
             done |= hit
         if not done.all():
-            final = self._final(final)
             if isinstance(final, np.ndarray):
                 out[~done] = rng.choice(final.size, size=m, p=final)[~done]
             else:
@@ -120,7 +112,6 @@ class _Kernel:
             vec[t] += weight * a
             weight *= 1.0 - a
         if weight > 0.0:
-            final = self._final(final)
             vec += weight * (final if isinstance(final, np.ndarray) else final.row(0))
         return vec
 
@@ -456,32 +447,25 @@ def kseq_solve(p: Dist, q: Dist, n: int, order: np.ndarray | None = None) -> Kse
 class KseqKernel(_Kernel):
     """Per-draft thresholded acceptance: each draft independently accepted
     with probability min(p/(rho q), 1); if all fail, sample the terminal
-    distribution determined by rho."""
+    distribution, the normalised positive part of p - rho q.
+
+    Exactness needs the terminal T with (1 - miss)/beta min(q, p/rho) +
+    miss T = p, where miss = (1 - beta)^n. At the root 1 - miss = rho beta,
+    so T = max(p - rho q, 0)/miss, and the positive part's mass is
+    1 - rho beta = miss. Normalising it avoids dividing by a tiny miss.
+    """
 
     tag = "kseq"
 
-    def __init__(self, p: Dist, q: Dist, n: int, params: KseqParams | None = None):
+    def __init__(self, p: Dist, q: Dist, n: int):
         super().__init__(p, q, n)
-        self.params = params if params is not None else kseq_solve(p, q, n)
-        rho, beta = self.params.rho, self.params.beta_at_rho
+        self.params = kseq_solve(p, q, n)
+        rho = self.params.rho
         self.accept = _accept_probs(p.mass / rho, q.mass)
-        miss = (1.0 - beta) ** n
-        if miss <= 1e-300:
-            self.fallback = None  # some draft is always accepted
-        elif beta <= 1e-300:
-            self.fallback = p.mass.copy()
-        else:
-            base = (p.mass - np.minimum(q.mass, p.mass / rho) * (1.0 - miss) / beta) / miss
-            if base.min() < -_FALLBACK_SLACK or base.max() > 1.0 + _FALLBACK_SLACK:
-                raise ValueError("kseq numerical failure")
-            base = np.clip(base, 0.0, 1.0)
-            total = base.sum()
-            if abs(total - 1.0) > _FALLBACK_SLACK:
-                raise ValueError("kseq numerical failure")
-            self.fallback = base / total
+        self.terminal = _positive_part(p.mass - rho * q.mass).mass
 
     def _stages(self, tuples):
-        return tuples, self.accept[tuples], self.fallback
+        return tuples, self.accept[tuples], self.terminal
 
 
 class GreedyKernel(OTSingleKernel):

@@ -246,7 +246,7 @@ class TestCriterion4:
             worst_rho_residual = max(worst_rho_residual, residual)
             assert residual <= 1e-12
             scheme_w = DraftScheme.with_replacement(q, n)
-            kern_k = KseqKernel(p, q, n, params)
+            kern_k = KseqKernel(p, q, n)
             enum_k = sum(
                 tuple_prob(scheme_w, t)
                 * float(sum(kern_k.conditional(t)[i] for i in set(t)))

@@ -254,6 +254,12 @@ class TestRunExperiment:
         parsed = json.loads(lines[0])
         assert {"position", "scheme", "method", "alpha", "alpha_star"} <= set(parsed)
 
+    def test_unknown_format_rejected_before_positions(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_run_position", lambda *a: pytest.fail("a position ran"))
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            run_experiment(self.config(tmp_path, fmt="xml"))
+        assert not (tmp_path / "report.csv").exists()
+
     def test_thread_cap_env_var(self, tmp_path, monkeypatch):
         # The pool returns each position's rows for every variant; the report
         # is variant-major whatever the worker count.
@@ -397,7 +403,8 @@ class TestStreaming:
 
     def test_small_vocab_input_is_split(self, tmp_path, monkeypatch, pool_log):
         # V=8 holds far fewer than _CHUNK_BYTES of input per position, so the
-        # position limit must split the input across the workers.
+        # position limit must split the input across the workers, by the
+        # same rule for a file and a synthetic input.
         monkeypatch.setenv("MDSD_THREADS", "2")
         path = tmp_path / "in.jsonl"
         logits_file(path, 40, 8)
@@ -409,8 +416,7 @@ class TestStreaming:
             output=str(tmp_path / "synth.csv"),
         )
         run_experiment(synth)
-        # A synthetic input's count is known: about four chunks per worker.
-        assert [len(c) for c in pool_log["chunks"]] == [5] * 8
+        assert [len(c) for c in pool_log["chunks"]] == [16, 16, 8]
         assert pool_log["workers"] == [2, 2]
 
     def test_first_position_runs_before_later_records_are_read(self, tmp_path, monkeypatch):
@@ -523,6 +529,7 @@ class TestMainEntryPoint:
             (["--sweep", "drafts", "--sweep-values", "2,0"], "sweep_values"),
             (["--sweep", "temperature", "--sweep-values", "0.5,-1"], "sweep_values"),
             (["--sweep", "temperature", "--sweep-values", "inf"], "sweep_values"),
+            (["--positions", "-3"], "positions"),
         ],
     )
     def test_bad_config_rejected_before_input(self, tmp_path, capsys, args, field):

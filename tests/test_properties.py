@@ -1,18 +1,18 @@
 """Property tests on degenerate inputs (exact zeros, ties, masses near
 1e-12, one-hot q, p == q, and as many drafts as q has support): the
-without-replacement sampler and verifier, the kseq fixed point, and weak
-duality of the with-replacement optimum against the verifiers' exact
-rates."""
+without-replacement sampler and verifier, the kseq fixed point and kernel,
+and weak duality of the with-replacement optimum against the verifiers'
+exact rates."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
-from mdsd.dists import Dist
+from mdsd.dists import Dist, tv_distance
 from mdsd.drafts import DraftScheme, iter_support, sample_tuples, tuple_prob
-from mdsd.oracle import rrs_wo_conditional
-from mdsd.verify import RrsWoKernel, kseq_solve, rrs_w_rate_exact
+from mdsd.oracle import MAX_TUPLE_NODES, rrs_wo_conditional, verifier_marginal_exact
+from mdsd.verify import KseqKernel, RrsWoKernel, kseq_solve, rrs_w_rate_exact
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -101,3 +101,18 @@ def test_kseq_solves_its_fixed_point(case):
     assert abs(beta - direct) <= 1e-15 * direct
     scan = alpha_scan(p, DraftScheme.with_replacement(q, n))
     assert kseq_solve(p, q, n, order=scan.ordering) == params
+
+
+@PROPERTY
+@given(instances())
+def test_kseq_kernel_preserves_target(case):
+    # The terminal is a distribution, and wherever the tuples can be
+    # enumerated the kernel's exact output marginal is p, however small the
+    # miss probability (1 - beta)^n gets.
+    p, q, n = case
+    kern = KseqKernel(p, q, n)
+    assert ((kern.terminal >= 0.0) & (kern.terminal <= 1.0)).all()
+    assert abs(kern.terminal.sum() - 1.0) <= 1e-12
+    if p.vocab_size**n <= MAX_TUPLE_NODES:
+        marg = verifier_marginal_exact(p, DraftScheme.with_replacement(q, n), kern)
+        assert tv_distance(marg, p) <= 1e-9
