@@ -142,15 +142,18 @@ def residual_dist(p: Dist, q: Dist) -> Dist:
 
 
 def exclude_renorm(q: Dist, exclude) -> Dist:
-    """Zero out the tokens in ``exclude`` and renormalize the rest."""
+    """Zero out the tokens in ``exclude`` and renormalize the rest, however
+    little mass it holds; only a rest of mass exactly 0 is an error."""
     idx = np.asarray(sorted(set(int(t) for t in exclude)), dtype=np.intp)
     if idx.size and (idx[0] < 0 or idx[-1] >= q.vocab_size):
         raise ValueError("exclusion set contains out-of-range token ids")
     mass = q.mass.copy()
     mass[idx] = 0.0
-    if mass.sum() <= _ZERO_MASS:
+    total = mass.sum()
+    if total <= 0.0:
         raise ValueError("exhausted support")
-    return Dist(mass)
+    # Normalized first: `Dist` rejects a total at or below _ZERO_MASS.
+    return Dist(mass / total)
 
 
 def top_k_desc(q: Dist, k: int) -> tuple[int, ...]:

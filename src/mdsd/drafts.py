@@ -90,9 +90,10 @@ def greedy_tail(q: Dist, n: int) -> tuple[tuple[int, ...], Dist]:
     """The deterministic top n-1 prefix (descending mass) and the last-draft
     distribution.
 
-    When the top tokens carry all of q's mass the exclusion renormalization
-    is undefined; the last draft then falls back to uniform over the
-    remaining tokens, which keeps verification target-preserving.
+    When the top tokens carry all of q's mass, so that the remainder is
+    exactly 0, the exclusion renormalization is undefined; the last draft
+    then falls back to uniform over the remaining tokens, which keeps
+    verification target-preserving.
     """
     top = top_k_desc(q, n - 1)
     try:
@@ -236,17 +237,17 @@ def tuple_prob(scheme: DraftScheme, tokens) -> float:
 
 
 def iter_support(scheme: DraftScheme):
-    """Iterate the tuples with positive probability (small instances only)."""
+    """Iterate the tuples with positive probability (small instances only):
+    every token with positive mass counts, as in `sample_tuples`."""
     kind = scheme.kind
+    pos = [int(x) for x in np.flatnonzero(scheme.q.mass > 0.0)]
     if kind is DraftKind.WITH_REPLACEMENT:
-        pos = [int(x) for x in scheme.q.support()]
         yield from itertools.product(pos, repeat=scheme.n)
     elif kind is DraftKind.WITHOUT_REPLACEMENT:
-        pos = [int(x) for x in scheme.q.support()]
         yield from itertools.permutations(pos, scheme.n)
     elif kind is DraftKind.GREEDY:
         top, tail = greedy_tail(scheme.q, scheme.n)
-        for x in tail.support():
+        for x in np.flatnonzero(tail.mass > 0.0):
             yield top + (int(x),)
     else:
         raise ValueError(f"unknown scheme kind {kind}")

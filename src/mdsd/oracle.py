@@ -5,9 +5,9 @@ exact over rationals, so the fast paths elsewhere can be validated against
 answers that share none of their code: the transport LP value via bipartite
 max flow, subset-selection minima by full enumeration, the sequential
 without-replacement subset mass, verifier output marginals by summing
-over every draft tuple, and a scalar walk of without-replacement rejection
-sampling (`rrs_wo_conditional`), the float reference for the batched stages
-of `mdsd.verify.RrsWoKernel`.
+over every draft tuple, and the exact walk of without-replacement rejection
+sampling (`rrs_wo_conditional`), the reference for the batched stages of
+`mdsd.verify.RrsWoKernel`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dists import Dist, exclude_renorm, residual_dist
+from .dists import Dist
 from .drafts import DraftKind, DraftScheme, iter_support, tuple_prob
 
 __all__ = [
@@ -291,23 +291,44 @@ def verifier_marginal_exact(p: Dist, scheme: DraftScheme, kernel) -> Dist:
     return Dist(acc)
 
 
-def rrs_wo_conditional(p: Dist, q: Dist, tokens) -> np.ndarray:
-    """Output distribution of without-replacement rejection sampling given one
-    draft tuple, walked one `Dist` at a time: stage k accepts draft t_k with
-    probability min(r_k / q_k, 1) at t_k, where q_k is q renormalized to
-    exclude the earlier drafts and r_{k+1} is the residual of r_k against q_k;
-    when every draft is rejected the output is drawn from the last residual.
+def rrs_wo_conditional(p: Dist, q: Dist, tokens) -> tuple[Fraction, ...]:
+    """Exact output distribution of without-replacement rejection sampling
+    given one draft tuple, over the exact values of the float masses: stage
+    k accepts draft t_k with probability min(r_k / q_k, 1) at t_k, where q_k
+    is q renormalized to exclude the earlier drafts and r_{k+1} is the
+    normalized positive part of r_k - q_k; when every draft is rejected the
+    output is drawn from the last residual. A residual vanishes only where
+    r_k = q_k, and then the draft is accepted surely.
+
+    r_k and q_k are kept as integers over an implicit denominator, their
+    sum, so a stage costs O(V) integer operations.
     """
-    if len(set(int(t) for t in tokens)) != len(tokens):
+    tokens = [int(t) for t in tokens]
+    if len(set(tokens)) != len(tokens):
         raise ValueError("without-replacement tuple has duplicate tokens")
-    vec = np.zeros(p.vocab_size)
-    weight = 1.0
-    r = p
-    for k, t in enumerate(int(t) for t in tokens):
-        qk = exclude_renorm(q, tokens[:k]) if k else q
-        a = min(r.mass[t] / qk.mass[t], 1.0) if qk.mass[t] > 0.0 else 0.0
-        vec[t] += weight * a
-        weight *= 1.0 - a
-        r = residual_dist(r, qk)
-    vec += weight * r.mass
-    return vec
+    r, rest = _integer_masses(p), _integer_masses(q)
+    accepted = {}
+    weight = Fraction(1)
+    for t in tokens:
+        if rest[t] == 0:
+            raise ValueError("draft outside support")
+        r_sum, q_sum = sum(r), sum(rest)
+        a = min(Fraction(r[t] * q_sum, r_sum * rest[t]), 1)
+        accepted[t] = weight * a
+        weight *= 1 - a
+        if weight == 0:
+            break
+        r = [max(x * q_sum - y * r_sum, 0) for x, y in zip(r, rest)]
+        rest[t] = 0
+    num, den = weight.numerator, weight.denominator * sum(r)
+    out = [Fraction(x * num, den) for x in r]
+    for t, a in accepted.items():
+        out[t] += a
+    return tuple(out)
+
+
+def _integer_masses(d: Dist) -> list[int]:
+    # The exact masses times their common (power-of-two) denominator.
+    ratios = [x.as_integer_ratio() for x in d.mass.tolist()]
+    denom = max(den for _, den in ratios)
+    return [num * (denom // den) for num, den in ratios]

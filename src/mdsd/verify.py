@@ -19,7 +19,6 @@ exact verifier for greedy drafts.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -165,22 +164,24 @@ class RrsWoKernel(_Kernel):
     min(r_k / q_k, 1) at t_k.
 
     The residual keeps one parameter per row. Over the tokens not yet
-    drafted, r_k = max(a - c_k q, 0) / M_k, with a = p (or a = 1 once the
-    residual has vanished and been reset to uniform), and
-    c_{k+1} = c_k + M_k / s_k, where s_k is the undrafted q mass, summed
-    over the runs between the drafts (`AscendingQ.undrawn`). A drafted
-    token keeps the value it had after its own stage, which is 0 unless the
-    stage accepted it surely (and then nothing later is read) or a reset
-    gave it 1. M_k comes from prefix sums of a and q in descending a/q
-    order plus O(n) corrections, so a batch costs O(n log V) per row after
-    the O(V log V) sorts here, and no (rows, V) array is formed.
+    drafted, r_k = max(p - c_k q, 0) / M_k, and c_{k+1} = c_k + M_k / s_k,
+    where s_k is the undrafted q mass, summed over the runs between the
+    drafts (`AscendingQ.undrawn`). A drafted token keeps the value it had
+    after its own stage, which is 0 unless the stage accepted it surely
+    (and then nothing later is read). M_k comes from prefix sums of p and q
+    in descending p/q order plus O(n) corrections, so a batch costs
+    O(n log V) per row after the O(V log V) sorts here, and no (rows, V)
+    array is formed.
 
     On the tokens at the top ratio, the largest finite p/q, the residual is
     q u with u = max(top ratio - c, 0), and the row carries u beside c. As
     the residual shrinks onto those tokens, c nears the top ratio and
     p - c q cancels to rounding noise, while u keeps its relative
-    precision. After a reset the residual holds the reset drafts at 1 and
-    cannot shrink; there u = 0 and the top tokens count with the rest.
+    precision.
+
+    A residual vanishes, its mass falling to `_ZERO_MASS` of the stage's,
+    in exact arithmetic only where r_k = q_k, and there the stage accepts
+    its draft surely: such a row accepts that draft and stops.
     """
 
     tag = "rrs-wo"
@@ -213,118 +214,87 @@ class RrsWoKernel(_Kernel):
         at_top[self.top_end + 1 :] = at_top[self.top_end]
         self.q_top = at_top[-1]
 
-    @functools.cached_property
-    def flat_keys(self) -> np.ndarray:
-        """The keys after a reset (a = 1): -1/q by ascending q."""
-        with np.errstate(divide="ignore"):
-            return -1.0 / self.asc.sorted
-
-    def positive(self, c, flat, any_flat: bool):
-        """Per row: the count j of leading tokens of its order with a > c q,
-        and the sum of a - c q over them, leaving out the top tokens. A row
-        in ``flat`` has been reset (a = 1, tokens by ascending q)."""
-        j = self.keys.searchsorted(-c)
-        rest = self.sums[0, j] - c * self.sums[1, j]
-        if any_flat:
-            j1 = self.flat_keys.searchsorted(-c)
-            j = np.where(flat, j1, j)
-            rest = np.where(flat, j1 - c * self.asc.head[j1], rest)
-        return j, rest
-
     def _stages(self, tuples):
         m, n = tuples.shape
         v = self.p.vocab_size
         drafts = tuples.T
         ranks = self.asc.rank[drafts]
         qt = self.q.mass[drafts]
-        at = self.p.mass[drafts]  # a at each draft
+        pt = self.p.mass[drafts]
         top = self.top[drafts]
-        flat = np.zeros(m, dtype=bool)
-        reset = np.zeros((n, m), dtype=bool)  # drafts given the value 1 by a reset
-        any_flat = False
         # Stage 0: r_0 = p, as the top tokens plus the rest.
         c, up, q_top = 0.0, self.top_ratio, self.q_top
         other = self.sums[0, v]
         total = other + up * q_top
         drawn = []  # the ranks drafted before the stage, as `AscendingQ.insert` keeps them
         accept = np.empty((n, m))
-        # A draft with no q mass gives inf or nan here; `_walk` rejects it.
+        gone = None  # the rows whose residual has vanished
+        # A draft with no q mass gives inf or nan here, and so does a row
+        # after its residual vanished; `_walk` rejects the first, and the
+        # second has stopped.
         with np.errstate(divide="ignore", invalid="ignore"):
             for k in range(n):
                 if k:
                     drawn = self.asc.insert(drawn, ranks[k - 1])
                 s = self.asc.undrawn(drawn)
-                # a - c q as the prefix sums take it, so that a residual left
+                # p - c q as the prefix sums take it, so that a residual left
                 # on one token cancels the same way in both.
-                value = np.where(top[k], qt[k] * up, np.maximum(at[k] - c * qt[k], 0.0))
+                value = np.where(top[k], qt[k] * up, np.maximum(pt[k] - c * qt[k], 0.0))
                 accept[k] = np.minimum(value * s / (qt[k] * total), 1.0)
                 # c + M / s, and u - M / s with the undrafted mass off the
                 # top tokens taken as a whole, each in its own precision.
                 c = c + total / s
                 up = np.maximum((up * (s - q_top) - other) / s, 0.0)
-                j, other = self.positive(c, flat, any_flat)
-                if any_flat:  # the reset drafts sit in the prefix sums at 1 - c q
-                    other = other + (reset * np.minimum(c * qt, 1.0)).sum(axis=0)
+                # j leading tokens of the order have p > c q; other sums
+                # p - c q over them, leaving out the top tokens.
+                j = self.keys.searchsorted(-c)
+                other = self.sums[0, j] - c * self.sums[1, j]
                 new = other + up * q_top
-                # Residual vanished (stage acceptance was 1): the same rule as `residual_dist`.
+                # Vanished: in exact arithmetic r_k = q_k, so the draft is accepted surely.
                 dead = new <= _ZERO_MASS * total
                 if dead.any():
-                    c, up, j, other, new = (np.broadcast_to(x, (m,)).copy() for x in (c, up, j, other, new))
-                    dead = np.broadcast_to(dead, (m,))
-                    any_flat = True
-                    flat |= dead
-                    q_top = np.where(flat, 0.0, self.q_top)
-                    reset[:, dead] = (np.arange(n) <= k)[:, None]
-                    at[:, dead] = 1.0
-                    top[:, dead] = False
-                    c[dead], up[dead], j[dead], other[dead], new[dead] = 0.0, 0.0, v, v, v
+                    gone = dead if gone is None else gone | dead
+                if gone is not None:
+                    accept[k, gone] = 1.0
                 total = new
         drawn = self.asc.insert(drawn, ranks[-1])
         if any((x == y).any() for x, y in zip(drawn, drawn[1:])):
             raise ValueError("without-replacement tuple has duplicate tokens")
+        if gone is not None and gone.all():
+            return tuples, accept.T, None
         if np.ndim(c) == 0:  # one draft: every row has the same residual
-            final = self._dense(False, c, up)
+            final = self._dense(c, up)
             return tuples, accept.T, final / final.sum()
-        return tuples, accept.T, _WoResidual(self, drafts, qt, flat, c, up, total, j, reset)
+        return tuples, accept.T, _WoResidual(self, drafts, c, up, total, j)
 
-    def _dense(self, flat: bool, c: float, up: float) -> np.ndarray:
+    def _dense(self, c: float, up: float) -> np.ndarray:
         """The undrafted values over the whole vocabulary."""
-        if flat:
-            return np.maximum(1.0 - c * self.q.mass, 0.0)
         return np.where(self.top, self.q.mass * up, np.maximum(self.p.mass - c * self.q.mass, 0.0))
 
 
 class _WoResidual:
     """The residual each row of an rrs-wo batch draws from when every draft
-    is rejected: the undrafted tokens at their values, 1 on the drafts a
-    reset left at 1 and 0 on the others, over their total."""
+    is rejected: the undrafted tokens at their values and the drafts at 0,
+    over their total."""
 
-    def __init__(self, kernel, drafts, qt, flat, c, up, total, count, reset):
-        self.kernel, self.drafts, self.qt, self.flat = kernel, drafts, qt, flat
-        self.c, self.up, self.total, self.count, self.reset = c, up, total, count, reset
+    def __init__(self, kernel, drafts, c, up, total, count):
+        self.kernel, self.drafts = kernel, drafts
+        self.c, self.up, self.total, self.count = c, up, total, count
 
     def row(self, i: int) -> np.ndarray:
         """Row i as a dense distribution over the vocabulary."""
-        vec = self.kernel._dense(self.flat[i], self.c[i], self.up[i])
-        vec[self.drafts[:, i]] = self.reset[:, i]
+        vec = self.kernel._dense(self.c[i], self.up[i])
+        vec[self.drafts[:, i]] = 0.0
         return vec / vec.sum()
 
     def draw(self, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One token for each row selected by the mask ``rows``: a reset
-        draft by its value 1, else the undrafted token found by bisection
-        over the prefix sums, less the reset drafts among them."""
+        """One token for each row selected by the mask ``rows``, found by
+        bisection over the prefix sums."""
         kern = self.kernel
-        flat, c, up = self.flat[rows], self.c[rows], self.up[rows]
-        y = rng.random(flat.size) * self.total[rows]
-        any_flat, at_top = bool(flat.any()), bool(up.any())
-        if any_flat:
-            reset, drafts = self.reset[:, rows], self.drafts[:, rows]
-            ends = reset.cumsum(axis=0)
-            pick = drafts[np.minimum((ends <= y).sum(axis=0), drafts.shape[0] - 1), np.arange(flat.size)]
-            y = y - ends[-1]
-            value = reset * np.maximum(1.0 - c * self.qt[:, rows], 0.0)
-            rank = kern.asc.rank[drafts]
-        lo = np.zeros(flat.size, dtype=np.intp)
+        c, up = self.c[rows], self.up[rows]
+        y = rng.random(c.size) * self.total[rows]
+        at_top = bool(up.any())
+        lo = np.zeros(c.size, dtype=np.intp)
         hi = self.count[rows]
         if at_top:
             hi = np.where(up > 0.0, np.maximum(hi, kern.top_end), hi)
@@ -333,17 +303,10 @@ class _WoResidual:
             below = kern.sums[0, mid] - c * kern.sums[1, mid]
             if at_top:
                 below += up * kern.sums[2, mid]
-            if any_flat:
-                below = np.where(flat, mid - c * kern.asc.head[mid], below)
-                below -= (value * (rank < mid)).sum(axis=0)
             go = below <= y
             lo = np.where(go, mid, lo)
             hi = np.where(go, hi, mid)
-        out = kern.order[lo]
-        if not any_flat:
-            return out
-        out = np.where(flat, kern.asc.order[lo], out)
-        return np.where(y >= 0.0, out, pick)
+        return kern.order[lo]
 
 
 def rrs_w_rate_exact(p: Dist, q: Dist, n: int) -> float:

@@ -16,8 +16,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mdsd.dists import Dist
+from mdsd.dists import _ZERO_MASS, Dist
 from mdsd.drafts import iter_support, tuple_prob
+from mdsd.oracle import rrs_wo_conditional
+
+# How far an rrs-wo kernel table may be off the exact rule, weighted by the
+# tuple's draft probability. A row whose residual vanishes, to a relative
+# mass delta <= _ZERO_MASS, accepts that stage's draft t surely, where the
+# exact rule accepts it with probability a = min(r_k(t) / q_k(t), 1). As
+# r_k and q_k both sum to 1, q_k(t) - r_k(t) <= delta, so 1 - a <=
+# delta / q_k(t), and the tuple's probability carries the factor q_k(t).
+# Rounding, in the vanishing test and elsewhere, adds far less than 1e-14.
+VANISHED_TABLE_BOUND = _ZERO_MASS + 1e-14
 
 
 def grid_weights(rng: np.random.Generator, vocab: int, denom: int, min_positive: int = 1):
@@ -45,6 +55,12 @@ def dirichlet_dist(rng: np.random.Generator, vocab: int, conc: float = 1.0) -> D
 def support_probs(scheme) -> dict[tuple[int, ...], float]:
     """The scheme's draft law: every support tuple with its probability."""
     return {t: tuple_prob(scheme, t) for t in iter_support(scheme)}
+
+
+def rrs_wo_table(p: Dist, q: Dist, tokens) -> np.ndarray:
+    """The exact rrs-wo output distribution of one draft tuple, rounded to
+    floats."""
+    return np.array(rrs_wo_conditional(p, q, tokens), dtype=float)
 
 
 def conditional_poisson_probs(q, n: int) -> dict:

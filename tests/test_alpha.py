@@ -1,6 +1,8 @@
 """Optimal acceptance rate solvers against hand values, the float subset
 brute force and the exact rational oracle."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,17 @@ class TestAlphaGreedyClosed:
             0.5919415879517816, 0.001692937834746239, 0.06406704518102543,
         ]))
         assert alpha_greedy_closed(p, q, 6) == 1.0
+
+    def test_tiny_remainder_is_not_exhausted(self):
+        # The top token leaves 3e-13 of q's mass: the last draft is drawn
+        # from that rest renormalised, (0, 1/3, 2/3), however small it is,
+        # so the optimum is 1/2 + 1/3, not the 1 of a uniform last draft.
+        q_exact = (1 - Fraction(3, 10**13), Fraction(1, 10**13), Fraction(2, 10**13))
+        p_exact = (Fraction(1, 2), Fraction(1, 2), Fraction(0))
+        exact = alpha_subset_exact(p_exact, RationalScheme(DraftKind.GREEDY, q_exact, 2))
+        assert exact == pytest.approx(5 / 6, abs=1e-12)
+        p, q = (Dist(np.array([float(x) for x in d])) for d in (p_exact, q_exact))
+        assert alpha_greedy_closed(p, q, 2) == pytest.approx(float(exact), abs=1e-12)
 
 
 class TestOrderingProperties:

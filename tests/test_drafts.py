@@ -94,6 +94,17 @@ class TestTupleProb:
                 total = sum(tuple_prob(scheme, t) for t in support)
                 assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_support_holds_tokens_below_zero_mass_threshold(self):
+        # Tokens 3 and 4 carry less than 1e-12 each, yet the sampler draws
+        # (2, 4) with probability 0.14: the support holds every token with
+        # positive mass, in every scheme.
+        q = Dist(np.array([0.0, 0.0, 1.0, 1.9e-12, 3e-13]))
+        for scheme in all_schemes(q, 2):
+            support = set(iter_support(scheme))
+            assert sum(tuple_prob(scheme, t) for t in support) == pytest.approx(1.0, abs=1e-12)
+            drawn = sample_tuples(scheme, 1000, np.random.default_rng(0))
+            assert set(map(tuple, drawn.tolist())) <= support
+
 
 class TestSamplers:
     N_DRAWS = 100_000
@@ -152,6 +163,13 @@ class TestSamplers:
             tuple_prob(scheme, t) for t in itertools.product(range(3), repeat=2)
         )
         assert total == pytest.approx(1.0)
+
+    def test_greedy_tiny_remainder_is_renormalised(self):
+        # Only a remainder of exactly 0 falls back to uniform.
+        q = Dist(np.array([1.0 - 3e-13, 1e-13, 2e-13]))
+        top, tail = greedy_tail(q, 2)
+        assert top == (0,)
+        assert tail.mass == pytest.approx([0.0, 1 / 3, 2 / 3], abs=1e-12)
 
 
 def closed_form_q(kind, q, n):

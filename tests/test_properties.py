@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
 from mdsd.dists import Dist, tv_distance
 from mdsd.drafts import DraftScheme, iter_support, sample_tuples, tuple_prob
-from mdsd.oracle import MAX_TUPLE_NODES, rrs_wo_conditional, verifier_marginal_exact
+from mdsd.oracle import MAX_TUPLE_NODES, verifier_marginal_exact
 from mdsd.verify import KseqKernel, RrsWoKernel, kseq_solve, rrs_w_rate_exact
+
+from conftest import VANISHED_TABLE_BOUND, rrs_wo_table
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -58,10 +60,11 @@ def test_sampler_never_repeats_or_draws_zero_mass(case, seed):
 @PROPERTY
 @given(instances())
 def test_table_sums_to_one_and_matches_reference(case):
-    # Per tuple the tables agree to 1e-12 once weighted by the tuple's draft
-    # probability. Unweighted, a tuple that reaches a residual of mass r
-    # (relative to the last) carries rounding of relative size 1e-16 / r on
-    # both sides, and reaching it has probability at most r.
+    # Against the exact walk, weighted by the tuple's draft probability, to
+    # VANISHED_TABLE_BOUND: a residual that vanishes accepts its draft
+    # surely. Unweighted, a tuple that reaches a residual of mass r
+    # (relative to the last) also carries rounding of relative size
+    # 1e-16 / r, and reaching it has probability at most r.
     p, q, n = case
     scheme = DraftScheme.without_replacement(q, n)
     kern = RrsWoKernel(p, q, n)
@@ -69,8 +72,20 @@ def test_table_sums_to_one_and_matches_reference(case):
         got = kern.conditional(t)
         assert abs(got.sum() - 1.0) <= 1e-12
         assert (got >= 0.0).all()
-        err = np.abs(got - rrs_wo_conditional(p, q, t)).max()
-        assert tuple_prob(scheme, t) * err <= 1e-12, (t, err)
+        err = np.abs(got - rrs_wo_table(p, q, t)).max()
+        assert tuple_prob(scheme, t) * err <= VANISHED_TABLE_BOUND, (t, err)
+
+
+@PROPERTY
+@given(instances())
+def test_rrs_wo_kernel_preserves_target(case):
+    # Wherever the tuples can be enumerated, the kernel's exact output
+    # marginal is p, residuals that vanish included.
+    p, q, n = case
+    if p.vocab_size**n <= MAX_TUPLE_NODES:
+        scheme = DraftScheme.without_replacement(q, n)
+        marg = verifier_marginal_exact(p, scheme, RrsWoKernel(p, q, n))
+        assert tv_distance(marg, p) <= 1e-9
 
 
 @PROPERTY

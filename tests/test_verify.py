@@ -22,7 +22,7 @@ from mdsd.verify import (
     supports,
 )
 
-from conftest import dirichlet_dist, subset_alpha, support_probs
+from conftest import VANISHED_TABLE_BOUND, dirichlet_dist, rrs_wo_table, subset_alpha, support_probs
 
 P559 = Dist(np.array([0.05, 0.05, 0.9]))
 Q532 = Dist(np.array([0.5, 0.3, 0.2]))
@@ -163,30 +163,39 @@ class TestRrsWithoutReplacement:
             assert tv_distance(marg, p) <= 1e-9
 
     def test_table_matches_reference(self, rng):
-        # The batched stages against the scalar `Dist` walk of the oracle, on
-        # every support tuple: Dirichlet draws, integer ties, masses near
-        # 1e-12, zeros, and p == q.
-        def check(p, q, n):
+        # The batched stages against the exact walk of the oracle, on every
+        # support tuple: Dirichlet draws, integer ties and p == q to 1e-12;
+        # instances with zeros or masses near 1e-12, where a residual can
+        # vanish, to VANISHED_TABLE_BOUND once weighted by the tuple's
+        # probability.
+        def check(p, q, n, weighted):
             kern = RrsWoKernel(p, q, n)
+            scheme = DraftScheme.without_replacement(q, n)
             count = 0
-            for t in iter_support(DraftScheme.without_replacement(q, n)):
-                got = kern.conditional(t)
-                assert np.abs(got - rrs_wo_conditional(p, q, t)).max() <= 1e-12, (p, q, t)
+            for t in iter_support(scheme):
+                err = np.abs(kern.conditional(t) - rrs_wo_table(p, q, t)).max()
+                if weighted:
+                    assert tuple_prob(scheme, t) * err <= VANISHED_TABLE_BOUND, (p, q, t, err)
+                else:
+                    assert err <= 1e-12, (p, q, t, err)
                 count += 1
             return count
 
-        # After draft 2 the residual keeps a total mass of 9e-13: both sides
-        # must treat it as vanished, by the one rule of `residual_dist`.
+        # After draft 2 the residual keeps a relative mass of 9e-13, so the
+        # kernel accepts draft 2 surely. The exact rule accepts it with
+        # probability 0.4 and then ends on token 1: the table is off by 0.6
+        # on a tuple of probability 7.5e-13.
         check(
             Dist(np.array([0.5, 0.5 - 6e-13, 6e-13])),
             Dist(np.array([0.5, 0.5 - 1.5e-12, 1.5e-12])),
             2,
+            weighted=True,
         )
         # The residual stays on token 2 while its mass, relative to the stage
         # before, falls to 4e-12 and then 2e-12: above the vanishing rule, so
         # drafts (0, 1, 2) end on token 2, provided the shrinking is tracked
         # in relative precision.
-        check(Dist(np.array([0.0, 0.0, 1.0])), Dist(np.array([2.1e-12, 2.1e-12, 1.0])), 3)
+        check(Dist(np.array([0.0, 0.0, 1.0])), Dist(np.array([2.1e-12, 2.1e-12, 1.0])), 3, weighted=False)
 
         def draw(v, style):
             if style == 0:
@@ -201,43 +210,49 @@ class TestRrsWithoutReplacement:
         for i in range(240):
             v = int(rng.integers(2, 6))
             p = Dist(draw(v, i % 4))
-            q = p if i % 5 == 0 else Dist(draw(v, (i // 4) % 4))
+            same = i % 5 == 0
+            q = p if same else Dist(draw(v, (i // 4) % 4))
             support = q.support().size
             n = int(rng.integers(1, min(support, 3) + 1))
-            tuples += check(p, q, n)
+            tuples += check(p, q, n, weighted=not same and max(i % 4, (i // 4) % 4) >= 2)
         assert tuples > 1000
 
-    def test_sampler_after_reset(self):
+    def test_vanished_stage_accepts_its_draft(self):
         # Draft 0 is rejected, and the residual, about (0, 0.6, 0.4, 0), is
-        # within 1e-12 of q renormalised without token 0, so after the tiny
-        # draft 3 it vanishes and resets to uniform, which holds drafts 0
-        # and 3 at 1/4 each from then on. Draft 1 is accepted with
-        # probability 5/12; otherwise the final draw lands on 0 or 3.
+        # within 1e-12 of q renormalised without token 0, so it vanishes at
+        # the stage of the tiny draft 3, which the kernel then accepts
+        # surely. The exact rule rejects every draft and ends on token 2, on
+        # a tuple of probability 2e-13.
         p = Dist(np.array([0.0, 0.6, 0.4, 0.0]))
         q = Dist(np.array([0.5, 0.3, 0.2 - 2e-13, 2e-13]))
         t = (0, 3, 1)
         kern = RrsWoKernel(p, q, 3)
         table = kern.conditional(t)
-        assert np.abs(table - rrs_wo_conditional(p, q, t)).max() <= 1e-12
-        assert table == pytest.approx([7 / 24, 5 / 12, 0.0, 7 / 24])
+        assert table.tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert rrs_wo_conditional(p, q, t) == (0, 0, 1, 0)
+        prob = tuple_prob(DraftScheme.without_replacement(q, 3), t)
+        assert prob * np.abs(table - rrs_wo_table(p, q, t)).max() <= VANISHED_TABLE_BOUND
         m = 200_000
         counts = np.bincount(kern.sample(np.tile(t, (m, 1)), np.random.default_rng(5)), minlength=4)
         sd = np.sqrt(np.maximum(m * table * (1.0 - table), 1e-300))
         assert (np.abs(counts - m * table) <= 5.0 * sd).all(), counts
 
-    @pytest.mark.parametrize("vocab, n", [(1000, 3), (32000, 8)])
-    def test_table_matches_reference_large_vocab(self, vocab, n):
-        # The one-parameter residual against the dense `Dist` walk at the
-        # benchmark's vocabulary sizes: zipf p and q at T = 0.7, 10
-        # positions of 2 sampled tuples each.
+    @pytest.mark.parametrize(
+        "vocab, n, positions",
+        [pytest.param(1000, 3, 10, id="1000-3"), pytest.param(32000, 8, 2, id="32000-8")],
+    )
+    def test_table_matches_reference_large_vocab(self, vocab, n, positions):
+        # The one-parameter residual against the exact walk at the
+        # benchmark's vocabulary sizes: zipf p and q at T = 0.7, 2 sampled
+        # tuples per position. An exact walk at V = 32000 and n = 8 takes
+        # about 0.3 s, so that size runs 2 positions.
         rng = np.random.default_rng(vocab)
-        for pd, qd in synth_positions("zipf", 1.0, vocab, 10, vocab + n):
+        for pd, qd in synth_positions("zipf", 1.0, vocab, positions, vocab + n):
             p = softmax_temp(np.log(pd.mass), 0.7)
             q = softmax_temp(np.log(qd.mass), 0.7)
             kern = RrsWoKernel(p, q, n)
             for t in sample_tuples(DraftScheme.without_replacement(q, n), 2, rng):
-                got = kern.conditional(t)
-                assert np.abs(got - rrs_wo_conditional(p, q, t)).max() <= 1e-12, t
+                assert np.abs(kern.conditional(t) - rrs_wo_table(p, q, t)).max() <= 1e-12, t
 
 
 class TestKseqSolve:
