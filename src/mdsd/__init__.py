@@ -10,8 +10,6 @@ from .alpha import (
 )
 from .dists import (
     Dist,
-    LogitsRecord,
-    exclude_renorm,
     residual_dist,
     softmax_temp,
     top_k_desc,
@@ -39,7 +37,6 @@ from .verify import (
     GreedyKernel,
     KseqKernel,
     KseqParams,
-    OTSingleKernel,
     RrsWKernel,
     RrsWoKernel,
     kseq_solve,

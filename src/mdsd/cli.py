@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
-from .dists import Dist, LogitsRecord, softmax_temp
+from .dists import Dist, _check_logits, softmax_temp
 from .drafts import DraftKind, DraftScheme
 from .mc import estimate_alpha
 from .verify import kseq_solve, rrs_w_rate_exact, supports
@@ -113,9 +113,11 @@ def _lines(path: str):
                 yield lineno, line
 
 
-def parse_record(lineno: int, line: str) -> LogitsRecord:
+def parse_record(lineno: int, line: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse one line, a JSON object with "p_logits" and "q_logits" array
-    fields. A malformed line raises `MalformedInputError` naming ``lineno``."""
+    fields, into (p_logits, q_logits): non-empty 1-d vectors of one length,
+    finite or -inf. A malformed line raises `MalformedInputError` naming
+    ``lineno``."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -126,17 +128,22 @@ def parse_record(lineno: int, line: str) -> LogitsRecord:
         if key not in obj:
             raise MalformedInputError(f"line {lineno}: missing field {key!r}")
     try:
-        return LogitsRecord(
-            np.asarray(obj["p_logits"], dtype=np.float64),
-            np.asarray(obj["q_logits"], dtype=np.float64),
-        )
+        p = np.asarray(obj["p_logits"], dtype=np.float64)
+        q = np.asarray(obj["q_logits"], dtype=np.float64)
+        if p.ndim != 1 or q.ndim != 1 or p.size == 0:
+            raise ValueError("logits must be non-empty 1-d vectors")
+        if p.size != q.size:
+            raise ValueError(f"logits length mismatch: {p.size} vs {q.size}")
+        _check_logits(p)
+        _check_logits(q)
     except (TypeError, ValueError) as exc:
         raise MalformedInputError(f"line {lineno}: {exc}")
+    return p, q
 
 
 def load_logits(path: str):
-    """Stream `LogitsRecord`s from a line-delimited file, `parse_record`
-    over its lines."""
+    """Stream each record of a line-delimited file as (p_logits, q_logits),
+    `parse_record` over its lines."""
     for lineno, line in _lines(path):
         yield parse_record(lineno, line)
 
@@ -206,11 +213,7 @@ def _run_position(cfg: ExperimentConfig, position: int, source) -> list[list[dic
     ``source`` is a file's (line number, line), parsed here, or the
     position's (p_logits, q_logits). The Monte Carlo seed is the position's,
     and each distinct temperature's softmax is taken once."""
-    if isinstance(source[1], str):
-        rec = parse_record(*source)
-        logits = rec.p_logits, rec.q_logits
-    else:
-        logits = source
+    logits = parse_record(*source) if isinstance(source[1], str) else source
     mc_seed = _position_seed(cfg.seed, position)
     pq_at: dict[float, tuple[Dist, Dist]] = {}
     out = []

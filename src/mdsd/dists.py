@@ -1,5 +1,5 @@
-"""Probability-vector primitives: validation, temperature softmax, residuals,
-exclusion renormalization and the k most likely tokens.
+"""Probability-vector primitives: validation, temperature softmax, residuals
+and the k most likely tokens.
 
 Everything downstream works with `Dist` objects. A `Dist` is renormalized once
 on construction and is immutable afterwards, so the sum-to-one invariant can be
@@ -14,15 +14,14 @@ import numpy as np
 
 __all__ = [
     "Dist",
-    "LogitsRecord",
     "softmax_temp",
     "residual_dist",
-    "exclude_renorm",
     "top_k_desc",
     "tv_distance",
 ]
 
-# Mass below this is treated as exactly zero when deciding support questions.
+# A total at or below this is no mass: `Dist` rejects it, and a residual
+# that small has vanished.
 _ZERO_MASS = 1e-12
 
 
@@ -65,10 +64,6 @@ class Dist:
         mass[token] = 1.0
         return Dist(mass)
 
-    def support(self) -> np.ndarray:
-        """Token ids with mass above the zero threshold."""
-        return np.flatnonzero(self.mass > _ZERO_MASS)
-
 
 def _check_logits(arr: np.ndarray) -> None:
     # A -inf logit masks its token out; NaN, +inf and a vector that masks
@@ -79,32 +74,6 @@ def _check_logits(arr: np.ndarray) -> None:
             raise ValueError("logits must be finite or -inf (masked)")
         if not finite.any():
             raise ValueError("logits mask out every token")
-
-
-@dataclass(frozen=True, eq=False)
-class LogitsRecord:
-    """One position's raw logits for the target model and the draft model."""
-
-    p_logits: np.ndarray
-    q_logits: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p_logits, dtype=np.float64)
-        q = np.asarray(self.q_logits, dtype=np.float64)
-        if p.ndim != 1 or q.ndim != 1 or p.size == 0:
-            raise ValueError("logits must be non-empty 1-d vectors")
-        if p.size != q.size:
-            raise ValueError(
-                f"logits length mismatch: {p.size} vs {q.size}"
-            )
-        _check_logits(p)
-        _check_logits(q)
-        object.__setattr__(self, "p_logits", p)
-        object.__setattr__(self, "q_logits", q)
-
-    @property
-    def vocab_size(self) -> int:
-        return int(self.p_logits.size)
 
 
 def softmax_temp(logits, temperature: float) -> Dist:
@@ -139,21 +108,6 @@ def residual_dist(p: Dist, q: Dist) -> Dist:
     if p.vocab_size != q.vocab_size:
         raise ValueError("size mismatch between p and q")
     return _positive_part(p.mass - q.mass)
-
-
-def exclude_renorm(q: Dist, exclude) -> Dist:
-    """Zero out the tokens in ``exclude`` and renormalize the rest, however
-    little mass it holds; only a rest of mass exactly 0 is an error."""
-    idx = np.asarray(sorted(set(int(t) for t in exclude)), dtype=np.intp)
-    if idx.size and (idx[0] < 0 or idx[-1] >= q.vocab_size):
-        raise ValueError("exclusion set contains out-of-range token ids")
-    mass = q.mass.copy()
-    mass[idx] = 0.0
-    total = mass.sum()
-    if total <= 0.0:
-        raise ValueError("exhausted support")
-    # Normalized first: `Dist` rejects a total at or below _ZERO_MASS.
-    return Dist(mass / total)
 
 
 def top_k_desc(q: Dist, k: int) -> tuple[int, ...]:

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .dists import Dist, exclude_renorm, top_k_desc
+from .dists import Dist, top_k_desc
 
 __all__ = [
     "AscendingQ",
@@ -51,17 +52,23 @@ class DraftKind(Enum):
 @dataclass(frozen=True, eq=False)
 class DraftScheme:
     """A draft construction: the kind, the base distribution and the draft
-    count n."""
+    count n. Without replacement, n may not exceed the number of tokens of
+    positive mass, the tokens the sampler can draw."""
 
     kind: DraftKind
     q: Dist
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", DraftKind(self.kind))
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(f"draft count must be an integer (got {self.n!r})") from None
         if self.n < 1:
             raise ValueError("draft count must be >= 1")
         if self.kind is DraftKind.WITHOUT_REPLACEMENT:
-            if self.n > self.q.support().size:
+            if self.n > np.count_nonzero(self.q.mass):
                 raise ValueError(
                     "without-replacement draft count exceeds support size"
                 )
@@ -88,21 +95,23 @@ class DraftScheme:
 
 def greedy_tail(q: Dist, n: int) -> tuple[tuple[int, ...], Dist]:
     """The deterministic top n-1 prefix (descending mass) and the last-draft
-    distribution.
+    distribution: q with the top tokens zeroed, renormalised however little
+    mass the rest holds.
 
-    When the top tokens carry all of q's mass, so that the remainder is
-    exactly 0, the exclusion renormalization is undefined; the last draft
-    then falls back to uniform over the remaining tokens, which keeps
-    verification target-preserving.
+    When the top tokens carry all of q's mass, so that the rest is exactly
+    0, the last draft falls back to uniform over the remaining tokens, which
+    keeps verification target-preserving.
     """
     top = top_k_desc(q, n - 1)
-    try:
-        tail = exclude_renorm(q, top)
-    except ValueError:
-        mass = np.ones(q.vocab_size)
-        mass[list(top)] = 0.0
-        tail = Dist(mass)
-    return top, tail
+    rest = q.mass.copy()
+    rest[list(top)] = 0.0
+    total = rest.sum()
+    if total > 0.0:
+        # Normalised first: `Dist` rejects a total at or below _ZERO_MASS.
+        return top, Dist(rest / total)
+    rest = np.ones(q.vocab_size)
+    rest[list(top)] = 0.0
+    return top, Dist(rest)
 
 
 class AscendingQ:
@@ -194,13 +203,11 @@ def sample_tuples(scheme: DraftScheme, count: int, rng: np.random.Generator) -> 
                 drawn = asc.insert(drawn, ranks[k - 1])
             ranks[k] = asc.draw(drawn, u[k])
         return asc.order[ranks.T]
-    if kind is DraftKind.GREEDY:
-        top, tail = greedy_tail(scheme.q, scheme.n)
-        out = np.empty((count, scheme.n), dtype=np.intp)
-        out[:, : scheme.n - 1] = np.asarray(top, dtype=np.intp)
-        out[:, -1] = rng.choice(v, size=count, p=tail.mass)
-        return out
-    raise ValueError(f"unknown scheme kind {kind}")
+    top, tail = greedy_tail(scheme.q, scheme.n)
+    out = np.empty((count, scheme.n), dtype=np.intp)
+    out[:, : scheme.n - 1] = np.asarray(top, dtype=np.intp)
+    out[:, -1] = rng.choice(v, size=count, p=tail.mass)
+    return out
 
 
 def tuple_prob(scheme: DraftScheme, tokens) -> float:
@@ -215,25 +222,20 @@ def tuple_prob(scheme: DraftScheme, tokens) -> float:
     if kind is DraftKind.WITH_REPLACEMENT:
         return float(np.prod([scheme.q.mass[x] for x in t]))
     if kind is DraftKind.WITHOUT_REPLACEMENT:
-        if len(set(t)) != len(t):
-            return 0.0
         # The remaining mass is summed over the tokens not yet drawn, not
         # found by subtraction, which cancels near a one-hot q.
         rest = scheme.q.mass.copy()
         prob = 1.0
         for x in t:
-            remaining = rest.sum()
-            if remaining <= 1e-12:
+            if rest[x] == 0.0:  # a zero-mass token, or one drawn before
                 return 0.0
-            prob *= rest[x] / remaining
+            prob *= rest[x] / rest.sum()
             rest[x] = 0.0
         return float(prob)
-    if kind is DraftKind.GREEDY:
-        top, tail = greedy_tail(scheme.q, scheme.n)
-        if t[: scheme.n - 1] != top:
-            return 0.0
-        return float(tail.mass[t[-1]])
-    raise ValueError(f"unknown scheme kind {kind}")
+    top, tail = greedy_tail(scheme.q, scheme.n)
+    if t[: scheme.n - 1] != top:
+        return 0.0
+    return float(tail.mass[t[-1]])
 
 
 def iter_support(scheme: DraftScheme):
@@ -245,9 +247,7 @@ def iter_support(scheme: DraftScheme):
         yield from itertools.product(pos, repeat=scheme.n)
     elif kind is DraftKind.WITHOUT_REPLACEMENT:
         yield from itertools.permutations(pos, scheme.n)
-    elif kind is DraftKind.GREEDY:
+    else:
         top, tail = greedy_tail(scheme.q, scheme.n)
         for x in np.flatnonzero(tail.mass > 0.0):
             yield top + (int(x),)
-    else:
-        raise ValueError(f"unknown scheme kind {kind}")

@@ -34,7 +34,6 @@ class McReport:
     acceptance_mean: float
     acceptance_stderr: float
     empirical_marginal: Dist
-    tv_to_target: float
     seed: int
 
 
@@ -78,13 +77,11 @@ def estimate_alpha(
         remaining -= m
         block += 1
     mean = accepted / trials
-    marginal = Dist(counts / trials)
     return McReport(
         trials=trials,
         acceptance_mean=mean,
         acceptance_stderr=float(np.sqrt(mean * (1.0 - mean) / trials)),
-        empirical_marginal=marginal,
-        tv_to_target=tv_distance(marginal, p),
+        empirical_marginal=Dist(counts / trials),
         seed=seed,
     )
 

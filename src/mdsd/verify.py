@@ -11,10 +11,11 @@ Monte Carlo path and the exact enumeration cannot disagree. `METHODS` says
 which draft kinds each method verifies, and `make_kernel` builds the kernel
 of a method for a scheme.
 
-Methods: the optimal single-draft transport, recursive rejection sampling
-against a running residual (with- and without-replacement variants), the
-per-draft thresholded scheme with its fixed-point parameter rho, and the
-exact verifier for greedy drafts.
+Methods: recursive rejection sampling against a running residual (with- and
+without-replacement variants; the optimal single-draft transport,
+ot-single, is the with-replacement kernel at one draft), the per-draft
+thresholded scheme with its fixed-point parameter rho, and the exact
+verifier for greedy drafts.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .dists import _ZERO_MASS, Dist, _positive_part, residual_dist
 from .drafts import AscendingQ, DraftKind, DraftScheme, greedy_tail
 
 __all__ = [
-    "OTSingleKernel",
     "RrsWKernel",
     "RrsWoKernel",
     "KseqParams",
@@ -113,22 +113,6 @@ class _Kernel:
         if weight > 0.0:
             vec += weight * (final if isinstance(final, np.ndarray) else final.row(0))
         return vec
-
-
-class OTSingleKernel(_Kernel):
-    """Optimal single-draft transport: accept the draft with probability
-    min(p/q, 1), otherwise resample from the residual of p minus q."""
-
-    tag = "ot-single"
-
-    def __init__(self, p: Dist, q: Dist):
-        super().__init__(p, q)
-        self.accept = _accept_probs(p.mass, q.mass)
-        self.residual = residual_dist(p, q).mass
-
-    def _stages(self, tuples):
-        j = tuples[:, :1]
-        return j, self.accept[j], self.residual
 
 
 def _residual_ladder(p: Dist, q: Dist):
@@ -431,16 +415,17 @@ class KseqKernel(_Kernel):
         return tuples, self.accept[tuples], self.terminal
 
 
-class GreedyKernel(OTSingleKernel):
+class GreedyKernel(RrsWKernel):
     """Verifier for greedy drafts: the deterministic top tokens make the
-    problem single-draft, so the optimal transport against the last-draft
-    distribution achieves the scheme's optimal acceptance rate exactly."""
+    problem single-draft, so rejection sampling of the last draft against
+    its distribution, the optimal single-draft transport, achieves the
+    scheme's optimal acceptance rate exactly."""
 
     tag = "greedy"
 
     def __init__(self, p: Dist, q: Dist, n: int):
         self.top, tail = greedy_tail(q, n)
-        super().__init__(p, tail)
+        super().__init__(p, tail, 1)
         self.n = n
 
     def _stages(self, tuples):
@@ -466,9 +451,10 @@ class FirstDraftKernel(_Kernel):
 _WR, _WO = DraftKind.WITH_REPLACEMENT, DraftKind.WITHOUT_REPLACEMENT
 
 # The one method/scheme table: the draft kinds each method verifies, and its
-# kernel for target p and a scheme. ot-single also needs a single draft.
+# kernel for target p and a scheme. ot-single also needs a single draft,
+# and is rejection sampling of it.
 METHODS = {
-    "ot-single": ((_WR, _WO), lambda p, s: OTSingleKernel(p, s.q)),
+    "ot-single": ((_WR, _WO), lambda p, s: RrsWKernel(p, s.q, 1)),
     "rrs-w": ((_WR,), lambda p, s: RrsWKernel(p, s.q, s.n)),
     "kseq": ((_WR,), lambda p, s: KseqKernel(p, s.q, s.n)),
     "rrs-wo": ((_WO,), lambda p, s: RrsWoKernel(p, s.q, s.n)),

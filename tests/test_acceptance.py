@@ -29,7 +29,6 @@ from mdsd.oracle import (
 from mdsd.verify import (
     GreedyKernel,
     KseqKernel,
-    OTSingleKernel,
     RrsWKernel,
     RrsWoKernel,
     kseq_solve,
@@ -161,7 +160,7 @@ def tiny_kernel_cases(rng):
     q = Dist(rng.dirichlet(np.ones(v)))
     n_g = min(n, v)
     cases = [
-        (DraftScheme.with_replacement(q, 1), OTSingleKernel(p, q)),
+        (DraftScheme.with_replacement(q, 1), RrsWKernel(p, q, 1)),
         (DraftScheme.with_replacement(q, n), RrsWKernel(p, q, n)),
         (DraftScheme.with_replacement(q, n), KseqKernel(p, q, n)),
         (DraftScheme.greedy(q, n_g), GreedyKernel(p, q, n_g)),

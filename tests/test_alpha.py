@@ -107,7 +107,7 @@ class TestAlphaScan:
         for _ in range(50):
             v, n, p, q = random_case(rng)
             schemes = [DraftScheme.with_replacement(q, n)]
-            if q.support().size >= n:
+            if np.count_nonzero(q.mass) >= n:
                 schemes.append(DraftScheme.without_replacement(q, n))
             for scheme in schemes:
                 res = alpha_scan(p, scheme)
@@ -139,7 +139,7 @@ class TestScanMatchesBruteForce:
         for _ in range(self.N_INSTANCES):
             v, n, p, q = random_case(rng)
             laws = [(DraftScheme.with_replacement(q, n), None)]
-            if q.support().size >= n:
+            if np.count_nonzero(q.mass) >= n:
                 laws.append(
                     (
                         DraftScheme.without_replacement(q, n),
@@ -241,7 +241,7 @@ class TestOrderingProperties:
             for scheme in (
                 DraftScheme.with_replacement(q, n),
                 DraftScheme.without_replacement(q, n)
-                if q.support().size >= n
+                if np.count_nonzero(q.mass) >= n
                 else None,
             ):
                 if scheme is None:

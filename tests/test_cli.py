@@ -40,7 +40,8 @@ class TestLoadLogits:
         write_jsonl(path, [record([0, 1, 2, 3], [3, 2, 1, 0])] * 2)
         recs = list(load_logits(str(path)))
         assert len(recs) == 2
-        assert recs[0].vocab_size == 4
+        p, q = recs[0]
+        assert p.tolist() == [0, 1, 2, 3] and q.tolist() == [3, 2, 1, 0]
 
     def test_ragged_lengths_name_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -59,6 +60,20 @@ class TestLoadLogits:
         write_jsonl(path, [record([0, None], [1, 0])])
         with pytest.raises(MalformedInputError, match="line 1"):
             list(load_logits(str(path)))
+
+    def test_nan_and_inf_rejected(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        for rec in (record([0, math.nan], [1, 0]), record([0, 1], [math.inf, 0])):
+            write_jsonl(path, [rec])
+            with pytest.raises(MalformedInputError, match="line 1.*finite or -inf"):
+                list(load_logits(str(path)))
+
+    def test_partly_masked_accepted(self, tmp_path):
+        # -inf masks a token out; the other tokens keep the record usable.
+        path = tmp_path / "masked.jsonl"
+        write_jsonl(path, [record([0, -math.inf], [-math.inf, 1])])
+        (p, q), = load_logits(str(path))
+        assert p.tolist() == [0, -math.inf] and q.tolist() == [-math.inf, 1]
 
     def test_all_masked_line_named(self, tmp_path):
         path = tmp_path / "bad.jsonl"

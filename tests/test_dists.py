@@ -1,5 +1,5 @@
-"""Distribution primitives: construction, softmax, residuals, exclusion
-renormalization and the k most likely tokens."""
+"""Distribution primitives: construction, softmax, residuals and the k most
+likely tokens."""
 
 import math
 
@@ -8,8 +8,6 @@ import pytest
 
 from mdsd.dists import (
     Dist,
-    LogitsRecord,
-    exclude_renorm,
     residual_dist,
     softmax_temp,
     top_k_desc,
@@ -39,7 +37,6 @@ class TestDist:
     def test_helpers(self):
         assert np.allclose(Dist.uniform(4).mass, 0.25)
         assert Dist.one_hot(3, 2).mass[2] == 1.0
-        assert list(Dist(np.array([0.5, 0.0, 0.5])).support()) == [0, 2]
 
 
 class TestSoftmaxTemp:
@@ -101,33 +98,6 @@ class TestResidualDist:
             assert np.all(r.mass[q.mass >= p.mass] == 0.0)
 
 
-class TestExcludeRenorm:
-    def test_hand_value(self):
-        q = Dist(np.array([0.5, 0.3, 0.2]))
-        assert np.allclose(exclude_renorm(q, {0}).mass, [0.0, 0.6, 0.4])
-
-    def test_empty_exclusion_is_identity(self):
-        q = Dist.uniform(4)
-        assert np.allclose(exclude_renorm(q, set()).mass, q.mass)
-
-    def test_exhausted_support_errors(self):
-        q = Dist(np.array([0.5, 0.5, 0.0]))
-        with pytest.raises(ValueError, match="exhausted support"):
-            exclude_renorm(q, {0, 1})
-
-    def test_proportional_on_complement(self, rng):
-        for _ in range(100):
-            q = dirichlet_dist(rng, 7)
-            keep = rng.random(7) < 0.5
-            excl = set(int(i) for i in np.flatnonzero(~keep))
-            if q.mass[list(keep.nonzero()[0])].sum() < 1e-6:
-                continue
-            out = exclude_renorm(q, excl)
-            kept = np.flatnonzero(keep)
-            ratio = out.mass[kept] / q.mass[kept]
-            assert np.allclose(ratio, ratio[0])
-
-
 class TestTopK:
     def test_unique_maximum(self):
         assert top_k_desc(Dist(np.array([0.5, 0.3, 0.2])), 1) == (0,)
@@ -157,25 +127,3 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k_desc(Dist.uniform(3), 4)
 
-
-class TestLogitsRecord:
-    def test_accepts_equal_lengths(self):
-        rec = LogitsRecord(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-        assert rec.vocab_size == 2
-
-    def test_rejects_ragged(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            LogitsRecord(np.array([0.0, 1.0]), np.array([1.0]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            LogitsRecord(np.array([0.0, np.nan]), np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="finite or -inf"):
-            LogitsRecord(np.array([0.0, 1.0]), np.array([np.inf, 0.0]))
-
-    def test_masked_logits(self):
-        # -inf masks a token; a vector that masks every token has no softmax.
-        rec = LogitsRecord(np.array([0.0, -np.inf]), np.array([-np.inf, 1.0]))
-        assert rec.vocab_size == 2
-        with pytest.raises(ValueError, match="every token"):
-            LogitsRecord(np.array([0.0, 1.0]), np.array([-np.inf, -np.inf]))

@@ -27,7 +27,7 @@ def all_schemes(q, n):
         DraftScheme.with_replacement(q, n),
         DraftScheme.greedy(q, n),
     ]
-    if q.support().size >= n:
+    if np.count_nonzero(q.mass) >= n:
         out.append(DraftScheme.without_replacement(q, n))
     return out
 
@@ -41,6 +41,19 @@ class TestSchemeValidation:
     def test_greedy_needs_room_for_last_draft(self):
         with pytest.raises(ValueError):
             DraftScheme.greedy(Dist(np.array([0.5, 0.5])), 3)
+
+    def test_draft_count_is_an_int(self):
+        scheme = DraftScheme.without_replacement(Q532, np.int64(2))
+        assert type(scheme.n) is int
+        assert len(list(iter_support(scheme))) == 6
+        for bad in (2.0, "2", None):
+            with pytest.raises(ValueError, match="draft count must be an integer"):
+                DraftScheme.with_replacement(Q532, bad)
+
+    def test_kind_is_coerced(self):
+        assert DraftScheme("greedy", Q532, 2).kind is DraftKind.GREEDY
+        with pytest.raises(ValueError):
+            DraftScheme("product", Q532, 2)
 
 
 class TestTupleProb:
@@ -63,9 +76,11 @@ class TestTupleProb:
             tuple_prob(DraftScheme.with_replacement(Q532, 2), (0, 1, 2))
 
     # Near one-hot draft distributions, where the mass left after a draw
-    # must not be found by subtraction.
+    # must not be found by subtraction; 5e-13 is below the 1e-12 zero-mass
+    # threshold and still a token the sampler draws.
     NEAR_ONE_HOT = [
         (Dist(np.array([1.0, 2.687e-12])), 2),
+        (Dist(np.array([1.0, 5e-13])), 2),
         (Dist(np.array([0.7, 0.3 - 3e-11, 3e-11])), 3),
     ]
 
@@ -104,6 +119,36 @@ class TestTupleProb:
             assert sum(tuple_prob(scheme, t) for t in support) == pytest.approx(1.0, abs=1e-12)
             drawn = sample_tuples(scheme, 1000, np.random.default_rng(0))
             assert set(map(tuple, drawn.tolist())) <= support
+
+
+class TestGreedyTail:
+    def test_hand_value(self):
+        top, tail = greedy_tail(Q532, 2)
+        assert top == (0,)
+        assert np.allclose(tail.mass, [0.0, 0.6, 0.4])
+
+    def test_one_draft_is_identity(self):
+        q = Dist.uniform(4)
+        top, tail = greedy_tail(q, 1)
+        assert top == ()
+        assert np.array_equal(tail.mass, q.mass)
+
+    def test_exhausted_rest_is_uniform(self):
+        # The top tokens hold all of q's mass: the last draft is uniform
+        # over the tokens that are not at the top.
+        top, tail = greedy_tail(Dist(np.array([0.5, 0.5, 0.0, 0.0])), 3)
+        assert top == (0, 1)
+        assert np.array_equal(tail.mass, [0.0, 0.0, 0.5, 0.5])
+
+    def test_proportional_on_complement(self, rng):
+        for _ in range(100):
+            q = dirichlet_dist(rng, 7)
+            n = int(rng.integers(1, 7))
+            top, tail = greedy_tail(q, n)
+            assert (tail.mass[list(top)] == 0.0).all()
+            kept = np.setdiff1d(np.arange(7), top)
+            ratio = tail.mass[kept] / q.mass[kept]
+            assert np.allclose(ratio, ratio[0])
 
 
 class TestSamplers:

@@ -41,7 +41,7 @@ def instances(draw):
     else:
         q = Dist(np.array(draw(shape)))
     p = q if draw(st.booleans()) else Dist(np.array(draw(shape)))
-    support = q.support().size
+    support = np.count_nonzero(q.mass)
     n = draw(st.one_of(st.just(support), st.integers(1, support)))
     return p, q, n
 

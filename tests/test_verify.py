@@ -1,18 +1,19 @@
 """Verification kernels: target preservation, acceptance formulas, and the
 fixed-point solve."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
 from mdsd.cli import synth_positions
-from mdsd.dists import Dist, softmax_temp, top_k_desc, tv_distance
+from mdsd.dists import _ZERO_MASS, Dist, softmax_temp, top_k_desc, tv_distance
 from mdsd.drafts import DraftKind, DraftScheme, iter_support, sample_tuples, tuple_prob
-from mdsd.oracle import rrs_wo_conditional, verifier_marginal_exact
+from mdsd.oracle import RationalScheme, alpha_subset_exact, rrs_wo_conditional, verifier_marginal_exact
 from mdsd.verify import (
     GreedyKernel,
     KseqKernel,
-    OTSingleKernel,
     RrsWKernel,
     RrsWoKernel,
     METHODS,
@@ -42,8 +43,10 @@ def random_pq(rng, v):
 
 
 class TestOTSingle:
+    """ot-single is rejection sampling of one draft, `RrsWKernel` at n = 1."""
+
     def test_identical_always_accepts(self):
-        kern = OTSingleKernel(Q532, Q532)
+        kern = RrsWKernel(Q532, Q532, 1)
         rng = np.random.default_rng(0)
         for j in range(3):
             assert kern.sample([(j,)], rng)[0] == j
@@ -52,7 +55,7 @@ class TestOTSingle:
     def test_hand_conditional(self):
         p = Dist(np.array([0.6, 0.4]))
         q = Dist(np.array([0.4, 0.6]))
-        vec = OTSingleKernel(p, q).conditional((1,))
+        vec = RrsWKernel(p, q, 1).conditional((1,))
         assert vec[1] == pytest.approx(2 / 3)
         assert vec[0] == pytest.approx(1 / 3)  # rejection resamples token 0
 
@@ -60,7 +63,7 @@ class TestOTSingle:
         p = Dist(np.array([0.5, 0.5]))
         q = Dist(np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="draft outside support"):
-            OTSingleKernel(p, q).sample([(0,), (1,)], np.random.default_rng(0))
+            RrsWKernel(p, q, 1).sample([(0,), (1,)], np.random.default_rng(0))
         # Every verifier but the first-draft control refuses a draft its draft
         # distribution cannot produce, in `sample` and in `conditional`;
         # token 0 has no draft mass (greedy's fixed prefix is token 1).
@@ -81,7 +84,7 @@ class TestOTSingle:
     def test_enumerated_acceptance_is_overlap(self, rng):
         for _ in range(100):
             p, q = random_pq(rng, 5)
-            kern = OTSingleKernel(p, q)
+            kern = RrsWKernel(p, q, 1)
             acc = sum(
                 float(q.mass[j]) * kern.conditional((j,))[j] for j in range(5)
             )
@@ -91,7 +94,7 @@ class TestOTSingle:
         for _ in range(50):
             p, q = random_pq(rng, 4)
             marg = verifier_marginal_exact(
-                p, DraftScheme.with_replacement(q, 1), OTSingleKernel(p, q)
+                p, DraftScheme.with_replacement(q, 1), RrsWKernel(p, q, 1)
             )
             assert tv_distance(marg, p) <= 1e-9
 
@@ -145,6 +148,27 @@ class TestRrsWithoutReplacement:
     def test_duplicate_tokens_error(self):
         with pytest.raises(ValueError, match="duplicate"):
             RrsWoKernel(P559, Q532, 2).sample([(0, 1), (1, 1)], np.random.default_rng(0))
+
+    def test_draft_below_zero_mass_threshold(self):
+        # Token 1 carries 5e-13 of q, below the 1e-12 threshold, yet the
+        # sampler draws it: the scheme, the verifier and the optimum all
+        # cover the tuples (0, 1) and (1, 0).
+        p = Dist(np.array([0.3, 0.7]))
+        q = Dist(np.array([1.0, 5e-13]))
+        scheme = DraftScheme.without_replacement(q, 2)
+        assert sum(tuple_prob(scheme, t) for t in iter_support(scheme)) == pytest.approx(1.0, abs=1e-15)
+        marg = verifier_marginal_exact(p, scheme, RrsWoKernel(p, q, 2))
+        assert tv_distance(marg, p) <= 1e-9
+
+        def rational(d):
+            exact = [Fraction(float(x)) for x in d.mass]
+            return tuple(x / sum(exact) for x in exact)
+
+        # At V = 2, n = 2 the scan's law and successive sampling agree.
+        exact = alpha_subset_exact(
+            rational(p), RationalScheme(DraftKind.WITHOUT_REPLACEMENT, rational(q), 2)
+        )
+        assert alpha_scan(p, scheme).alpha_star == pytest.approx(float(exact), abs=1e-12)
 
     def test_full_vocab_uniform_always_accepts(self):
         q = Dist.uniform(3)
@@ -204,7 +228,7 @@ class TestRrsWithoutReplacement:
                 return rng.integers(1, 4, size=v).astype(float)
             mass = rng.dirichlet(np.ones(v))
             mass[rng.random(v) < 0.4] = 0.0 if style == 2 else 1e-12 * rng.uniform(0.3, 3.0)
-            return mass if mass.sum() > 0.0 else np.ones(v)
+            return mass if mass.sum() > _ZERO_MASS else np.ones(v)
 
         tuples = 0
         for i in range(240):
@@ -212,7 +236,7 @@ class TestRrsWithoutReplacement:
             p = Dist(draw(v, i % 4))
             same = i % 5 == 0
             q = p if same else Dist(draw(v, (i // 4) % 4))
-            support = q.support().size
+            support = np.count_nonzero(q.mass)
             n = int(rng.integers(1, min(support, 3) + 1))
             tuples += check(p, q, n, weighted=not same and max(i % 4, (i // 4) % 4) >= 2)
         assert tuples > 1000
@@ -425,14 +449,14 @@ class TestGreedyVerify:
 class TestDeterminism:
     def test_same_seed_same_output(self):
         for make in (
-            lambda: OTSingleKernel(P559, Q532),
+            lambda: RrsWKernel(P559, Q532, 1),
             lambda: RrsWKernel(P559, Q532, 2),
             lambda: RrsWoKernel(P559, Q532, 2),
             lambda: KseqKernel(P559, Q532, 2),
             lambda: GreedyKernel(P559, Q532, 2),
         ):
             kern = make()
-            t = [(0, 1), (0, 2)] if kern.tag != "ot-single" else [(1,), (2,)]
+            t = [(0, 1), (0, 2)] if kern.n > 1 else [(1,), (2,)]
             a = kern.sample(t, np.random.default_rng(42))
             b = kern.sample(t, np.random.default_rng(42))
             assert np.array_equal(a, b)
