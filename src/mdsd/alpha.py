@@ -10,6 +10,7 @@ single-draft optima have closed forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +32,11 @@ class ScanResult:
     """Outcome of the prefix scan.
 
     ``f_values[i]`` is P(H_i) - Q(H_i) for the length-i prefix of
-    ``ordering`` (index 0 is the empty set), ``min_f`` its minimum and
-    ``alpha_star = 1 + min_f``.
+    ``ordering`` (index 0 is the empty set), and ``alpha_star`` is 1 plus
+    its minimum, at ``argmin_prefix_len``.
     """
 
     alpha_star: float
-    min_f: float
     argmin_prefix_len: int
     ordering: np.ndarray
     f_values: np.ndarray
@@ -84,12 +84,15 @@ def _prefix_q_values(scheme: DraftScheme, order: np.ndarray) -> np.ndarray:
     # Without replacement: the coefficient ratio W_{n,H} / W_{n,Sigma}, the
     # subset mass of conditional Poisson sampling (P(S) ∝ prod_{i in S} q_i).
     # W_k over prefix i follows W_k(i) = W_k(i-1) + q_i W_{k-1}(i-1), i.e.
-    # one cumulative sum per degree k.
+    # one cumulative sum per degree k. Each degree is scaled by the power of
+    # two that brings its total near 1: exact, so the ratio keeps its bits,
+    # and W_n cannot underflow where q has n tokens of tiny mass.
     qs = scheme.q.mass[order]
     w_prev = np.ones(v + 1)
     for _ in range(scheme.n):
         w_next = np.zeros(v + 1)
         w_next[1:] = np.cumsum(qs * w_prev[:-1])
+        w_next *= 2.0 ** -math.frexp(w_next[v])[1]
         w_prev = w_next
     if w_prev[v] <= 0.0:
         raise ValueError("without-replacement draft count exceeds support size")
@@ -112,10 +115,8 @@ def alpha_scan(p: Dist, scheme: DraftScheme) -> ScanResult:
     p_cum = np.cumsum(p.mass[order])
     f_values = np.concatenate(([0.0], p_cum - q_vals))
     argmin = int(np.argmin(f_values))
-    min_f = float(f_values[argmin])
     return ScanResult(
-        alpha_star=1.0 + min_f,
-        min_f=min_f,
+        alpha_star=1.0 + float(f_values[argmin]),
         argmin_prefix_len=argmin,
         ordering=order,
         f_values=f_values,

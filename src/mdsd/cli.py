@@ -37,7 +37,7 @@ from .alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
 from .dists import Dist, _check_logits, softmax_temp
 from .drafts import DraftKind, DraftScheme
 from .mc import estimate_alpha
-from .verify import kseq_solve, rrs_w_rate_exact, supports
+from .verify import METHODS, kseq_solve, rrs_w_rate_exact, supports
 
 __all__ = [
     "ExperimentConfig",
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 SCHEME_NAMES = tuple(k.value for k in DraftKind)
-METHOD_NAMES = ("rrs-w", "kseq", "rrs-wo", "greedy", "ot-single")
+SWEEPS = ("temperature", "drafts")
 FORMATS = ("csv", "jsonl")
 BASE_COLUMNS = (
     "position",
@@ -270,8 +270,6 @@ def _positions(cfg: ExperimentConfig):
     """Yield each position's source for `_run_position`, read or drawn
     lazily: a file's (line number, line), unparsed, or (p_logits,
     q_logits)."""
-    if (cfg.input_path is None) == (cfg.synth is None):
-        raise ValueError("exactly one of input_path / synth must be set")
     if cfg.input_path is not None:
         yield from _lines(cfg.input_path)
     else:
@@ -335,22 +333,17 @@ def _run_positions(cfg: ExperimentConfig, cap: int) -> list[list[list[dict]]]:
 
 def _variants(cfg: ExperimentConfig) -> list[tuple[dict, float, int]]:
     """(extra report columns, temperature, draft count) of every sweep variant."""
-    variants: list[tuple[dict, float, int]] = []
     if cfg.sweep is None:
-        variants.append(({}, cfg.temperature, cfg.num_drafts))
-    elif cfg.sweep == "temperature":
-        for v in cfg.sweep_values:
-            variants.append(
-                ({"sweep_param": "temperature", "sweep_value": v}, float(v), cfg.num_drafts)
-            )
-    elif cfg.sweep == "drafts":
-        for v in cfg.sweep_values:
-            variants.append(
-                ({"sweep_param": "drafts", "sweep_value": int(v)}, cfg.temperature, int(v))
-            )
-    else:
-        raise ValueError(f"unknown sweep {cfg.sweep!r}")
-    return variants
+        return [({}, cfg.temperature, cfg.num_drafts)]
+    if cfg.sweep == "temperature":
+        return [
+            ({"sweep_param": "temperature", "sweep_value": v}, float(v), cfg.num_drafts)
+            for v in cfg.sweep_values
+        ]
+    return [
+        ({"sweep_param": "drafts", "sweep_value": int(v)}, cfg.temperature, int(v))
+        for v in cfg.sweep_values
+    ]
 
 
 def _fmt(value) -> str:
@@ -392,12 +385,21 @@ def _aggregate(rows: list[dict]) -> list[dict]:
 
 def _check_config(cfg: ExperimentConfig) -> None:
     """Reject a config that no run can use, naming the field at fault."""
-    for name in cfg.schemes:
-        if name not in SCHEME_NAMES:
-            raise ValueError(f"unknown scheme {name!r}")
-    for name in cfg.methods:
-        if name not in METHOD_NAMES:
-            raise ValueError(f"unknown method {name!r}")
+    if (cfg.input_path is None) == (cfg.synth is None):
+        raise ValueError("exactly one of input_path / synth must be set")
+    for field, known in (("schemes", SCHEME_NAMES), ("methods", METHODS)):
+        names = getattr(cfg, field)
+        if not names:
+            raise ValueError(f"{field} must name at least one {field[:-1]}")
+        for name in names:
+            if name not in known:
+                raise ValueError(f"unknown {field[:-1]} {name!r}")
+    if cfg.sweep not in (None, *SWEEPS):
+        raise ValueError(f"unknown sweep {cfg.sweep!r}")
+    if (cfg.sweep is None) != (not cfg.sweep_values):
+        raise ValueError(
+            f"sweep and sweep_values must be set together (got {cfg.sweep!r}, {cfg.sweep_values})"
+        )
     if cfg.fmt not in FORMATS:
         raise ValueError(f"unknown format {cfg.fmt!r}")
     if cfg.positions < 0:
@@ -474,26 +476,38 @@ def _write_report(cfg: ExperimentConfig, rows: list[dict]) -> None:
         sys.stdout.write(text)
 
 
+def _names(text: str) -> tuple[str, ...]:
+    """A comma-separated list, its blank items dropped."""
+    return tuple(item.strip() for item in text.split(",") if item.strip())
+
+
+def _numbers(text: str) -> tuple[float, ...]:
+    return tuple(float(item) for item in _names(text))
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Options named after `ExperimentConfig` fields, as its ``dest``; an
+    option not given is left out, so the config's default applies."""
     ap = argparse.ArgumentParser(
         prog="mdsd-bench",
         description="Acceptance-rate report for multi-draft speculative decoding.",
+        argument_default=argparse.SUPPRESS,
     )
     src = ap.add_mutually_exclusive_group(required=True)
-    src.add_argument("--input", help="line-delimited logits records (JSON per line)")
+    src.add_argument("--input", dest="input_path", help="line-delimited logits records, JSON")
     src.add_argument("--synth", help="synthetic generator, e.g. dirichlet:5.0 or zipf:1.0")
-    ap.add_argument("--vocab", type=int, default=1000, help="synthetic vocabulary size")
-    ap.add_argument("--positions", type=int, default=64, help="synthetic position count")
-    ap.add_argument("--temperature", type=float, default=0.7)
-    ap.add_argument("--num-drafts", type=int, default=3)
-    ap.add_argument("--schemes", default="with-replacement,without-replacement,greedy")
-    ap.add_argument("--methods", default="rrs-w,kseq,rrs-wo,greedy")
-    ap.add_argument("--trials", type=int, default=1024, help="Monte Carlo trials per position")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--sweep", choices=("temperature", "drafts"))
-    ap.add_argument("--sweep-values", default="", help="comma-separated sweep values")
+    ap.add_argument("--vocab", type=int, help="synthetic vocabulary size")
+    ap.add_argument("--positions", type=int, help="synthetic position count")
+    ap.add_argument("--temperature", type=float)
+    ap.add_argument("--num-drafts", type=int)
+    ap.add_argument("--schemes", type=_names, help="comma-separated draft schemes")
+    ap.add_argument("--methods", type=_names, help="comma-separated verification methods")
+    ap.add_argument("--trials", type=int, help="Monte Carlo trials per position")
+    ap.add_argument("--seed", type=int)
+    ap.add_argument("--sweep", choices=SWEEPS)
+    ap.add_argument("--sweep-values", type=_numbers, help="comma-separated sweep values")
     ap.add_argument("--output", help="report path (default: stdout)")
-    ap.add_argument("--format", dest="fmt", choices=FORMATS, default="csv")
+    ap.add_argument("--format", dest="fmt", choices=FORMATS)
     return ap
 
 
@@ -502,27 +516,7 @@ def _stop(signum, frame):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    sweep_values = tuple(float(v) for v in args.sweep_values.split(",") if v.strip())
-    if args.sweep and not sweep_values:
-        print("error: --sweep requires --sweep-values", file=sys.stderr)
-        return 2
-    cfg = ExperimentConfig(
-        input_path=args.input,
-        synth=args.synth,
-        vocab=args.vocab,
-        positions=args.positions,
-        temperature=args.temperature,
-        num_drafts=args.num_drafts,
-        schemes=tuple(s.strip() for s in args.schemes.split(",") if s.strip()),
-        methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
-        trials=args.trials,
-        seed=args.seed,
-        sweep=args.sweep,
-        sweep_values=sweep_values,
-        output=args.output,
-        fmt=args.fmt,
-    )
+    cfg = ExperimentConfig(**vars(_build_parser().parse_args(argv)))
     # A SIGTERM ends the run as an exception does, so the pool is shut down
     # with it instead of leaving its workers running.
     previous = signal.signal(signal.SIGTERM, _stop)

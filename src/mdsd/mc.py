@@ -34,7 +34,6 @@ class McReport:
     acceptance_mean: float
     acceptance_stderr: float
     empirical_marginal: Dist
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,6 @@ def estimate_alpha(
         acceptance_mean=mean,
         acceptance_stderr=float(np.sqrt(mean * (1.0 - mean) / trials)),
         empirical_marginal=Dist(counts / trials),
-        seed=seed,
     )
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "KseqParams",
     "KseqKernel",
     "GreedyKernel",
-    "FirstDraftKernel",
     "METHODS",
     "supports",
     "make_kernel",
@@ -64,13 +63,11 @@ class _Kernel:
     `sample` walks the stages with coins and `conditional` walks them as
     weights, so the Monte Carlo path and the exact table share one rule.
     ``q`` is the distribution the read drafts come from; a draft it cannot
-    produce is an error (None skips the check).
+    produce is an error.
     """
 
-    tag: str
-
-    def __init__(self, p: Dist, q: Dist | None, n: int = 1):
-        if q is not None and p.vocab_size != q.vocab_size:
+    def __init__(self, p: Dist, q: Dist, n: int):
+        if p.vocab_size != q.vocab_size:
             raise ValueError("size mismatch between p and q")
         self.p, self.q, self.n = p, q, n
 
@@ -79,7 +76,7 @@ class _Kernel:
         if tuples.ndim != 2:
             raise ValueError("draft tuples must be an (m, n) array")
         cols, accept, final = self._stages(tuples)
-        if self.q is not None and (self.q.mass[cols] <= 0.0).any():
+        if (self.q.mass[cols] <= 0.0).any():
             raise ValueError("draft outside support")
         return cols, accept, final
 
@@ -129,8 +126,6 @@ class RrsWKernel(_Kernel):
     """Recursive rejection sampling for drafts sampled with replacement:
     stage k accepts its draft with probability min(r_k/q, 1)."""
 
-    tag = "rrs-w"
-
     def __init__(self, p: Dist, q: Dist, n: int):
         super().__init__(p, q, n)
         ladder = list(itertools.islice(_residual_ladder(p, q), n + 1))
@@ -167,8 +162,6 @@ class RrsWoKernel(_Kernel):
     in exact arithmetic only where r_k = q_k, and there the stage accepts
     its draft surely: such a row accepts that draft and stops.
     """
-
-    tag = "rrs-wo"
 
     def __init__(self, p: Dist, q: Dist, n: int):
         super().__init__(p, q, n)
@@ -402,8 +395,6 @@ class KseqKernel(_Kernel):
     1 - rho beta = miss. Normalising it avoids dividing by a tiny miss.
     """
 
-    tag = "kseq"
-
     def __init__(self, p: Dist, q: Dist, n: int):
         super().__init__(p, q, n)
         self.params = kseq_solve(p, q, n)
@@ -421,8 +412,6 @@ class GreedyKernel(RrsWKernel):
     its distribution, the optimal single-draft transport, achieves the
     scheme's optimal acceptance rate exactly."""
 
-    tag = "greedy"
-
     def __init__(self, p: Dist, q: Dist, n: int):
         self.top, tail = greedy_tail(q, n)
         super().__init__(p, tail, 1)
@@ -432,20 +421,6 @@ class GreedyKernel(RrsWKernel):
         if tuples.shape[1] != self.n or (tuples[:, : self.n - 1] != self.top).any():
             raise ValueError("draft tuple does not match the greedy top prefix")
         return super()._stages(tuples[:, -1:])
-
-
-class FirstDraftKernel(_Kernel):
-    """Emits the first draft and ignores p, so its output follows the draft
-    distribution instead of the target: the negative control of the
-    target-preservation test, and so exempt from the support check."""
-
-    tag = "first-draft"
-
-    def __init__(self, p: Dist):
-        super().__init__(p, None)
-
-    def _stages(self, tuples):
-        return tuples[:, :1], np.ones((tuples.shape[0], 1)), None
 
 
 _WR, _WO = DraftKind.WITH_REPLACEMENT, DraftKind.WITHOUT_REPLACEMENT
@@ -459,7 +434,6 @@ METHODS = {
     "kseq": ((_WR,), lambda p, s: KseqKernel(p, s.q, s.n)),
     "rrs-wo": ((_WO,), lambda p, s: RrsWoKernel(p, s.q, s.n)),
     "greedy": ((DraftKind.GREEDY,), lambda p, s: GreedyKernel(p, s.q, s.n)),
-    "first-draft": (tuple(DraftKind), lambda p, s: FirstDraftKernel(p)),
 }
 
 

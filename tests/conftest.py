@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from mdsd.dists import _ZERO_MASS, Dist
-from mdsd.drafts import iter_support, tuple_prob
+from mdsd.drafts import iter_support, sample_tuples, tuple_prob
+from mdsd.mc import BLOCK_TRIALS, McReport, _block_rng
 from mdsd.oracle import rrs_wo_conditional
 
 # How far an rrs-wo kernel table may be off the exact rule, weighted by the
@@ -89,6 +90,23 @@ def subset_alpha(p: Dist, tuple_probs: dict) -> float:
         has = members[:, b] == 1
         q_by_mask[has] += q_by_mask[masks[has] ^ (1 << b)]
     return 1.0 + float(np.min(members @ p.mass - q_by_mask))
+
+
+def first_draft_report(scheme, trials: int, seed: int) -> McReport:
+    """The negative control of the preservation test: the report of a
+    verifier that emits the first draft and ignores the target, so its
+    marginal follows the draft law. Its tuples are those `estimate_alpha`
+    draws at the same trials and seed."""
+    counts = np.zeros(scheme.vocab_size, dtype=np.int64)
+    for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
+        tuples = sample_tuples(scheme, min(BLOCK_TRIALS, trials - start), _block_rng(seed, block))
+        counts += np.bincount(tuples[:, 0], minlength=scheme.vocab_size)
+    return McReport(
+        trials=trials,
+        acceptance_mean=1.0,
+        acceptance_stderr=0.0,
+        empirical_marginal=Dist(counts / trials),
+    )
 
 
 @pytest.fixture

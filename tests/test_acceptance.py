@@ -37,6 +37,7 @@ from mdsd.verify import (
 
 from conftest import (
     conditional_poisson_probs,
+    first_draft_report,
     grid_dist,
     grid_fracs,
     grid_weights,
@@ -198,9 +199,7 @@ class TestCriterion3:
             res = tv_test(rep, p)
             assert res.passed, (method, res.statistic, res.threshold)
             stats.append(f"{method}={res.statistic:.4f}")
-        control = estimate_alpha(
-            p, DraftScheme.with_replacement(q, 3), "first-draft", 200_000, seed=99
-        )
+        control = first_draft_report(DraftScheme.with_replacement(q, 3), 200_000, seed=99)
         control_res = tv_test(control, p)
         assert not control_res.passed
         announce(

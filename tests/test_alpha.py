@@ -12,7 +12,7 @@ from mdsd.alpha import (
     alpha_single_draft,
     ratio_order,
 )
-from mdsd.dists import Dist
+from mdsd.dists import Dist, softmax_temp
 from mdsd.drafts import DraftKind, DraftScheme
 from mdsd.oracle import RationalScheme, alpha_subset_exact
 
@@ -91,8 +91,8 @@ class TestAlphaScan:
     def test_with_replacement_hand_case(self):
         res = alpha_scan(P631, DraftScheme.with_replacement(Q253, 2))
         assert res.alpha_star == pytest.approx(0.76, abs=1e-12)
-        assert res.min_f == pytest.approx(-0.24, abs=1e-12)
         assert res.argmin_prefix_len == 2
+        assert res.f_values[2] == pytest.approx(-0.24, abs=1e-12)
         assert set(res.ordering[:2]) == {1, 2}
 
     def test_with_replacement_second_case(self):
@@ -111,8 +111,9 @@ class TestAlphaScan:
                 schemes.append(DraftScheme.without_replacement(q, n))
             for scheme in schemes:
                 res = alpha_scan(p, scheme)
-                assert res.alpha_star == pytest.approx(1.0 + res.min_f)
-                assert res.min_f <= 0.0
+                min_f = res.f_values[res.argmin_prefix_len]
+                assert min_f == res.f_values.min() <= 0.0
+                assert res.alpha_star == pytest.approx(1.0 + min_f)
                 assert res.f_values[0] == 0.0
                 assert res.f_values[-1] == pytest.approx(0.0, abs=1e-9)
                 assert res.f_values.size == v + 1
@@ -152,6 +153,17 @@ class TestScanMatchesBruteForce:
                 assert fast == pytest.approx(slow, abs=1e-9), scheme.kind
                 checked += 1
         assert checked >= self.N_INSTANCES
+
+    def test_without_replacement_tiny_masses(self):
+        # Eight tokens of mass e^-138.6 each: the product of any seven
+        # underflows, so W_8 does too unless the scan rescales it. Against
+        # the conditional-Poisson law of the same q in exact rationals.
+        p = softmax_temp(np.array([0.0, 0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0]), 0.7)
+        q = softmax_temp(np.array([0.0] + [-97.0] * 8), 0.7)
+        law = conditional_poisson_probs([Fraction(x) for x in q.mass], 8)
+        fast = alpha_scan(p, DraftScheme.without_replacement(q, 8)).alpha_star
+        assert fast == pytest.approx(subset_alpha(p, law), abs=1e-12)
+        assert fast < 0.9
 
     def test_greedy_closed_form(self):
         rng = np.random.default_rng(77)

@@ -275,6 +275,24 @@ class TestRunExperiment:
             run_experiment(self.config(tmp_path, fmt="xml"))
         assert not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize(
+        "kw, field",
+        [
+            (dict(synth=None), "input_path"),
+            (dict(input_path="in.jsonl"), "input_path"),
+            (dict(schemes=()), "schemes"),
+            (dict(methods=()), "methods"),
+            (dict(sweep="vocab", sweep_values=(8.0,)), "unknown sweep"),
+            (dict(sweep="drafts", sweep_values=()), "sweep_values"),
+            (dict(sweep_values=(1.0, 2.0)), "sweep_values"),
+        ],
+    )
+    def test_bad_config_rejected_before_positions(self, tmp_path, monkeypatch, kw, field):
+        monkeypatch.setattr(cli, "_run_position", lambda *a: pytest.fail("a position ran"))
+        with pytest.raises(ValueError, match=field):
+            run_experiment(self.config(tmp_path, **kw))
+        assert not (tmp_path / "report.csv").exists()
+
     def test_thread_cap_env_var(self, tmp_path, monkeypatch):
         # The pool returns each position's rows for every variant; the report
         # is variant-major whatever the worker count.
@@ -533,6 +551,23 @@ class TestMainEntryPoint:
         code = main(["--synth", "zipf:1.0", "--sweep", "drafts"])
         assert code == 2
 
+    def test_options_not_given_take_config_defaults(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert main(["--synth", "zipf:1.0", "--output", str(out)]) == 0
+        want = ExperimentConfig(synth="zipf:1.0", output=str(out)).config_hash()
+        assert out.read_text().splitlines()[1].endswith("," + want)
+
+    def test_tiny_draft_masses_get_rows(self, tmp_path):
+        # All 50 tokens have positive draft mass, but 49 of them only
+        # e^-138.6 each, so the scan's W_8 underflows unless rescaled.
+        path = tmp_path / "tiny.jsonl"
+        write_jsonl(path, [record([0.0] * 50, [0.0] + [-97.0] * 49)])
+        out = tmp_path / "r.csv"
+        assert main(["--input", str(path), "--num-drafts", "8", "--output", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2 * 4
+        assert any(row.startswith("0,without-replacement,rrs-wo,") for row in rows)
+
     @pytest.mark.parametrize(
         "args, field",
         [
@@ -545,13 +580,23 @@ class TestMainEntryPoint:
             (["--sweep", "temperature", "--sweep-values", "0.5,-1"], "sweep_values"),
             (["--sweep", "temperature", "--sweep-values", "inf"], "sweep_values"),
             (["--positions", "-3"], "positions"),
+            (["--sweep-values", "1,2"], "sweep_values"),
+            (["--schemes", ","], "schemes"),
+            (["--methods", " , "], "methods"),
+            (["--sweep", "drafts", "--sweep-values", "1,x"], "--sweep-values"),
         ],
     )
     def test_bad_config_rejected_before_input(self, tmp_path, capsys, args, field):
+        # An option that does not parse is argparse's error, which exits;
+        # a parsed config that no run can use is main's, which returns.
         out = tmp_path / "r.csv"
-        code = main(["--input", str(tmp_path / "nope.jsonl"), "--output", str(out), *args])
+        try:
+            code = main(["--input", str(tmp_path / "nope.jsonl"), "--output", str(out), *args])
+        except SystemExit as exc:
+            code = exc.code
         assert code == 2
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
