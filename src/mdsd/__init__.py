@@ -22,7 +22,7 @@ from .drafts import (
     sample_tuples,
     tuple_prob,
 )
-from .mc import McReport, TvTestResult, estimate_alpha, tv_test
+from .mc import McReport, estimate_alpha
 from .oracle import (
     RationalScheme,
     alpha_maxflow,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import Dist
+from .dists import Dist, stable_argsort
 from .drafts import DraftKind, DraftScheme, greedy_tail
 
 __all__ = [
@@ -58,21 +58,7 @@ def ratio_order(p: Dist, q: Dist) -> np.ndarray:
     if p.vocab_size != q.vocab_size:
         raise ValueError("size mismatch between p and q")
     pm = p.mass
-    keys = -np.where(pm > 0.0, q.mass / np.where(pm > 0.0, pm, 1.0), np.inf)
-    order = keys.argsort()
-    keys = keys[order]
-    new = keys[1:] != keys[:-1]
-    if new.all():
-        return order
-    # The sort is not stable: put each run of equal ratios in id order by
-    # sorting (dense rank of the ratio) * V + id once.
-    v = p.vocab_size
-    rank = np.zeros(v, dtype=np.int64)
-    np.cumsum(new, out=rank[1:])
-    rank *= v
-    rank += order
-    rank.sort()
-    return rank % v
+    return stable_argsort(-np.where(pm > 0.0, q.mass / np.where(pm > 0.0, pm, 1.0), np.inf))
 
 
 def _prefix_q_values(scheme: DraftScheme, order: np.ndarray) -> np.ndarray:

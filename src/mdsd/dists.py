@@ -1,5 +1,6 @@
-"""Probability-vector primitives: validation, temperature softmax, residuals
-and the k most likely tokens.
+"""Probability-vector primitives: validation, temperature softmax, residuals,
+the k most likely tokens, and the ascending view of a distribution that the
+without-replacement sampler and verifier share.
 
 Everything downstream works with `Dist` objects. A `Dist` is renormalized once
 on construction and is immutable afterwards, so the sum-to-one invariant can be
@@ -8,12 +9,16 @@ assumed everywhere without re-checking.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "AscendingQ",
     "Dist",
+    "stable_argsort",
     "softmax_temp",
     "residual_dist",
     "top_k_desc",
@@ -43,7 +48,12 @@ class Dist:
             raise ValueError("distribution mass must be finite")
         if np.any(arr < 0):
             raise ValueError("distribution mass must be non-negative")
-        total = float(arr.sum())
+        with np.errstate(over="ignore"):
+            total = float(arr.sum())
+        if not np.isfinite(total):
+            # Finite masses whose sum overflows: scale by the largest first.
+            arr = arr / arr.max()
+            total = float(arr.sum())
         if total <= _ZERO_MASS:
             raise ValueError("distribution has no mass")
         arr = arr / total
@@ -53,6 +63,12 @@ class Dist:
     @property
     def vocab_size(self) -> int:
         return int(self.mass.size)
+
+    @functools.cached_property
+    def ascending(self) -> "AscendingQ":
+        """The tokens by ascending mass, built once: the without-replacement
+        sampler and verifier of this distribution share it."""
+        return AscendingQ(self)
 
     @staticmethod
     def uniform(vocab_size: int) -> "Dist":
@@ -87,9 +103,17 @@ def softmax_temp(logits, temperature: float) -> Dist:
     _check_logits(arr)
     if temperature == 0.0:
         return Dist.one_hot(arr.size, int(np.argmax(arr)))
-    scaled = arr / temperature
-    scaled = scaled - np.max(scaled)
-    return Dist(np.exp(scaled))
+    with np.errstate(over="ignore"):
+        scaled = arr / temperature
+        top = np.max(scaled)
+        if not np.isfinite(top):
+            # A tiny temperature overflows the quotient, and inf - inf is
+            # NaN: shift by the largest logit first, which puts the top at 0.
+            scaled = (arr - np.max(arr)) / temperature
+            top = 0.0
+    # In place: ``scaled`` is this call's own array.
+    scaled -= top
+    return Dist(np.exp(scaled, out=scaled))
 
 
 def _positive_part(diff: np.ndarray) -> Dist:
@@ -119,7 +143,96 @@ def top_k_desc(q: Dist, k: int) -> tuple[int, ...]:
     # Only the tokens at or above the k-th largest mass are sorted.
     neg = -q.mass
     cand = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
-    return tuple(int(t) for t in cand[np.argsort(neg[cand], kind="stable")][:k])
+    return tuple(int(t) for t in cand[stable_argsort(neg[cand])][:k])
+
+
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """The indices that sort ``keys`` ascending, equal keys by lowest index:
+    the order of a stable sort. A default sort is faster; each run of equal
+    keys is then put in index order, only where such runs occur."""
+    order = keys.argsort()
+    ranked = keys[order]
+    new = ranked[1:] != ranked[:-1]
+    if new.all():
+        return order
+    # Sort (dense rank of the key) * size + index once.
+    size = keys.size
+    rank = np.zeros(size, dtype=np.int64)
+    np.cumsum(new, out=rank[1:])
+    rank *= size
+    rank += order
+    rank.sort()
+    return rank % size
+
+
+class AscendingQ:
+    """q's tokens by ascending mass (ties by lowest id): ``order`` lists the
+    tokens by rank, ``sorted`` their masses, ``head[i]`` the sum of the i
+    smallest and ``tail[i]`` the sum of all but them. Built once per q, as
+    `Dist.ascending`.
+
+    Small masses come first, so a run of ranks that ends before the last
+    rank is summed as a difference of ``head`` over masses no larger than
+    its own, and a run that reaches the end is read from ``tail``: a mass
+    that remains after the large tokens are drawn is never found by
+    subtracting them from 1, which cancels near a one-hot q.
+    """
+
+    def __init__(self, q: Dist):
+        mass = q.mass
+        self.size = mass.size
+        self.order = stable_argsort(mass)
+        self.sorted = mass[self.order]
+        self.head = np.zeros(self.size + 1)
+        self.sorted.cumsum(out=self.head[1:])
+        self.tail = np.zeros(self.size + 1)
+        self.sorted[::-1].cumsum(out=self.tail[-2::-1])
+
+    @functools.cached_property
+    def rank(self) -> np.ndarray:
+        """The rank of each token."""
+        rank = np.empty_like(self.order)
+        rank[self.order] = np.arange(self.size)
+        return rank
+
+    def insert(self, drawn: list, x: np.ndarray) -> list:
+        """``drawn`` with the ranks ``x`` added. A drawn set is a list of
+        rank arrays, one entry per row, kept ascending down the list."""
+        out = []
+        for d in drawn:
+            out.append(np.minimum(d, x))
+            x = np.maximum(d, x)
+        return out + [x]
+
+    def runs(self, drawn: list) -> list:
+        """The runs of ranks between the drawn ones, as (lo, hi, mass) for
+        ranks lo..hi-1, first to last."""
+        if not drawn:
+            return [(0, self.size, self.tail[0])]
+        after = [d + 1 for d in drawn]
+        out = [(0, drawn[0], self.head[drawn[0]])]
+        out += [(lo, hi, self.head[hi] - self.head[lo]) for lo, hi in zip(after, drawn[1:])]
+        return out + [(after[-1], self.size, self.tail[after[-1]])]
+
+    def undrawn(self, drawn: list):
+        """The mass not yet drawn, summed over the runs."""
+        return sum(mass for _, _, mass in self.runs(drawn))
+
+    def draw(self, drawn: list, u: np.ndarray) -> np.ndarray:
+        """One rank per row not in ``drawn``, each with probability
+        proportional to its mass, by the inverse CDF of ``u`` (uniform on
+        [0, 1)): pick a run, then the rank inside it."""
+        runs = self.runs(drawn)
+        ends = list(itertools.accumulate(mass for _, _, mass in runs))
+        y = u * ends[-1]  # below the last end, so the run picked has mass
+        lo, hi, _ = runs[0]
+        start = 0.0
+        for (run_lo, run_hi, _), end in zip(runs[1:], ends):
+            past = end <= y
+            lo, hi, start = np.where(past, run_lo, lo), np.where(past, run_hi, hi), np.where(past, end, start)
+        x = self.head.searchsorted(self.head[lo] + (y - start), side="right") - 1
+        # Rounding may step outside the run; its end ranks hold mass.
+        return np.minimum(np.maximum(x, lo), hi - 1)
 
 
 def tv_distance(a: Dist, b: Dist) -> float:

@@ -12,9 +12,10 @@ likely tokens and one draw from the rest (greedy). Each scheme exposes
 
 Without replacement, the drafts are drawn one at a time from q restricted
 to the tokens not yet drawn, by the inverse CDF of q sorted ascending over
-the runs of ranks between the drawn tokens (`AscendingQ`). A draw costs
-O(n + log V) per tuple after one O(V log V) sort; the without-replacement
-verifier reads the remaining mass from the same runs.
+the runs of ranks between the drawn tokens (`mdsd.dists.AscendingQ`). A draw
+costs O(n + log V) per tuple after one O(V log V) sort per q, `q.ascending`,
+which the without-replacement verifier shares to read the remaining mass
+from the same runs.
 
 The subset mass Q(H) = P(all n drafts land in H) that the optimum needs is
 evaluated in `mdsd.alpha`, along the scan's prefixes.
@@ -22,7 +23,6 @@ evaluated in `mdsd.alpha`, along the scan's prefixes.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -33,7 +33,6 @@ import numpy as np
 from .dists import Dist, top_k_desc
 
 __all__ = [
-    "AscendingQ",
     "DraftKind",
     "DraftScheme",
     "greedy_tail",
@@ -114,87 +113,19 @@ def greedy_tail(q: Dist, n: int) -> tuple[tuple[int, ...], Dist]:
     return top, Dist(rest)
 
 
-class AscendingQ:
-    """q's tokens by ascending mass (ties by lowest id): ``order`` lists the
-    tokens by rank, ``sorted`` their masses, ``head[i]`` the sum of the i
-    smallest and ``tail[i]`` the sum of all but them.
-
-    Small masses come first, so a run of ranks that ends before the last
-    rank is summed as a difference of ``head`` over masses no larger than
-    its own, and a run that reaches the end is read from ``tail``: a mass
-    that remains after the large tokens are drawn is never found by
-    subtracting them from 1, which cancels near a one-hot q.
-    """
-
-    def __init__(self, q: Dist):
-        mass = q.mass
-        self.size = mass.size
-        self.order = mass.argsort(kind="stable")
-        self.sorted = mass[self.order]
-        self.head = np.zeros(self.size + 1)
-        self.sorted.cumsum(out=self.head[1:])
-        self.tail = np.zeros(self.size + 1)
-        self.sorted[::-1].cumsum(out=self.tail[-2::-1])
-
-    @functools.cached_property
-    def rank(self) -> np.ndarray:
-        """The rank of each token."""
-        rank = np.empty_like(self.order)
-        rank[self.order] = np.arange(self.size)
-        return rank
-
-    def insert(self, drawn: list, x: np.ndarray) -> list:
-        """``drawn`` with the ranks ``x`` added. A drawn set is a list of
-        rank arrays, one entry per row, kept ascending down the list."""
-        out = []
-        for d in drawn:
-            out.append(np.minimum(d, x))
-            x = np.maximum(d, x)
-        return out + [x]
-
-    def runs(self, drawn: list) -> list:
-        """The runs of ranks between the drawn ones, as (lo, hi, mass) for
-        ranks lo..hi-1, first to last."""
-        if not drawn:
-            return [(0, self.size, self.tail[0])]
-        after = [d + 1 for d in drawn]
-        out = [(0, drawn[0], self.head[drawn[0]])]
-        out += [(lo, hi, self.head[hi] - self.head[lo]) for lo, hi in zip(after, drawn[1:])]
-        return out + [(after[-1], self.size, self.tail[after[-1]])]
-
-    def undrawn(self, drawn: list):
-        """The mass not yet drawn, summed over the runs."""
-        return sum(mass for _, _, mass in self.runs(drawn))
-
-    def draw(self, drawn: list, u: np.ndarray) -> np.ndarray:
-        """One rank per row not in ``drawn``, each with probability
-        proportional to its mass, by the inverse CDF of ``u`` (uniform on
-        [0, 1)): pick a run, then the rank inside it."""
-        runs = self.runs(drawn)
-        ends = list(itertools.accumulate(mass for _, _, mass in runs))
-        y = u * ends[-1]  # below the last end, so the run picked has mass
-        lo, hi, _ = runs[0]
-        start = 0.0
-        for (run_lo, run_hi, _), end in zip(runs[1:], ends):
-            past = end <= y
-            lo, hi, start = np.where(past, run_lo, lo), np.where(past, run_hi, hi), np.where(past, end, start)
-        x = self.head.searchsorted(self.head[lo] + (y - start), side="right") - 1
-        # Rounding may step outside the run; its end ranks hold mass.
-        return np.minimum(np.maximum(x, lo), hi - 1)
-
-
 def sample_tuples(scheme: DraftScheme, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` draft tuples as an int array of shape (count, n).
 
     Without replacement, the n drafts are successive inverse-CDF draws over
-    the tokens not yet drawn (`AscendingQ.draw`), from n uniforms per tuple.
+    the tokens not yet drawn (`AscendingQ.draw` of ``q.ascending``), from n
+    uniforms per tuple.
     """
     kind = scheme.kind
     v = scheme.vocab_size
     if kind is DraftKind.WITH_REPLACEMENT:
         return rng.choice(v, size=(count, scheme.n), p=scheme.q.mass)
     if kind is DraftKind.WITHOUT_REPLACEMENT:
-        asc = AscendingQ(scheme.q)
+        asc = scheme.q.ascending
         u = rng.random((scheme.n, count))
         ranks = np.empty((scheme.n, count), dtype=np.intp)
         drawn = []

@@ -5,11 +5,12 @@ marginal over draft and verifier randomness is exactly the target
 distribution p. Each kernel states its rule once, as stages (`_stages`:
 the drafts it reads, the probability of accepting each, and the
 distribution drawn when all are rejected). The shared base derives from
-them the batched sampler (`sample`, an (m, n) array of draft tuples in, m
-output tokens out) and the exact conditional table (`conditional`), so the
-Monte Carlo path and the exact enumeration cannot disagree. `METHODS` says
-which draft kinds each method verifies, and `make_kernel` builds the kernel
-of a method for a scheme.
+them one batched coin walk over an (m, n) array of draft tuples, which the
+sampler (`sample`, m output tokens out) and the acceptance count
+(`accepted`, which draws nothing after the coins) share, and the exact
+conditional table (`conditional`), so the Monte Carlo path and the exact
+enumeration cannot disagree. `METHODS` says which draft kinds each method
+verifies, and `make_kernel` builds the kernel of a method for a scheme.
 
 Methods: recursive rejection sampling against a running residual (with- and
 without-replacement variants; the optimal single-draft transport,
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alpha import ratio_order
-from .dists import _ZERO_MASS, Dist, _positive_part, residual_dist
-from .drafts import AscendingQ, DraftKind, DraftScheme, greedy_tail
+from .dists import _ZERO_MASS, Dist, _positive_part, residual_dist, stable_argsort
+from .drafts import DraftKind, DraftScheme, greedy_tail
 
 __all__ = [
     "RrsWKernel",
@@ -60,8 +61,9 @@ class _Kernel:
     drawn when every draft is rejected: one vector, a per-row residual
     (`_WoResidual`, with ``draw`` and ``row``), or None when that cannot
     happen. The first accepted draft is the output.
-    `sample` walks the stages with coins and `conditional` walks them as
-    weights, so the Monte Carlo path and the exact table share one rule.
+    `_coins` walks the stages with coins, for `sample` and `accepted`, and
+    `conditional` walks them as weights, so the Monte Carlo path and the
+    exact table share one rule.
     ``q`` is the distribution the read drafts come from; a draft it cannot
     produce is an error.
     """
@@ -80,24 +82,45 @@ class _Kernel:
             raise ValueError("draft outside support")
         return cols, accept, final
 
+    def _coins(self, tuples, rng: np.random.Generator):
+        """The stage walk of an (m, n) batch with coins, m uniforms per
+        stage: the read draft columns, whether each stage's coin accepts
+        its draft (stages by rows), and the final distribution. A row's
+        output is its first accepted draft."""
+        cols, accept, final = self._walk(tuples)
+        return cols, rng.random(cols.shape[::-1]) < accept.T, final
+
     def sample(self, tuples, rng: np.random.Generator) -> np.ndarray:
         """One output token per row of an (m, n) batch of draft tuples. The
         final distribution is drawn from only when some row needs it."""
-        cols, accept, final = self._walk(tuples)
-        m = cols.shape[0]
-        out = np.full(m, -1, dtype=np.intp)
-        done = np.zeros(m, dtype=bool)
-        for k in range(cols.shape[1]):
-            tk = cols[:, k]
-            hit = (rng.random(m) < accept[:, k]) & ~done
-            out[hit] = tk[hit]
-            done |= hit
-        if not done.all():
+        cols, hit, final = self._coins(tuples, rng)
+        first = hit.argmax(axis=0)
+        rows = np.arange(first.size)
+        out = cols[rows, first]
+        missed = ~hit[first, rows]
+        if missed.any():
             if isinstance(final, np.ndarray):
-                out[~done] = rng.choice(final.size, size=m, p=final)[~done]
+                out[missed] = rng.choice(final.size, size=out.size, p=final)[missed]
             else:
-                out[~done] = final.draw(~done, rng)
+                out[missed] = final.draw(missed, rng)
         return out
+
+    def accepted(self, tuples, rng: np.random.Generator) -> float:
+        """The number of rows of an (m, n) batch whose output lands in their
+        own tuple, given the coins of `sample` and with nothing drawn after
+        them: a row that accepts a draft counts 1, and a row that rejects
+        every draft counts the final distribution's mass on its distinct
+        drafts. That mass is 0 for a per-row residual, which zeroes the
+        drafts, so only a vector final is read."""
+        _, hit, final = self._coins(tuples, rng)
+        missed = ~hit.any(axis=0)
+        count = float(missed.size - np.count_nonzero(missed))
+        if isinstance(final, np.ndarray) and missed.any():
+            drafts = np.sort(np.asarray(tuples)[missed], axis=1)
+            mass = final[drafts]
+            mass[:, 1:][drafts[:, 1:] == drafts[:, :-1]] = 0.0
+            count += float(mass.sum())
+        return count
 
     def conditional(self, tokens) -> np.ndarray:
         """The exact output distribution given one draft tuple."""
@@ -149,8 +172,8 @@ class RrsWoKernel(_Kernel):
     after its own stage, which is 0 unless the stage accepted it surely
     (and then nothing later is read). M_k comes from prefix sums of p and q
     in descending p/q order plus O(n) corrections, so a batch costs
-    O(n log V) per row after the O(V log V) sorts here, and no (rows, V)
-    array is formed.
+    O(n log V) per row after the O(V log V) sort here and q's ascending
+    view, shared with the draft sampler, and no (rows, V) array is formed.
 
     On the tokens at the top ratio, the largest finite p/q, the residual is
     q u with u = max(top ratio - c, 0), and the row carries u beside c. As
@@ -166,14 +189,14 @@ class RrsWoKernel(_Kernel):
     def __init__(self, p: Dist, q: Dist, n: int):
         super().__init__(p, q, n)
         v = p.vocab_size
-        self.asc = AscendingQ(q)
+        self.asc = q.ascending
         # Tokens by descending p/q; those with q = 0 lead (p > 0) or trail
         # (p = 0). ``keys`` are the negated ratios, ascending, to count the
         # tokens with p > c q. The tokens at the top ratio sit at positions
         # lead..top_end-1; the prefix sums ``sums`` of p and q leave them
         # out, and a third row sums their q.
         ratio = np.divide(p.mass, q.mass, out=np.where(p.mass > 0.0, np.inf, -1.0), where=q.mass > 0.0)
-        self.order = (-ratio).argsort(kind="stable")
+        self.order = stable_argsort(-ratio)
         self.keys = -ratio[self.order]
         lead = int(self.keys.searchsorted(-np.inf, side="right"))
         self.top_ratio = -self.keys[lead]
@@ -252,7 +275,8 @@ class RrsWoKernel(_Kernel):
 class _WoResidual:
     """The residual each row of an rrs-wo batch draws from when every draft
     is rejected: the undrafted tokens at their values and the drafts at 0,
-    over their total."""
+    over their total. Only `sample` draws from it: `accepted` needs its mass
+    on the drafts, which is 0 by this rule."""
 
     def __init__(self, kernel, drafts, c, up, total, count):
         self.kernel, self.drafts = kernel, drafts

@@ -5,21 +5,25 @@ k/D for a common denominator) that convert losslessly to rationals for the
 exact oracles, and Dirichlet-random float distributions for the fast-path
 property checks. The float subset brute force and the conditional-Poisson
 draft law below are references that share no code with the prefix scan.
+The target-preservation test samples its verifier outputs here
+(`sampled_marginal`), since `estimate_alpha` draws no final token.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mdsd.dists import _ZERO_MASS, Dist
-from mdsd.drafts import iter_support, sample_tuples, tuple_prob
-from mdsd.mc import BLOCK_TRIALS, McReport, _block_rng
+from mdsd.dists import _ZERO_MASS, Dist, tv_distance
+from mdsd.drafts import iter_support, tuple_prob
+from mdsd.mc import _blocks
 from mdsd.oracle import rrs_wo_conditional
+from mdsd.verify import make_kernel
 
 # How far an rrs-wo kernel table may be off the exact rule, weighted by the
 # tuple's draft probability. A row whose residual vanishes, to a relative
@@ -92,21 +96,46 @@ def subset_alpha(p: Dist, tuple_probs: dict) -> float:
     return 1.0 + float(np.min(members @ p.mass - q_by_mask))
 
 
-def first_draft_report(scheme, trials: int, seed: int) -> McReport:
-    """The negative control of the preservation test: the report of a
-    verifier that emits the first draft and ignores the target, so its
-    marginal follows the draft law. Its tuples are those `estimate_alpha`
-    draws at the same trials and seed."""
+@dataclass(frozen=True)
+class TvTestResult:
+    passed: bool
+    statistic: float
+    threshold: float
+
+
+def tv_test(marginal: Dist, p: Dist, trials: int) -> TvTestResult:
+    """Distribution-preservation check: pass when the total variation between
+    an empirical marginal of ``trials`` outputs and p is below
+    3 * sqrt(V / trials).
+
+    The threshold is a conservative harness constant sized so that correct
+    kernels essentially never fail while a biased kernel stands out.
+    """
+    threshold = 3.0 * float(np.sqrt(p.vocab_size / trials))
+    stat = tv_distance(marginal, p)
+    return TvTestResult(passed=stat <= threshold, statistic=stat, threshold=threshold)
+
+
+def sampled_marginal(p: Dist, scheme, method: str, trials: int, seed: int) -> Dist:
+    """The empirical output marginal of ``method``'s verifier: each trial's
+    output drawn by `sample`, final draw included, from the tuples and coins
+    `estimate_alpha` draws at the same trials and seed."""
+    kernel = make_kernel(method, p, scheme)
+    counts = np.zeros(p.vocab_size, dtype=np.int64)
+    for tuples, rng in _blocks(scheme, trials, seed):
+        counts += np.bincount(kernel.sample(tuples, rng), minlength=p.vocab_size)
+    return Dist(counts / trials)
+
+
+def first_draft_marginal(scheme, trials: int, seed: int) -> Dist:
+    """The negative control of the preservation test: the marginal of a
+    verifier that emits the first draft and ignores the target, so it
+    follows the draft law. Its tuples are those `estimate_alpha` draws at
+    the same trials and seed."""
     counts = np.zeros(scheme.vocab_size, dtype=np.int64)
-    for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
-        tuples = sample_tuples(scheme, min(BLOCK_TRIALS, trials - start), _block_rng(seed, block))
+    for tuples, _ in _blocks(scheme, trials, seed):
         counts += np.bincount(tuples[:, 0], minlength=scheme.vocab_size)
-    return McReport(
-        trials=trials,
-        acceptance_mean=1.0,
-        acceptance_stderr=0.0,
-        empirical_marginal=Dist(counts / trials),
-    )
+    return Dist(counts / trials)
 
 
 @pytest.fixture

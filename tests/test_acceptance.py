@@ -19,7 +19,7 @@ from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
 from mdsd.cli import ExperimentConfig, run_experiment, synth_positions
 from mdsd.dists import Dist, softmax_temp, tv_distance
 from mdsd.drafts import DraftKind, DraftScheme, iter_support, tuple_prob
-from mdsd.mc import estimate_alpha, tv_test
+from mdsd.mc import estimate_alpha
 from mdsd.oracle import (
     RationalScheme,
     alpha_maxflow,
@@ -37,12 +37,14 @@ from mdsd.verify import (
 
 from conftest import (
     conditional_poisson_probs,
-    first_draft_report,
+    first_draft_marginal,
     grid_dist,
     grid_fracs,
     grid_weights,
+    sampled_marginal,
     subset_alpha,
     support_probs,
+    tv_test,
 )
 
 
@@ -195,12 +197,11 @@ class TestCriterion3:
         ]
         stats = []
         for scheme, method in pairs:
-            rep = estimate_alpha(p, scheme, method, 1_000_000, seed=99)
-            res = tv_test(rep, p)
+            res = tv_test(sampled_marginal(p, scheme, method, 1_000_000, seed=99), p, 1_000_000)
             assert res.passed, (method, res.statistic, res.threshold)
             stats.append(f"{method}={res.statistic:.4f}")
-        control = first_draft_report(DraftScheme.with_replacement(q, 3), 200_000, seed=99)
-        control_res = tv_test(control, p)
+        control = first_draft_marginal(DraftScheme.with_replacement(q, 3), 200_000, seed=99)
+        control_res = tv_test(control, p, 200_000)
         assert not control_res.passed
         announce(
             3,
@@ -208,7 +209,7 @@ class TestCriterion3:
             True,
             f"200 instances x 5 kernels enumerated (worst TV {worst_tv:.2e}); "
             f"1e6-trial TV stats {', '.join(stats)} all under "
-            f"{tv_test(rep, p).threshold:.3f}; negative control TV "
+            f"{res.threshold:.3f}; negative control TV "
             f"{control_res.statistic:.3f} rejected",
         )
 

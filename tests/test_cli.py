@@ -527,6 +527,24 @@ class TestMainEntryPoint:
         assert code == 0
         assert out.exists()
 
+    def test_tiny_positive_temperature(self, tmp_path):
+        # logits / 1e-310 overflow; the run reports what temperature 0
+        # reports instead of aborting, alone and in a temperature sweep.
+        base = ["--synth", "zipf:1.0", "--vocab", "50", "--positions", "2", "--num-drafts", "1"]
+        rows = {}
+        for name, extra in (
+            ("tiny", ["--temperature", "1e-310"]),
+            ("zero", ["--temperature", "0"]),
+            ("sweep", ["--sweep", "temperature", "--sweep-values", "0.7,1e-310"]),
+        ):
+            out = tmp_path / f"{name}.csv"
+            assert main([*base, *extra, "--output", str(out)]) == 0
+            rows[name] = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        # The columns from position to stderr; the hash names the config.
+        tiny = [r[:7] for r in rows["tiny"]]
+        assert tiny == [r[:7] for r in rows["zero"]]
+        assert tiny == [r[:7] for r in rows["sweep"] if r[-1] == "1e-310"]
+
     def test_malformed_input_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         write_jsonl(path, [record([0, 1], [1, 0, 2])])

@@ -38,6 +38,17 @@ class TestDist:
         assert np.allclose(Dist.uniform(4).mass, 0.25)
         assert Dist.one_hot(3, 2).mass[2] == 1.0
 
+    def test_overflowing_total_normalises(self):
+        # The finite masses sum to inf; they are scaled by the largest first.
+        assert np.array_equal(Dist(np.array([1e308, 1e308, 0.0])).mass, [0.5, 0.5, 0.0])
+        d = Dist(np.array([1.5e308, 1e308, 5e307]))
+        assert np.allclose(d.mass, [0.5, 1 / 3, 1 / 6], rtol=1e-15, atol=0)
+
+    def test_finite_total_keeps_its_bits(self, rng):
+        for _ in range(20):
+            arr = rng.random(7) * 10.0 ** rng.integers(-6, 300)
+            assert np.array_equal(Dist(arr).mass, arr / arr.sum())
+
 
 class TestSoftmaxTemp:
     def test_symmetric_logits(self):
@@ -59,6 +70,22 @@ class TestSoftmaxTemp:
     def test_negative_temperature_errors(self):
         with pytest.raises(ValueError):
             softmax_temp([0.0, 1.0], -0.5)
+
+    def test_tiny_temperature_does_not_overflow(self):
+        # logits / 1e-310 overflow; the result is the argmax, ties shared.
+        assert np.array_equal(softmax_temp([1.0, 0.0, -np.inf], 1e-310).mass, [1, 0, 0])
+        assert np.array_equal(softmax_temp([2.0, 2.0, 1.0], 1e-310).mass, [0.5, 0.5, 0])
+        assert np.array_equal(softmax_temp([-1.0, -2.0], 1e-310).mass, [1, 0])
+        assert np.array_equal(softmax_temp([1e308, -1e308], 1e-300).mass, [1, 0])
+
+    def test_working_temperature_keeps_its_bits(self, rng):
+        # Every temperature whose quotient does not overflow takes the plain
+        # path: divide, subtract the largest quotient, exponentiate.
+        for temperature in (1e-3, 0.7, 1.0, 50.0):
+            logits = rng.normal(size=9) * 5
+            scaled = logits / temperature
+            expect = np.exp(scaled - scaled.max())
+            assert np.array_equal(softmax_temp(logits, temperature).mass, expect / expect.sum())
 
     def test_shift_invariance(self, rng):
         for _ in range(50):

@@ -1,18 +1,20 @@
 """Property tests on degenerate inputs (exact zeros, ties, masses near
 1e-12, one-hot q, p == q, and as many drafts as q has support): the
 without-replacement sampler and verifier, the kseq fixed point and kernel,
-and weak duality of the with-replacement optimum against the verifiers'
-exact rates."""
+weak duality of the with-replacement optimum against the verifiers' exact
+rates, the Monte Carlo count against sampled outputs, and the one tie rule
+of every sorted order."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
-from mdsd.dists import Dist, tv_distance
+from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft, ratio_order
+from mdsd.dists import Dist, stable_argsort, tv_distance
 from mdsd.drafts import DraftScheme, iter_support, sample_tuples, tuple_prob
+from mdsd.mc import _blocks, estimate_alpha
 from mdsd.oracle import MAX_TUPLE_NODES, verifier_marginal_exact
-from mdsd.verify import KseqKernel, RrsWoKernel, kseq_solve, rrs_w_rate_exact
+from mdsd.verify import KseqKernel, RrsWoKernel, kseq_solve, make_kernel, rrs_w_rate_exact
 
 from conftest import VANISHED_TABLE_BOUND, rrs_wo_table
 
@@ -131,3 +133,49 @@ def test_kseq_kernel_preserves_target(case):
     if p.vocab_size**n <= MAX_TUPLE_NODES:
         marg = verifier_marginal_exact(p, DraftScheme.with_replacement(q, n), kern)
         assert tv_distance(marg, p) <= 1e-9
+
+
+@PROPERTY
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_estimate_counts_the_sampled_outputs_in_their_tuples(case, seed):
+    # The estimate draws the stage coins and no final token. On the same
+    # blocks and seed, its count is the number of sampled outputs, final
+    # draws included, that land in their own tuples.
+    p, q, n = case
+    trials = 200
+    for scheme, method in (
+        (DraftScheme.without_replacement(q, n), "rrs-wo"),
+        (DraftScheme.with_replacement(q, n), "rrs-w"),
+        (DraftScheme.with_replacement(q, n), "kseq"),
+        (DraftScheme.with_replacement(q, 1), "ot-single"),
+    ):
+        kernel = make_kernel(method, p, scheme)
+        landed = sum(
+            int((kernel.sample(tuples, rng)[:, None] == tuples).any(axis=1).sum())
+            for tuples, rng in _blocks(scheme, trials, seed)
+        )
+        assert estimate_alpha(p, scheme, method, trials, seed).acceptance_mean == landed / trials, method
+
+
+@st.composite
+def tied_pairs(draw):
+    """(p, q) with masses from a small set, so that masses and ratios tie
+    often; q keeps at least one positive mass."""
+    v = draw(st.integers(2, 40))
+    masses = st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 6.0]), min_size=v, max_size=v)
+    positive = masses.filter(lambda m: sum(m) > 0.0)
+    return Dist(np.array(draw(positive))), Dist(np.array(draw(positive)))
+
+
+@PROPERTY
+@given(tied_pairs())
+def test_sorted_orders_break_ties_by_lowest_id(pair):
+    # One tie rule: every order equals a stable sort of its keys.
+    p, q = pair
+    pm, qm = p.mass, q.mass
+    assert np.array_equal(stable_argsort(qm), np.argsort(qm, kind="stable"))
+    assert np.array_equal(q.ascending.order, np.argsort(qm, kind="stable"))
+    ratio = np.divide(pm, qm, out=np.where(pm > 0.0, np.inf, -1.0), where=qm > 0.0)
+    assert np.array_equal(RrsWoKernel(p, q, 1).order, np.argsort(-ratio, kind="stable"))
+    inverse = np.where(pm > 0.0, qm / np.where(pm > 0.0, pm, 1.0), np.inf)
+    assert np.array_equal(ratio_order(p, q), np.argsort(-inverse, kind="stable"))
