@@ -10,6 +10,7 @@ single-draft optima have closed forms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,16 +50,21 @@ def alpha_single_draft(p: Dist, q: Dist) -> float:
     return float(np.minimum(p.mass, q.mass).sum())
 
 
-def ratio_order(p: Dist, q: Dist) -> np.ndarray:
-    """Token ids sorted by q(x)/p(x) descending.
-
-    Tokens with p(x) = 0 sort first (ratio +inf, including q(x) = 0), and
-    ties break toward the lowest token id, so the order is deterministic.
+@functools.lru_cache(maxsize=1)
+def ratio_order(p: Dist, q: Dist) -> tuple[np.ndarray, np.ndarray]:
+    """Token ids sorted by p(x)/q(x) ascending, ties by lowest id, and the
+    sorted ratios; q(x) = 0 gives +inf where p(x) > 0 and -1 where p(x) = 0.
+    The scans, `kseq_solve` and `RrsWoKernel` read it, and the last pair's
+    result is kept (a `Dist` is immutable and keyed by identity), so a
+    position sorts once; both arrays are read-only.
     """
     if p.vocab_size != q.vocab_size:
         raise ValueError("size mismatch between p and q")
-    pm = p.mass
-    return stable_argsort(-np.where(pm > 0.0, q.mass / np.where(pm > 0.0, pm, 1.0), np.inf))
+    ratio = np.divide(p.mass, q.mass, out=np.where(p.mass > 0.0, np.inf, -1.0), where=q.mass > 0.0)
+    order = stable_argsort(ratio)
+    ratios = ratio[order]
+    order.flags.writeable = ratios.flags.writeable = False
+    return order, ratios
 
 
 def _prefix_q_values(scheme: DraftScheme, order: np.ndarray) -> np.ndarray:
@@ -94,9 +100,7 @@ def alpha_scan(p: Dist, scheme: DraftScheme) -> ScanResult:
     """
     if scheme.kind not in (DraftKind.WITH_REPLACEMENT, DraftKind.WITHOUT_REPLACEMENT):
         raise ValueError(f"no prefix scan for {scheme.kind.value} drafts")
-    if p.vocab_size != scheme.vocab_size:
-        raise ValueError("size mismatch between p and the scheme")
-    order = ratio_order(p, scheme.q)
+    order, _ = ratio_order(p, scheme.q)
     q_vals = _prefix_q_values(scheme, order)
     p_cum = np.cumsum(p.mass[order])
     f_values = np.concatenate(([0.0], p_cum - q_vals))

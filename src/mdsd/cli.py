@@ -172,10 +172,16 @@ def synth_positions(kind: str, param: float, vocab: int, count: int, seed: int):
 
 
 def _parse_synth(spec: str) -> tuple[str, float]:
-    kind, sep, param = spec.partition(":")
-    if not sep:
-        raise ValueError("synthetic spec must look like dirichlet:5.0 or zipf:1.0")
-    return kind, float(param)
+    """(generator, parameter) of a synthetic spec, checked."""
+    kind, _, param = spec.partition(":")
+    try:
+        value = float(param)
+    except ValueError:
+        value = math.nan
+    known = kind in ("dirichlet", "zipf") and math.isfinite(value)
+    if not known or (kind == "dirichlet" and value <= 0.0):
+        raise ValueError(f"synth must be dirichlet:<c> or zipf:<s>, finite, c > 0 (got {spec!r})")
+    return kind, value
 
 
 def _position_seed(seed: int, position: int) -> int:
@@ -184,19 +190,12 @@ def _position_seed(seed: int, position: int) -> int:
 
 
 def _method_alpha(
-    method: str,
-    p: Dist,
-    q: Dist,
-    scheme: DraftScheme,
-    alpha_star: float,
-    order: np.ndarray | None,
-    trials: int,
-    seed: int,
+    method: str, p: Dist, q: Dist, scheme: DraftScheme, alpha_star: float, trials: int, seed: int
 ):
     if method == "rrs-w":
         return rrs_w_rate_exact(p, q, scheme.n), 0.0
     if method == "kseq":
-        return kseq_solve(p, q, scheme.n, order=order).alpha_closed, 0.0
+        return kseq_solve(p, q, scheme.n).alpha_closed, 0.0
     if method == "greedy":
         # The greedy verifier attains the optimum of its scheme.
         return alpha_star, 0.0
@@ -229,15 +228,11 @@ def _run_position(cfg: ExperimentConfig, position: int, source) -> list[list[dic
                 continue
             scheme = DraftScheme(kind, q, n)
             if kind is DraftKind.GREEDY:
-                alpha_star, order = alpha_greedy_closed(p, q, n), None
+                alpha_star = alpha_greedy_closed(p, q, n)
             else:
-                # kseq reads the scan's ratio order, so it sorts nothing.
-                scan = alpha_scan(p, scheme)
-                alpha_star, order = scan.alpha_star, scan.ordering
+                alpha_star = alpha_scan(p, scheme).alpha_star
             for method in methods:
-                alpha, stderr = _method_alpha(
-                    method, p, q, scheme, alpha_star, order, cfg.trials, mc_seed
-                )
+                alpha, stderr = _method_alpha(method, p, q, scheme, alpha_star, cfg.trials, mc_seed)
                 rows.append(
                     dict(
                         position=position,
@@ -387,6 +382,8 @@ def _check_config(cfg: ExperimentConfig) -> None:
     """Reject a config that no run can use, naming the field at fault."""
     if (cfg.input_path is None) == (cfg.synth is None):
         raise ValueError("exactly one of input_path / synth must be set")
+    if cfg.synth is not None:
+        _parse_synth(cfg.synth)
     for field, known in (("schemes", SCHEME_NAMES), ("methods", METHODS)):
         names = getattr(cfg, field)
         if not names:
@@ -408,9 +405,13 @@ def _check_config(cfg: ExperimentConfig) -> None:
         raise ValueError(f"num_drafts must be >= 1 (got {cfg.num_drafts})")
     if cfg.trials < 1:
         raise ValueError(f"trials must be >= 1 (got {cfg.trials})")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be >= 0 (got {cfg.seed})")
     if not (math.isfinite(cfg.temperature) and cfg.temperature >= 0.0):
         raise ValueError(f"temperature must be finite and >= 0 (got {cfg.temperature})")
-    for v in cfg.sweep_values:
+    for i, v in enumerate(cfg.sweep_values):
+        if v in cfg.sweep_values[:i]:
+            raise ValueError(f"sweep_values must be distinct ({v} repeats)")
         if cfg.sweep == "drafts" and not (float(v).is_integer() and v >= 1):
             raise ValueError(
                 f"sweep_values of a drafts sweep must be positive integers (got {v})"

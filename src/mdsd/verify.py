@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alpha import ratio_order
-from .dists import _ZERO_MASS, Dist, _positive_part, residual_dist, stable_argsort
+from .dists import _ZERO_MASS, Dist, _positive_part, residual_dist
 from .drafts import DraftKind, DraftScheme, greedy_tail
 
 __all__ = [
@@ -172,8 +172,9 @@ class RrsWoKernel(_Kernel):
     after its own stage, which is 0 unless the stage accepted it surely
     (and then nothing later is read). M_k comes from prefix sums of p and q
     in descending p/q order plus O(n) corrections, so a batch costs
-    O(n log V) per row after the O(V log V) sort here and q's ascending
-    view, shared with the draft sampler, and no (rows, V) array is formed.
+    O(n log V) per row after `ratio_order`'s O(V log V) sort, shared with
+    the scans, and q's ascending view, shared with the draft sampler, and
+    no (rows, V) array is formed.
 
     On the tokens at the top ratio, the largest finite p/q, the residual is
     q u with u = max(top ratio - c, 0), and the row carries u beside c. As
@@ -190,14 +191,13 @@ class RrsWoKernel(_Kernel):
         super().__init__(p, q, n)
         v = p.vocab_size
         self.asc = q.ascending
-        # Tokens by descending p/q; those with q = 0 lead (p > 0) or trail
-        # (p = 0). ``keys`` are the negated ratios, ascending, to count the
-        # tokens with p > c q. The tokens at the top ratio sit at positions
-        # lead..top_end-1; the prefix sums ``sums`` of p and q leave them
-        # out, and a third row sums their q.
-        ratio = np.divide(p.mass, q.mass, out=np.where(p.mass > 0.0, np.inf, -1.0), where=q.mass > 0.0)
-        self.order = stable_argsort(-ratio)
-        self.keys = -ratio[self.order]
+        # Tokens by descending p/q, `ratio_order` reversed; those with q = 0
+        # lead (p > 0) or trail (p = 0). ``keys`` are the negated ratios,
+        # ascending, to count the tokens with p > c q. The tokens at the top
+        # ratio sit at positions lead..top_end-1; the prefix sums ``sums``
+        # of p and q leave them out, and a third row sums their q.
+        order, ratios = ratio_order(p, q)
+        self.order, self.keys = order[::-1].copy(), -ratios[::-1]
         lead = int(self.keys.searchsorted(-np.inf, side="right"))
         self.top_ratio = -self.keys[lead]
         self.top_end = int(self.keys.searchsorted(-self.top_ratio, side="right"))
@@ -337,17 +337,17 @@ class KseqParams:
     alpha_closed: float
 
 
-def kseq_solve(p: Dist, q: Dist, n: int, order: np.ndarray | None = None) -> KseqParams:
+def kseq_solve(p: Dist, q: Dist, n: int) -> KseqParams:
     """Solve 1 - (1 - beta(rho))^n = rho * beta(rho) for rho >= 1, where
     beta(rho) = sum min(p/rho, q).
 
-    ``order`` is `ratio_order(p, q)`, computed here when not given. Along it
-    the breakpoints p_i/q_i ascend, and with the first k tokens of the order
-    in the head, beta = a/rho + b between two of them: a is the head's p
-    mass and b the tail's q mass. g(rho) = 1 - (1 - beta)^n - rho beta does
-    not increase, is >= 0 at rho = 1 and <= 0 at rho = n. A binary search
-    over the breakpoints finds the root's segment, and bisection solves
-    g = 0 on it to adjacent floats.
+    The breakpoints p_i/q_i are the ascending ratios of `ratio_order(p, q)`
+    (-1 for a token with neither mass, below 1 like any other p = 0). With
+    the first k tokens of the order in the head, beta = a/rho + b between
+    two of them: a is the head's p mass and b the tail's q mass.
+    g(rho) = 1 - (1 - beta)^n - rho beta does not increase, is >= 0 at
+    rho = 1 and <= 0 at rho = n. A binary search over the breakpoints finds
+    the root's segment, and bisection solves g = 0 on it to adjacent floats.
 
     g = beta (sum_{j<n} (1 - beta)^j - rho), so for beta > 0 its sign is
     that of sum_{0<j<n} s^j - (rho - 1), with s = 1 - beta taken as
@@ -355,12 +355,9 @@ def kseq_solve(p: Dist, q: Dist, n: int, order: np.ndarray | None = None) -> Kse
     the root keeps its relative precision both near rho = 1 and where beta
     is tiny.
     """
-    if p.vocab_size != q.vocab_size:
-        raise ValueError("size mismatch between p and q")
     if n < 1:
         raise ValueError("draft count must be >= 1")
-    if order is None:
-        order = ratio_order(p, q)
+    order, ratios = ratio_order(p, q)
     pm, qm = p.mass.take(order), q.mass.take(order)
 
     def sign_g(rho: float, a: float, c: float, b: float) -> float:
@@ -370,11 +367,6 @@ def kseq_solve(p: Dist, q: Dist, n: int, order: np.ndarray | None = None) -> Kse
             total = s * (1.0 + total)
         return total - (rho - 1.0)
 
-    def breakpoint(j: int) -> float:
-        if qm[j] > 0.0:
-            return float(pm[j] / qm[j])
-        return np.inf if pm[j] > 0.0 else 0.0
-
     # The root lies in [1, n]. Find the first token whose breakpoint is past
     # n, or past 1 with g <= 0 there: the root's segment ends at it. The p
     # mass before lo and the p and q masses from hi on are kept, so each
@@ -383,15 +375,15 @@ def kseq_solve(p: Dist, q: Dist, n: int, order: np.ndarray | None = None) -> Kse
     a, c, b = 0.0, 0.0, 0.0
     while lo < hi:
         mid = (lo + hi) // 2
-        at = breakpoint(mid)
+        at = float(ratios[mid])
         head = a + float(pm[lo : mid + 1].sum())
         tail_p, tail_q = c + float(pm[mid + 1 : hi].sum()), b + float(qm[mid + 1 : hi].sum())
         if at >= n or (at > 1.0 and sign_g(at, head, tail_p, tail_q) <= 0.0):
             hi, c, b = mid, tail_p + float(pm[mid]), tail_q + float(qm[mid])
         else:
             lo, a = mid + 1, head
-    left = max(breakpoint(lo - 1), 1.0) if lo else 1.0
-    right = min(breakpoint(lo), float(n)) if lo < pm.size else float(n)
+    left = max(float(ratios[lo - 1]), 1.0) if lo else 1.0
+    right = min(float(ratios[lo]), float(n)) if lo < pm.size else float(n)
     # With beta = 0 everywhere (p and q disjoint) every rho solves; take 1.
     if sign_g(left, a, c, b) <= 0.0 or a == b == 0.0:
         right = left

@@ -59,32 +59,45 @@ class TestAlphaSingleDraft:
 
 class TestRatioOrder:
     def test_hand_order(self):
-        assert list(ratio_order(P631, Q253)) == [2, 1, 0]
+        assert list(ratio_order(P631, Q253)[0]) == [2, 1, 0]
 
     def test_ties_break_by_id(self):
-        assert list(ratio_order(Q253, Q253)) == [0, 1, 2]
+        assert list(ratio_order(Q253, Q253)[0]) == [0, 1, 2]
 
     def test_zero_target_mass_leads(self):
         p = Dist(np.array([0.5, 0.5, 0.0]))
-        assert list(ratio_order(p, Q532))[0] == 2
+        assert ratio_order(p, Q532)[0][0] == 2
 
     def test_joint_zero_mass_leads(self):
         p = Dist(np.array([0.5, 0.5, 0.0]))
         q = Dist(np.array([0.5, 0.5, 0.0]))
-        assert list(ratio_order(p, q))[0] == 2
+        assert ratio_order(p, q)[0][0] == 2
 
     def test_matches_stable_lexsort_on_ties(self, rng):
-        # Integer masses in 0..3 tie often, and zeros give ratio +inf (p = 0)
-        # and 0 (q = 0): the unstable sort must still break every tie by id.
+        # Integer masses in 0..3 tie often, and zeros give ratio 0 (p = 0),
+        # +inf (q = 0) and -1 (both): the unstable sort must still break
+        # every tie by id.
         for _ in range(300):
             v = int(rng.integers(2, 40))
             wp = grid_weights(rng, v, 3 * v)
             wq = grid_weights(rng, v, 3 * v)
             p, q = grid_dist(wp), grid_dist(wq)
-            pm = p.mass
-            ratio = np.where(pm > 0.0, q.mass / np.where(pm > 0.0, pm, 1.0), np.inf)
-            want = np.lexsort((np.arange(v), -ratio))
-            assert (ratio_order(p, q) == want).all()
+            pm, qm = p.mass, q.mass
+            ratio = np.divide(pm, qm, out=np.where(pm > 0.0, np.inf, -1.0), where=qm > 0.0)
+            want = np.lexsort((np.arange(v), ratio))
+            order, ratios = ratio_order(p, q)
+            assert (order == want).all()
+            assert (ratios == ratio[want]).all()
+
+    def test_read_only_and_kept_for_the_last_pair(self):
+        # One sort serves every reader of a pair, so none may write to it.
+        order, ratios = ratio_order(P631, Q253)
+        assert not order.flags.writeable and not ratios.flags.writeable
+        with pytest.raises(ValueError):
+            order[0] = 1
+        hits = ratio_order.cache_info().hits
+        assert ratio_order(P631, Q253)[0] is order
+        assert ratio_order.cache_info().hits == hits + 1
 
 
 class TestAlphaScan:
@@ -183,7 +196,7 @@ class TestScanMatchesBruteForce:
         # The deterministic top token sits last in the plain mass-ratio
         # order; the optimum must still be found.
         wp, wq = [30, 1, 18, 1], [6, 5, 5, 4]
-        assert list(ratio_order(grid_dist(wp), grid_dist(wq)))[-1] == 0
+        assert ratio_order(grid_dist(wp), grid_dist(wq))[0][-1] == 0
         exact = alpha_subset_exact(
             grid_fracs(wp), RationalScheme(DraftKind.GREEDY, grid_fracs(wq), 2)
         )

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from mdsd import cli
+from mdsd.alpha import ratio_order
 from mdsd.cli import (
     ExperimentConfig,
     MalformedInputError,
@@ -22,6 +23,7 @@ from mdsd.cli import (
     synth_positions,
 )
 from mdsd.dists import Dist, tv_distance
+from mdsd.verify import METHODS
 
 
 def write_jsonl(path, records):
@@ -285,6 +287,16 @@ class TestRunExperiment:
             (dict(sweep="vocab", sweep_values=(8.0,)), "unknown sweep"),
             (dict(sweep="drafts", sweep_values=()), "sweep_values"),
             (dict(sweep_values=(1.0, 2.0)), "sweep_values"),
+            (dict(sweep="drafts", sweep_values=(2.0, 1.0, 2.0)), r"sweep_values .*\(2.0 repeats"),
+            (dict(sweep="temperature", sweep_values=(0.5, 0.5)), r"sweep_values .*\(0.5 repeats"),
+            (dict(seed=-1), "seed"),
+            (dict(synth="dirichlet:-1"), "synth"),
+            (dict(synth="dirichlet:0"), "synth"),
+            (dict(synth="zipf:nan"), "synth"),
+            (dict(synth="dirichlet:inf"), "synth"),
+            (dict(synth="cauchy:1.0"), "synth"),
+            (dict(synth="zipf"), "synth"),
+            (dict(synth="zipf:x"), "synth"),
         ],
     )
     def test_bad_config_rejected_before_positions(self, tmp_path, monkeypatch, kw, field):
@@ -320,6 +332,15 @@ class TestRunExperiment:
         assert len(calls) == 2 * cfg.positions
         swept = [r["sweep_value"] for r in rows if r["position"] != "mean"]
         assert swept == sorted(swept)
+
+    def test_ratio_order_sorted_once_per_position(self, tmp_path):
+        # The scans, kseq and rrs-wo of every draft count read one memoised
+        # ratio order of the position's (p, q).
+        cfg = self.config(tmp_path, sweep="drafts", sweep_values=(1.0, 2.0, 3.0), methods=tuple(METHODS))
+        misses = ratio_order.cache_info().misses
+        variants = cli._run_position(cfg, 0, next(cli._positions(cfg)))
+        assert ratio_order.cache_info().misses == misses + 1
+        assert {row["method"] for rows in variants for row in rows} == set(METHODS)
 
     def test_aggregate_rows_present(self, tmp_path):
         cfg = self.config(tmp_path)
@@ -602,6 +623,9 @@ class TestMainEntryPoint:
             (["--schemes", ","], "schemes"),
             (["--methods", " , "], "methods"),
             (["--sweep", "drafts", "--sweep-values", "1,x"], "--sweep-values"),
+            (["--sweep", "drafts", "--sweep-values", "2,2"], "sweep_values"),
+            (["--sweep", "temperature", "--sweep-values", "0.5,0.5"], "sweep_values"),
+            (["--seed", "-1"], "seed"),
         ],
     )
     def test_bad_config_rejected_before_input(self, tmp_path, capsys, args, field):
@@ -615,6 +639,15 @@ class TestMainEntryPoint:
         assert code == 2
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["dirichlet:-1", "dirichlet:0", "zipf:nan", "dirichlet:inf", "x:1"])
+    def test_bad_synth_rejected_before_positions(self, tmp_path, monkeypatch, capsys, spec):
+        monkeypatch.setattr(cli, "synth_positions", lambda *a: pytest.fail("a position was drawn"))
+        out = tmp_path / "r.csv"
+        assert main(["--synth", spec, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "synth must be" in err and spec in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
