@@ -42,6 +42,7 @@ from .verify import (
     kseq_solve,
     make_kernel,
     rrs_w_rate_exact,
+    rrs_wo_rate_exact,
     supports,
 )
 

@@ -4,8 +4,9 @@ Ingests line-delimited logits records (or synthesizes positions), applies a
 generation temperature, and reports per-position acceptance rates: the
 optimal rate per draft scheme, each verification method's rate, and the gap
 between them. Methods with exact formulas (rejection sampling with
-replacement, the thresholded scheme, the greedy verifier) are evaluated in
-closed form; the rest are estimated by seeded Monte Carlo.
+replacement, the thresholded scheme, the greedy verifier, and rejection
+sampling without replacement at one or two drafts) are evaluated in closed
+form; rrs-wo at three or more drafts is estimated by seeded Monte Carlo.
 
 Positions are streamed: the input's lines go to the worker pool in chunks
 of consecutive positions, a bounded number in flight, and each record is
@@ -37,7 +38,7 @@ from .alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
 from .dists import Dist, _check_logits, softmax_temp
 from .drafts import DraftKind, DraftScheme
 from .mc import estimate_alpha
-from .verify import METHODS, kseq_solve, rrs_w_rate_exact, supports
+from .verify import METHODS, kseq_solve, rrs_w_rate_exact, rrs_wo_rate_exact, supports
 
 __all__ = [
     "ExperimentConfig",
@@ -202,6 +203,8 @@ def _method_alpha(
     if method == "ot-single":
         return alpha_single_draft(p, q), 0.0
     if method == "rrs-wo":
+        if scheme.n <= 2:
+            return rrs_wo_rate_exact(p, q, scheme.n), 0.0
         rep = estimate_alpha(p, scheme, "rrs-wo", trials, seed)
         return rep.acceptance_mean, rep.acceptance_stderr
     raise ValueError(f"unknown method {method!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +45,17 @@ class Dist:
         arr = np.asarray(self.mass, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("empty distribution")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("distribution mass must be finite")
-        if np.any(arr < 0):
-            raise ValueError("distribution mass must be non-negative")
-        with np.errstate(over="ignore"):
+        # A finite total has only finite terms, so the entries are looked
+        # at one by one only when it is not: inf and NaN masses, or finite
+        # ones whose sum overflows (inf - inf would warn, as NaN).
+        with np.errstate(over="ignore", invalid="ignore"):
             total = float(arr.sum())
-        if not np.isfinite(total):
+        overflow = not math.isfinite(total)
+        if overflow and not np.isfinite(arr).all():
+            raise ValueError("distribution mass must be finite")
+        if arr.min() < 0.0:
+            raise ValueError("distribution mass must be non-negative")
+        if overflow:
             # Finite masses whose sum overflows: scale by the largest first.
             arr = arr / arr.max()
             total = float(arr.sum())

@@ -12,6 +12,12 @@ conditional table (`conditional`), so the Monte Carlo path and the exact
 enumeration cannot disagree. `METHODS` says which draft kinds each method
 verifies, and `make_kernel` builds the kernel of a method for a scheme.
 
+Exact acceptance rates: `rrs_w_rate_exact` at any draft count, and
+`rrs_wo_rate_exact` at one or two drafts, which runs every first draft as a
+row of the without-replacement kernel's residual update (`_next`, the one
+the stage walk takes). rrs-wo at three or more drafts is estimated by
+`mdsd.mc`.
+
 Methods: recursive rejection sampling against a running residual (with- and
 without-replacement variants; the optimal single-draft transport,
 ot-single, is the with-replacement kernel at one draft), the per-draft
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha import ratio_order
+from .alpha import alpha_single_draft, ratio_order
 from .dists import _ZERO_MASS, Dist, _positive_part, residual_dist
 from .drafts import DraftKind, DraftScheme, greedy_tail
 
@@ -41,6 +47,7 @@ __all__ = [
     "make_kernel",
     "kseq_solve",
     "rrs_w_rate_exact",
+    "rrs_wo_rate_exact",
 ]
 
 
@@ -214,18 +221,38 @@ class RrsWoKernel(_Kernel):
         at_top[self.top_end + 1 :] = at_top[self.top_end]
         self.q_top = at_top[-1]
 
+    def _start(self):
+        """Stage 0's residual, r_0 = p, as (c, u, other, M): ``other`` sums
+        p - c q over the tokens off the top ratio, and M adds u q there."""
+        other = self.sums[0, -1]
+        return 0.0, self.top_ratio, other, other + self.top_ratio * self.q_top
+
+    def _next(self, c, up, other, total, s):
+        """The residual after a stage rejects its draft, from the stage's
+        (c, u, other, M) and its undrafted q mass s: the next stage's
+        (c, u, other, M), the count j of leading tokens of the order with
+        p > c q, and whether the residual vanished, which makes the stage
+        accept its draft surely."""
+        # c + M / s, and u - M / s with the undrafted mass off the top
+        # tokens taken as a whole, each in its own precision.
+        c = c + total / s
+        up = np.maximum((up * (s - self.q_top) - other) / s, 0.0)
+        # j leading tokens of the order have p > c q; other sums p - c q
+        # over them, leaving out the top tokens.
+        j = self.keys.searchsorted(-c)
+        other = self.sums[0, j] - c * self.sums[1, j]
+        new = other + up * self.q_top
+        # Vanished: in exact arithmetic r_k = q_k, so the draft is accepted surely.
+        return c, up, other, new, j, new <= _ZERO_MASS * total
+
     def _stages(self, tuples):
         m, n = tuples.shape
-        v = self.p.vocab_size
         drafts = tuples.T
         ranks = self.asc.rank[drafts]
         qt = self.q.mass[drafts]
         pt = self.p.mass[drafts]
         top = self.top[drafts]
-        # Stage 0: r_0 = p, as the top tokens plus the rest.
-        c, up, q_top = 0.0, self.top_ratio, self.q_top
-        other = self.sums[0, v]
-        total = other + up * q_top
+        c, up, other, total = self._start()
         drawn = []  # the ranks drafted before the stage, as `AscendingQ.insert` keeps them
         accept = np.empty((n, m))
         gone = None  # the rows whose residual has vanished
@@ -241,17 +268,7 @@ class RrsWoKernel(_Kernel):
                 # on one token cancels the same way in both.
                 value = np.where(top[k], qt[k] * up, np.maximum(pt[k] - c * qt[k], 0.0))
                 accept[k] = np.minimum(value * s / (qt[k] * total), 1.0)
-                # c + M / s, and u - M / s with the undrafted mass off the
-                # top tokens taken as a whole, each in its own precision.
-                c = c + total / s
-                up = np.maximum((up * (s - q_top) - other) / s, 0.0)
-                # j leading tokens of the order have p > c q; other sums
-                # p - c q over them, leaving out the top tokens.
-                j = self.keys.searchsorted(-c)
-                other = self.sums[0, j] - c * self.sums[1, j]
-                new = other + up * q_top
-                # Vanished: in exact arithmetic r_k = q_k, so the draft is accepted surely.
-                dead = new <= _ZERO_MASS * total
+                c, up, other, new, j, dead = self._next(c, up, other, total, s)
                 if dead.any():
                     gone = dead if gone is None else gone | dead
                 if gone is not None:
@@ -325,6 +342,36 @@ def rrs_w_rate_exact(p: Dist, q: Dist, n: int) -> float:
         if reject <= 0.0:
             return 1.0
     return 1.0 - reject
+
+
+def rrs_wo_rate_exact(p: Dist, q: Dist, n: int) -> float:
+    """Exact acceptance rate of rrs-wo for n = 1 or 2 drafts.
+
+    One draft is ot-single's rule, so the rate is the overlap. With two,
+    the rate is sum_a q_a [a_1(a) + (1 - a_1(a)) A_2(a)] over the first
+    draft a, with a_1(a) = min(p_a / q_a, 1). The second stage accepts
+    A_2(a) = sum min(r_1, q_1) = 1 - M_2(a) / M_1, where M_1 is the
+    residual mass after the first stage and M_2(a) the mass after the
+    second with a drafted: every first draft is one row of the kernel's
+    residual update, at O(log V) a row. The kernel's vanishing rule holds:
+    a stage whose residual vanishes accepts surely.
+    """
+    if n == 1:
+        return alpha_single_draft(p, q)
+    if n != 2:
+        raise ValueError("the exact rrs-wo rate needs n = 1 or 2")
+    DraftScheme.without_replacement(q, n)  # the scheme's support rule
+    first = np.flatnonzero(q.mass > 0.0)
+    kern = RrsWoKernel(p, q, n)
+    asc = kern.asc
+    c, up, other, one, _, dead = kern._next(*kern._start(), asc.undrawn([]))
+    if dead:
+        return 1.0
+    *_, two, _, dead = kern._next(c, up, other, one, asc.undrawn([asc.rank[first]]))
+    second = np.where(dead, 1.0, 1.0 - two / one)
+    qa = q.mass[first]
+    a1 = _accept_probs(p.mass[first], qa)
+    return float(qa @ (a1 + (1.0 - a1) * second))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,10 @@ from mdsd.cli import (
     run_experiment,
     synth_positions,
 )
-from mdsd.dists import Dist, tv_distance
-from mdsd.verify import METHODS
+from mdsd.dists import Dist, softmax_temp, tv_distance
+from mdsd.drafts import DraftScheme
+from mdsd.mc import estimate_alpha
+from mdsd.verify import METHODS, rrs_wo_rate_exact
 
 
 def write_jsonl(path, records):
@@ -341,6 +343,34 @@ class TestRunExperiment:
         variants = cli._run_position(cfg, 0, next(cli._positions(cfg)))
         assert ratio_order.cache_info().misses == misses + 1
         assert {row["method"] for rows in variants for row in rows} == set(METHODS)
+
+    def test_rrs_wo_exact_below_three_drafts(self, tmp_path):
+        # rrs-wo is reported in closed form at one and two drafts, where at
+        # one it is ot-single's rule, and estimated from the position's seed
+        # at three.
+        cfg = self.config(
+            tmp_path, sweep="drafts", sweep_values=(1.0, 2.0, 3.0), methods=("rrs-wo", "ot-single")
+        )
+        rows = run_experiment(cfg)
+        by_key = {
+            (r["sweep_value"], r["position"], r["scheme"], r["method"]): r
+            for r in rows
+            if r["position"] != "mean"
+        }
+        for position, logits in enumerate(cli._positions(cfg)):
+            p, q = (softmax_temp(lg, cfg.temperature) for lg in logits)
+            seed = cli._position_seed(cfg.seed, position)
+            for n in (1, 2, 3):
+                row = by_key[(n, position, "without-replacement", "rrs-wo")]
+                if n <= 2:
+                    assert row["stderr"] == 0.0
+                    assert row["alpha"] == rrs_wo_rate_exact(p, q, n)
+                else:
+                    scheme = DraftScheme.without_replacement(q, n)
+                    rep = estimate_alpha(p, scheme, "rrs-wo", cfg.trials, seed)
+                    assert (row["alpha"], row["stderr"]) == (rep.acceptance_mean, rep.acceptance_stderr)
+            single = by_key[(1, position, "without-replacement", "ot-single")]
+            assert by_key[(1, position, "without-replacement", "rrs-wo")]["alpha"] == single["alpha"]
 
     def test_aggregate_rows_present(self, tmp_path):
         cfg = self.config(tmp_path)

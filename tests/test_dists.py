@@ -34,12 +34,31 @@ class TestDist:
         with pytest.raises(ValueError):
             Dist(np.asarray(bad, dtype=np.float64))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            pytest.param([np.nan, -1.0, 2.0], "mass must be finite", id="nan-and-negative"),
+            pytest.param([np.inf, 1.0], "mass must be finite", id="plus-inf"),
+            pytest.param([-np.inf, 1.0], "mass must be finite", id="minus-inf"),
+            pytest.param([np.inf, -np.inf], "mass must be finite", id="both-infs"),
+            pytest.param([1e308, 1e308, -1.0], "mass must be non-negative", id="overflow-and-negative"),
+            pytest.param([-0.5, 1.0], "mass must be non-negative", id="negative"),
+            pytest.param([0.0, 0.0], "has no mass", id="all-zeros"),
+            pytest.param([1e-12, 0.0], "has no mass", id="zero-mass-total"),
+        ],
+    )
+    def test_invalid_mass_message(self, bad, message):
+        # Each input fails on the first of: finite, non-negative, some mass.
+        with pytest.raises(ValueError, match=f"^distribution {message}$"):
+            Dist(np.asarray(bad, dtype=np.float64))
+
     def test_helpers(self):
         assert np.allclose(Dist.uniform(4).mass, 0.25)
         assert Dist.one_hot(3, 2).mass[2] == 1.0
 
     def test_overflowing_total_normalises(self):
-        # The finite masses sum to inf; they are scaled by the largest first.
+        # The finite masses sum to inf; they are scaled by the largest first,
+        # with no RuntimeWarning (an error under this suite's settings).
         assert np.array_equal(Dist(np.array([1e308, 1e308, 0.0])).mass, [0.5, 0.5, 0.0])
         d = Dist(np.array([1.5e308, 1e308, 5e307]))
         assert np.allclose(d.mass, [0.5, 1 / 3, 1 / 6], rtol=1e-15, atol=0)

@@ -1,9 +1,9 @@
 """Property tests on degenerate inputs (exact zeros, ties, masses near
 1e-12, one-hot q, p == q, and as many drafts as q has support): the
-without-replacement sampler and verifier, the kseq fixed point and kernel,
-weak duality of the with-replacement optimum against the verifiers' exact
-rates, the Monte Carlo count against sampled outputs, and the one tie rule
-of every sorted order."""
+without-replacement sampler, verifier and exact rate, the kseq fixed point
+and kernel, weak duality of the with-replacement optimum against the
+verifiers' exact rates, the Monte Carlo count against sampled outputs, and
+the one tie rule of every sorted order."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,7 +14,14 @@ from mdsd.dists import Dist, stable_argsort, tv_distance
 from mdsd.drafts import DraftScheme, iter_support, sample_tuples, tuple_prob
 from mdsd.mc import _blocks, estimate_alpha
 from mdsd.oracle import MAX_TUPLE_NODES, verifier_marginal_exact
-from mdsd.verify import KseqKernel, RrsWoKernel, kseq_solve, make_kernel, rrs_w_rate_exact
+from mdsd.verify import (
+    KseqKernel,
+    RrsWoKernel,
+    kseq_solve,
+    make_kernel,
+    rrs_w_rate_exact,
+    rrs_wo_rate_exact,
+)
 
 from conftest import VANISHED_TABLE_BOUND, rrs_wo_table
 
@@ -76,6 +83,23 @@ def test_table_sums_to_one_and_matches_reference(case):
         assert (got >= 0.0).all()
         err = np.abs(got - rrs_wo_table(p, q, t)).max()
         assert tuple_prob(scheme, t) * err <= VANISHED_TABLE_BOUND, (t, err)
+
+
+@PROPERTY
+@given(instances())
+def test_rrs_wo_exact_rate_matches_reference(case):
+    # One and two drafts: the closed form against the exact walk of the
+    # oracle, summed over the whole support, to VANISHED_TABLE_BOUND, as a
+    # residual that vanishes accepts its stage's draft surely; each
+    # vanished stage moves the rate by at most its relative mass.
+    p, q, _ = case
+    for n in range(1, min(np.count_nonzero(q.mass), 2) + 1):
+        scheme = DraftScheme.without_replacement(q, n)
+        exact = sum(
+            tuple_prob(scheme, t) * float(sum(rrs_wo_table(p, q, t)[x] for x in set(t)))
+            for t in iter_support(scheme)
+        )
+        assert abs(rrs_wo_rate_exact(p, q, n) - exact) <= VANISHED_TABLE_BOUND, (n, exact)
 
 
 @PROPERTY

@@ -10,6 +10,7 @@ from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
 from mdsd.cli import synth_positions
 from mdsd.dists import _ZERO_MASS, Dist, softmax_temp, top_k_desc, tv_distance
 from mdsd.drafts import DraftKind, DraftScheme, iter_support, sample_tuples, tuple_prob
+from mdsd.mc import estimate_alpha
 from mdsd.oracle import RationalScheme, alpha_subset_exact, rrs_wo_conditional, verifier_marginal_exact
 from mdsd.verify import (
     GreedyKernel,
@@ -20,6 +21,7 @@ from mdsd.verify import (
     kseq_solve,
     make_kernel,
     rrs_w_rate_exact,
+    rrs_wo_rate_exact,
     supports,
 )
 
@@ -274,6 +276,72 @@ class TestRrsWithoutReplacement:
             kern = RrsWoKernel(p, q, n)
             for t in sample_tuples(DraftScheme.without_replacement(q, n), 2, rng):
                 assert np.abs(kern.conditional(t) - rrs_wo_table(p, q, t)).max() <= 1e-12, t
+
+
+class TestRrsWoRateExact:
+    def rational_rate(self, p, q, n):
+        """The rate from the exact walk of the oracle over the whole support."""
+        scheme = DraftScheme.without_replacement(q, n)
+        return sum(
+            tuple_prob(scheme, t) * float(sum(rrs_wo_table(p, q, t)[x] for x in set(t)))
+            for t in iter_support(scheme)
+        )
+
+    def test_identical_accepts_surely(self):
+        q = Dist(np.array([0.5, 0.25, 0.125, 0.125]))
+        assert rrs_wo_rate_exact(q, q, 1) == 1.0
+        assert rrs_wo_rate_exact(q, q, 2) == 1.0
+
+    def test_disjoint_supports_never_accept(self):
+        p = Dist(np.array([0.5, 0.5, 0.0, 0.0]))
+        q = Dist(np.array([0.0, 0.0, 0.5, 0.5]))
+        assert rrs_wo_rate_exact(p, q, 1) == 0.0
+        assert rrs_wo_rate_exact(p, q, 2) == 0.0
+
+    def test_hand_rate(self):
+        # The residual after the first stage is (0, 0, 1) whichever draft
+        # it rejected. First draft 0 (q 0.5) is accepted with probability
+        # 0.1, and then the residual meets q without token 0, (0, 0.6, 0.4):
+        # stage 2 accepts 0.4. Draft 1 (q 0.3) is accepted with probability
+        # 1/6, and then 2/7 of (5/7, 0, 2/7). Draft 2 is accepted surely.
+        rate = 0.5 * (0.1 + 0.9 * 0.4) + 0.3 * (1 / 6 + 5 / 6 * 2 / 7) + 0.2
+        assert rrs_wo_rate_exact(P559, Q532, 2) == pytest.approx(rate, abs=1e-15)
+        assert rrs_wo_rate_exact(P559, Q532, 1) == pytest.approx(0.3, abs=1e-15)
+
+    def test_vanished_second_stage_accepts_surely(self):
+        # After first draft 0 the residual on tokens 1 and 2 is within
+        # 4e-13 (relative) of q without token 0, so the second stage
+        # vanishes and accepts surely, as the kernel does; the exact rule
+        # accepts it with probability 1 - 4e-13. Drafts 1 and 2 are
+        # accepted at the first stage.
+        p = Dist(np.array([0.1, 0.45, 0.45 + 3e-13]))
+        q = Dist(np.array([0.5, 0.25, 0.25]))
+        rate = rrs_wo_rate_exact(p, q, 2)
+        exact = self.rational_rate(p, q, 2)
+        assert rate == pytest.approx(1.0, abs=1e-15)
+        assert exact < 1.0 - 1e-14
+        assert abs(rate - exact) <= VANISHED_TABLE_BOUND
+        assert rate == pytest.approx(
+            enumerated_acceptance(DraftScheme.without_replacement(q, 2), RrsWoKernel(p, q, 2)), abs=1e-15
+        )
+
+    def test_bad_draft_count(self):
+        with pytest.raises(ValueError, match="n = 1 or 2"):
+            rrs_wo_rate_exact(P559, Q532, 3)
+        with pytest.raises(ValueError, match="support"):
+            rrs_wo_rate_exact(P559, Dist(np.array([1.0, 0.0, 0.0])), 2)
+
+    def test_matches_monte_carlo_large_vocab(self):
+        # At V = 1000 the estimate of 200k trials lies within 5 sigma of the
+        # exact rate, sigma floored at 1 / trials.
+        trials = 200_000
+        rng = np.random.default_rng(1000)
+        for _ in range(2):
+            p, q = dirichlet_dist(rng, 1000), dirichlet_dist(rng, 1000)
+            rate = rrs_wo_rate_exact(p, q, 2)
+            rep = estimate_alpha(p, DraftScheme.without_replacement(q, 2), "rrs-wo", trials, seed=11)
+            sd = max(rep.acceptance_stderr, 1.0 / trials)
+            assert abs(rep.acceptance_mean - rate) <= 5.0 * sd, (rep.acceptance_mean, rate)
 
 
 class TestKseqSolve:
