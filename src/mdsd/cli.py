@@ -10,9 +10,16 @@ form; rrs-wo at three or more drafts is estimated by seeded Monte Carlo.
 
 Positions are streamed: the input's lines go to the worker pool in chunks
 of consecutive positions, a bounded number in flight, and each record is
-parsed where its position runs, so the main process only reads lines and
-the input held at once does not grow with its length. The report is the
-same whatever the worker count (``MDSD_THREADS``).
+parsed where its position runs, so the main process only reads lines, as
+bytes it does not decode, and the input held at once does not grow with
+its length. The report is the same whatever the worker count
+(``MDSD_THREADS``).
+
+A record is parsed by orjson from its bytes. orjson refuses ``NaN`` and
+``-Infinity``, which Python's json module writes for a masked logit, so a
+line orjson refuses is parsed again by the json module, whose result or
+error decides it: the records accepted and the errors reported are the
+json module's.
 
 Logits provenance is the caller's responsibility: records are treated as
 "the two models' logits at one decoding position" and nothing more.
@@ -33,6 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
 from .dists import Dist, _check_logits, softmax_temp
@@ -107,22 +115,38 @@ class ExperimentConfig:
 
 
 def _lines(path: str):
-    """Yield (line number, line) for each line of ``path`` that is not blank."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Yield (line number, line) for each line of ``path`` that is not blank,
+    as the undecoded bytes."""
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isspace():
                 yield lineno, line
 
 
-def parse_record(lineno: int, line: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse one line, a JSON object with "p_logits" and "q_logits" array
-    fields, into (p_logits, q_logits): non-empty 1-d vectors of one length,
-    finite or -inf. A malformed line raises `MalformedInputError` naming
-    ``lineno``."""
+def _loads(lineno: int, line: str | bytes):
+    # The json module decides every line orjson refuses (NaN, -Infinity):
+    # its result or its error is the one reported.
     try:
-        obj = json.loads(line)
+        return orjson.loads(line)
+    except orjson.JSONDecodeError:
+        pass
+    if isinstance(line, bytes):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedInputError(f"line {lineno}: {exc}")
+    try:
+        return json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"line {lineno}: invalid JSON ({exc.msg})")
+
+
+def parse_record(lineno: int, line: str | bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Parse one line, a JSON object with "p_logits" and "q_logits" array
+    fields, given as text or as UTF-8 bytes, into (p_logits, q_logits):
+    non-empty 1-d vectors of one length, finite or -inf. A malformed line
+    raises `MalformedInputError` naming ``lineno``."""
+    obj = _loads(lineno, line)
     if not isinstance(obj, dict):
         raise MalformedInputError(f"line {lineno}: record is not an object")
     for key in ("p_logits", "q_logits"):
@@ -215,7 +239,7 @@ def _run_position(cfg: ExperimentConfig, position: int, source) -> list[list[dic
     ``source`` is a file's (line number, line), parsed here, or the
     position's (p_logits, q_logits). The Monte Carlo seed is the position's,
     and each distinct temperature's softmax is taken once."""
-    logits = parse_record(*source) if isinstance(source[1], str) else source
+    logits = parse_record(*source) if isinstance(source[1], bytes) else source
     mc_seed = _position_seed(cfg.seed, position)
     pq_at: dict[float, tuple[Dist, Dist]] = {}
     out = []
@@ -266,8 +290,8 @@ def _thread_cap() -> int:
 
 def _positions(cfg: ExperimentConfig):
     """Yield each position's source for `_run_position`, read or drawn
-    lazily: a file's (line number, line), unparsed, or (p_logits,
-    q_logits)."""
+    lazily: a file's (line number, line), its bytes unparsed, or
+    (p_logits, q_logits)."""
     if cfg.input_path is not None:
         yield from _lines(cfg.input_path)
     else:
@@ -285,7 +309,7 @@ def _chunks(positions):
     for item in positions:
         chunk.append(item)
         second = item[1][1]  # a file's line, or the q logits
-        size += len(second) if isinstance(second, str) else 2 * second.nbytes
+        size += len(second) if isinstance(second, bytes) else 2 * second.nbytes
         if len(chunk) == _CHUNK_POSITIONS or size >= _CHUNK_BYTES:
             yield chunk
             chunk, size = [], 0
@@ -342,12 +366,6 @@ def _variants(cfg: ExperimentConfig) -> list[tuple[dict, float, int]]:
         ({"sweep_param": "drafts", "sweep_value": int(v)}, cfg.temperature, int(v))
         for v in cfg.sweep_values
     ]
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
 
 
 def _aggregate(rows: list[dict]) -> list[dict]:
@@ -462,22 +480,34 @@ def _write_report(cfg: ExperimentConfig, rows: list[dict]) -> None:
     columns = list(BASE_COLUMNS)
     if any("sweep_param" in r for r in rows):
         columns += ["sweep_param", "sweep_value"]
-    lines = []
     if cfg.fmt == "csv":
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(row.get(c, "")) for c in columns))
+        lines = [",".join(columns), *_csv_lines(rows, columns)]
     else:
-        for row in rows:
-            lines.append(
-                json.dumps({c: row[c] for c in columns if c in row}, sort_keys=True)
-            )
+        encode = json.JSONEncoder(sort_keys=True).encode
+        lines = [encode({c: row[c] for c in columns if c in row}) for row in rows]
     text = "\n".join(lines) + "\n"
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _csv_lines(rows: list[dict], columns: list[str]):
+    """Each row's CSV line: a float cell as ``%.9g``, any other by `str`, a
+    missing one empty. Rows whose cells have the same types share one
+    format string, built once."""
+    blanks = [""] * len(columns)
+    templates: dict[tuple, str] = {}
+    for row in rows:
+        cells = tuple(map(row.get, columns, blanks))
+        kinds = tuple(map(type, cells))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(
+                "%.9g" if issubclass(kind, float) else "%s" for kind in kinds
+            )
+        yield template % cells
 
 
 def _names(text: str) -> tuple[str, ...]:

@@ -157,17 +157,19 @@ def stable_argsort(keys: np.ndarray) -> np.ndarray:
     keys is then put in index order, only where such runs occur."""
     order = keys.argsort()
     ranked = keys[order]
-    new = ranked[1:] != ranked[:-1]
-    if new.all():
+    tie = ranked[1:] == ranked[:-1]
+    if not tie.any():
         return order
-    # Sort (dense rank of the key) * size + index once.
-    size = keys.size
-    rank = np.zeros(size, dtype=np.int64)
-    np.cumsum(new, out=rank[1:])
-    rank *= size
-    rank += order
-    rank.sort()
-    return rank % size
+    # Only the slots in a run of equal keys are sorted again, by (run,
+    # index). joins[i]: slot i ties slot i - 1, so a run starts at each of
+    # those slots where it is False.
+    joins = np.zeros(keys.size, dtype=bool)
+    joins[1:] = tie
+    slots = np.flatnonzero(joins | np.append(tie, False))
+    runs = np.cumsum(~joins[slots])
+    ids = order[slots]
+    order[slots] = ids[np.lexsort((ids, runs))]
+    return order
 
 
 class AscendingQ:

@@ -19,10 +19,11 @@ from mdsd.cli import (
     MalformedInputError,
     load_logits,
     main,
+    parse_record,
     run_experiment,
     synth_positions,
 )
-from mdsd.dists import Dist, softmax_temp, tv_distance
+from mdsd.dists import Dist, _check_logits, softmax_temp, tv_distance
 from mdsd.drafts import DraftScheme
 from mdsd.mc import estimate_alpha
 from mdsd.verify import METHODS, rrs_wo_rate_exact
@@ -96,6 +97,135 @@ class TestLoadLogits:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         assert list(load_logits(str(path))) == []
+
+
+def reference_parse(lineno, line):
+    """`parse_record` by the json module alone: json.loads of the line's
+    text, then one np.asarray per field."""
+    try:
+        obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+    except json.JSONDecodeError as exc:
+        raise MalformedInputError(f"line {lineno}: invalid JSON ({exc.msg})")
+    if not isinstance(obj, dict):
+        raise MalformedInputError(f"line {lineno}: record is not an object")
+    for key in ("p_logits", "q_logits"):
+        if key not in obj:
+            raise MalformedInputError(f"line {lineno}: missing field {key!r}")
+    try:
+        p = np.asarray(obj["p_logits"], dtype=np.float64)
+        q = np.asarray(obj["q_logits"], dtype=np.float64)
+        if p.ndim != 1 or q.ndim != 1 or p.size == 0:
+            raise ValueError("logits must be non-empty 1-d vectors")
+        if p.size != q.size:
+            raise ValueError(f"logits length mismatch: {p.size} vs {q.size}")
+        _check_logits(p)
+        _check_logits(q)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(f"line {lineno}: {exc}")
+    return p, q
+
+
+def reference_report(rows, fmt):
+    """The report of ``rows`` cell by cell: in CSV a float as %.9g, any
+    other value by str and a missing one empty; in JSONL each row's
+    json.dumps with sorted keys."""
+
+    def cell(value):
+        return f"{value:.9g}" if isinstance(value, float) else str(value)
+
+    columns = list(cli.BASE_COLUMNS)
+    if any("sweep_param" in r for r in rows):
+        columns += ["sweep_param", "sweep_value"]
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(cell(r.get(c, "")) for c in columns) for r in rows]
+    else:
+        lines = [json.dumps({c: r[c] for c in columns if c in r}, sort_keys=True) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _seventeen_digits(count, seed=11):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 301, count)
+    return "[" + ", ".join(f"{v:.17g}" for v in values) + "]"
+
+
+_P = "[0.5, -1.25, 3.0]"
+_Q = "[1.0, 2.0, -0.75]"
+PARSE_CORPUS = {
+    "str": f'{{"p_logits": {_P}, "q_logits": {_Q}}}\n',
+    "bytes": f'{{"p_logits": {_P}, "q_logits": {_Q}}}\n'.encode(),
+    "crlf-str": f'{{"p_logits": {_P}, "q_logits": {_Q}}}\r\n',
+    "crlf-bytes": f'{{"p_logits": {_P}, "q_logits": {_Q}}}\r\n'.encode(),
+    "keys-reversed": f'{{"q_logits": {_Q}, "p_logits": {_P}}}'.encode(),
+    "extra-nested-fields": (
+        f'{{"meta": {{"model": ["a", {{"b": null, "c": [true, 1e5]}}]}}, '
+        f'"p_logits": {_P}, "tag": "x", "q_logits": {_Q}}}'
+    ).encode(),
+    "integers": b'{"p_logits": [0, 1, -3, 7], "q_logits": [2, -0, 5, 1]}',
+    "big-integers": (
+        b'{"p_logits": [123456789012345678901234567890, 9223372036854775808, '
+        b'18446744073709551616, -9223372036854775809, 9007199254740993], '
+        b'"q_logits": [1, 2, 3, 4, 5]}'
+    ),
+    "negative-zero": b'{"p_logits": [-0.0, 0.0, -0, -0e3], "q_logits": [0, -0.0, 1, 2]}',
+    "exponents": (
+        b'{"p_logits": [1e-300, 2.5E+10, -4e-7, 1.7976931348623157e308, 1e23], '
+        b'"q_logits": [5e-324, 2.2250738585072014e-308, 4.9e-324, 1E0, -1e-5]}'
+    ),
+    "seventeen-digits": (
+        f'{{"p_logits": {_seventeen_digits(400)}, "q_logits": {_seventeen_digits(400, 12)}}}'
+    ).encode(),
+    "booleans": b'{"p_logits": [true, false], "q_logits": [1, 0]}',
+    "masked": b'{"p_logits": [0.5, -Infinity, 1.0], "q_logits": [-Infinity, 2.0, 0.25]}',
+    "masked-str": '{"p_logits": [0.5, -Infinity, 1.0], "q_logits": [-Infinity, 2.0, 0.25]}',
+    "nan": b'{"p_logits": [0.5, NaN], "q_logits": [1.0, 2.0]}',
+    "infinity": b'{"p_logits": [0.5, 1.0], "q_logits": [Infinity, 2.0]}',
+    "overflow-to-inf": b'{"p_logits": [0.5, 1e400], "q_logits": [1.0, 2.0]}',
+    "all-masked": b'{"p_logits": [-Infinity, -Infinity], "q_logits": [1.0, 2.0]}',
+    "null-logit": b'{"p_logits": [0.5, null], "q_logits": [1.0, 2.0]}',
+    "string-logit": b'{"p_logits": [0.5, "a"], "q_logits": [1.0, 2.0]}',
+    "invalid-json": b"not json",
+    "truncated": b'{"p_logits": [0.5, 1.0',
+    "trailing-comma": b'{"p_logits": [0.5, 1.0,], "q_logits": [1.0, 2.0]}',
+    "leading-zero": b'{"p_logits": [01, 1.0], "q_logits": [1.0, 2.0]}',
+    "extra-data": b'{"p_logits": [1.0], "q_logits": [2.0]} {}',
+    "non-object": b"[0.5, 1.0]",
+    "missing-field": b'{"p_logits": [0.5, 1.0]}',
+    "length-mismatch": b'{"p_logits": [0.5, 1.0], "q_logits": [1.0, 2.0, 3.0]}',
+    "empty-logits": b'{"p_logits": [], "q_logits": []}',
+    "nested-logits": b'{"p_logits": [[0.5], [1.0]], "q_logits": [[1.0], [2.0]]}',
+    "bom-bytes": b"\xef\xbb\xbf" + f'{{"p_logits": {_P}, "q_logits": {_Q}}}'.encode(),
+    "bom-str": "\ufeff" + f'{{"p_logits": {_P}, "q_logits": {_Q}}}',
+    "lone-surrogate-escaped": f'{{"p_logits": {_P}, "q_logits": {_Q}, "n": "\\ud800"}}'.encode(),
+    "lone-surrogate-str": f'{{"p_logits": {_P}, "q_logits": {_Q}, "n": "\ud800"}}',
+}
+
+
+class TestParseRecord:
+    """`parse_record` reads each corpus line as the json module reads its
+    text: the same arrays, bit for bit, or the same error message. A line
+    that is not UTF-8 has no text, and is named by its line number."""
+
+    @pytest.mark.parametrize("line", PARSE_CORPUS.values(), ids=PARSE_CORPUS.keys())
+    def test_matches_json_module(self, line):
+        try:
+            expected = reference_parse(7, line)
+        except MalformedInputError as exc:
+            with pytest.raises(MalformedInputError) as got:
+                parse_record(7, line)
+            assert str(got.value) == str(exc)
+            return
+        for got, ref in zip(parse_record(7, line), expected):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    def test_line_not_utf8_named(self):
+        # A byte 0xff, and a lone surrogate encoded as UTF-8 bytes.
+        lines = (b'{"p_logits": [0.5, \xff1.0], "q_logits": [1.0, 2.0]}', b'{"n": "\xed\xa0\x80"}')
+        for line in lines:
+            with pytest.raises(MalformedInputError, match="^line 3: 'utf-8' codec can't decode"):
+                parse_record(3, line)
 
 
 class TestSynthPositions:
@@ -272,6 +402,39 @@ class TestRunExperiment:
         assert len(lines) == len(rows)
         parsed = json.loads(lines[0])
         assert {"position", "scheme", "method", "alpha", "alpha_star"} <= set(parsed)
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            {},
+            dict(sweep="drafts", sweep_values=(1.0, 2.0, 3.0)),
+            dict(sweep="temperature", sweep_values=(0.35, 0.7, 1.0)),
+        ],
+        ids=["no-sweep", "drafts", "temperature"],
+    )
+    def test_report_matches_cell_by_cell_reference(self, tmp_path, sweep):
+        for fmt in cli.FORMATS:
+            cfg = self.config(tmp_path, positions=2, fmt=fmt, **sweep)
+            rows = run_experiment(cfg)
+            assert any(r["position"] == "mean" for r in rows)
+            assert open(cfg.output).read() == reference_report(rows, fmt)
+
+    def test_report_cells_of_any_type(self, tmp_path):
+        # NumPy floats, an int or a non-finite value in a float column, and
+        # rows without the sweep cells that another row has.
+        rows = [
+            dict(position=0, scheme="s", method="m", alpha=np.float64(0.1), alpha_star=1,
+                 gap=-0.0, stderr=1e-300, seed=3, config_hash="abc"),
+            dict(position="mean", scheme="s", method="m", alpha=1 / 3,
+                 alpha_star=np.float64(2 / 3), gap=math.inf, stderr=math.nan, seed=3,
+                 config_hash="abc", sweep_param="temperature", sweep_value=0.35),
+            dict(position=1, scheme="s", method="m", alpha=0.5, alpha_star=0.5, gap=0.0,
+                 stderr=0.0, seed=3, config_hash="abc", sweep_param="drafts", sweep_value=2),
+        ]
+        for fmt in cli.FORMATS:
+            cfg = self.config(tmp_path, fmt=fmt)
+            cli._write_report(cfg, rows)
+            assert open(cfg.output).read() == reference_report(rows, fmt)
 
     def test_unknown_format_rejected_before_positions(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_run_position", lambda *a: pytest.fail("a position ran"))
@@ -602,6 +765,17 @@ class TestMainEntryPoint:
         code = main(["--input", str(path), "--output", str(tmp_path / "r.csv")])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_line_not_utf8_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        write_jsonl(path, [record([0, 1, 2, 3], [3, 2, 1, 0])])
+        with open(path, "ab") as fh:
+            fh.write(b'{"p_logits": [0, 1, 2, 3], "q_logits": [3, 2, 1, \xff0]}\n')
+        out = tmp_path / "r.csv"
+        code = main(["--input", str(path), "--output", str(out)])
+        assert code == 2
+        assert "error: line 2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_input_warns_exit_zero(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"

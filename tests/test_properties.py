@@ -202,3 +202,21 @@ def test_sorted_orders_break_ties_by_lowest_id(pair):
     order, _ = ratio_order(p, q)
     assert np.array_equal(order, np.argsort(ratio, kind="stable"))
     assert np.array_equal(RrsWoKernel(p, q, 1).order, order[::-1])
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, np.inf]),
+            st.floats(allow_nan=False),
+        ),
+        min_size=1,
+        max_size=200,
+    )
+)
+def test_stable_argsort_matches_a_stable_sort(keys):
+    # Ties (-0.0 equal to 0.0 among them) and +-inf, in runs of any length
+    # and anywhere in the order.
+    keys = np.array(keys)
+    assert np.array_equal(stable_argsort(keys), np.argsort(keys, kind="stable"))
