@@ -7,10 +7,10 @@ from .alpha import (
     alpha_scan,
     alpha_single_draft,
     ratio_order,
+    residual_table,
 )
 from .dists import (
     Dist,
-    residual_dist,
     softmax_temp,
     top_k_desc,
     tv_distance,

@@ -6,6 +6,10 @@ mass and Q is the probability that every draft lands in H. With and without
 replacement, Q has the convexity structure that puts the minimum on a prefix
 of a ratio ordering, so a sort plus one linear scan suffices; the greedy and
 single-draft optima have closed forms.
+
+The sort is `ratio_order`, and `residual_table` keeps the sums along it that
+the scan and the exact verifier rates read: one table per (p, q) pair, the
+one statement of the rejection residual max(p - c q, 0).
 """
 
 from __future__ import annotations
@@ -16,13 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import Dist, stable_argsort
-from .drafts import DraftKind, DraftScheme, greedy_tail
+from .dists import _ZERO_MASS, Dist, stable_argsort
+from .drafts import DraftKind, DraftScheme, _greedy_rest
 
 __all__ = [
+    "ResidualTable",
     "ScanResult",
     "alpha_single_draft",
     "ratio_order",
+    "residual_table",
     "alpha_scan",
     "alpha_greedy_closed",
 ]
@@ -54,9 +60,9 @@ def alpha_single_draft(p: Dist, q: Dist) -> float:
 def ratio_order(p: Dist, q: Dist) -> tuple[np.ndarray, np.ndarray]:
     """Token ids sorted by p(x)/q(x) ascending, ties by lowest id, and the
     sorted ratios; q(x) = 0 gives +inf where p(x) > 0 and -1 where p(x) = 0.
-    The scans, `kseq_solve` and `RrsWoKernel` read it, and the last pair's
-    result is kept (a `Dist` is immutable and keyed by identity), so a
-    position sorts once; both arrays are read-only.
+    `residual_table` and the without-replacement scan read it, and the last
+    pair's result is kept (a `Dist` is immutable and keyed by identity), so
+    a position sorts once; both arrays are read-only.
     """
     if p.vocab_size != q.vocab_size:
         raise ValueError("size mismatch between p and q")
@@ -67,18 +73,128 @@ def ratio_order(p: Dist, q: Dist) -> tuple[np.ndarray, np.ndarray]:
     return order, ratios
 
 
-def _prefix_q_values(scheme: DraftScheme, order: np.ndarray) -> np.ndarray:
-    """Q over the prefixes of ``order`` (length V, prefix sizes 1..V)."""
-    v = order.size
+class ResidualTable:
+    """The masses of p and q summed along `ratio_order`, from both ends.
+
+    ``p_cum`` and ``q_cum`` sum the tokens by ascending p/q (prefix sizes
+    1..V). ``sums`` sums them from the other end, by descending p/q
+    (prefix sizes 0..V), where the tokens with q = 0 lead (p > 0) or trail
+    (p = 0). The tokens at the top ratio, the largest finite p/q, sit at
+    descending positions ``lead``..``top_end``-1; ``sums`` leaves them out
+    and ``at_top`` sums their p and q on their own (prefix sizes 0..run).
+
+    The rejection residual is stated here once. Its state is
+    (c, u, other, M): the residual is max(p - c q, 0) off the top tokens
+    and u q on them, ``other`` sums the first part and M the whole. On the
+    top tokens p - c q = q (top ratio - c), kept as u beside c: as the
+    residual shrinks onto them, c nears the top ratio and p - c q cancels
+    to rounding noise, while u keeps its relative precision. A stage that
+    rejects its draft leaves max(r - q_k, 0), where q_k is q over the
+    undrafted mass s, and that is the update `next` takes (s = 1 with
+    replacement). A drafted token falls to 0 by the same rule, so M sums
+    the whole vocabulary.
+
+    One table per (p, q) pair is kept (`residual_table`); its arrays are
+    read-only.
+    """
+
+    def __init__(self, p: Dist, q: Dist):
+        order, ratios = ratio_order(p, q)
+        v = self.size = order.size
+        self.order, self.ratios = order, ratios
+        # One (2, V) array of masses by ascending ratio, summed both ways;
+        # the descending sums read it reversed, its top tokens zeroed.
+        mass = np.empty((2, v))
+        mass[0], mass[1] = p.mass[order], q.mass[order]
+        cum = mass.cumsum(axis=1)
+        self.lead = lead = v - int(ratios.searchsorted(np.inf))
+        self.top_ratio = float(ratios[v - 1 - lead])
+        self.top_end = top_end = v - int(ratios.searchsorted(self.top_ratio))
+        mass = mass[:, ::-1]
+        self.at_top = np.zeros((2, top_end - lead + 1))
+        self.at_top[:, 1:] = mass[:, lead:top_end].cumsum(axis=1)
+        mass[:, lead:top_end] = 0.0
+        self.sums = np.zeros((2, v + 1))
+        mass.cumsum(axis=1, out=self.sums[:, 1:])
+        self.q_top = float(self.at_top[1, -1])
+        for arr in (cum, self.at_top, self.sums):
+            arr.flags.writeable = False
+        self.p_cum, self.q_cum = cum
+        self.p_sums, self.q_sums = self.sums
+        self.p, self.q = p.mass, q.mass
+
+    @property
+    def descending(self) -> np.ndarray:
+        """The tokens by descending p/q, the order of ``sums``."""
+        return self.order[::-1]
+
+    @functools.cached_property
+    def top(self) -> np.ndarray:
+        """Whether each token is at the top ratio."""
+        top = np.zeros(self.size, dtype=bool)
+        top[self.descending[self.lead : self.top_end]] = True
+        return top
+
+    def at_top_sums(self, j):
+        """The p and q masses of the top tokens among the first j by
+        descending ratio, as the two rows of ``at_top``."""
+        return self.at_top[:, np.clip(np.subtract(j, self.lead), 0, self.at_top.shape[1] - 1)]
+
+    def tail(self, j: int) -> tuple[float, float]:
+        """The p and q masses of the first j tokens by descending ratio."""
+        k = min(max(j - self.lead, 0), self.at_top.shape[1] - 1)
+        return float(self.sums[0, j] + self.at_top[0, k]), float(self.sums[1, j] + self.at_top[1, k])
+
+    def start(self):
+        """The residual r_0 = p as (c, u, other, M)."""
+        other = float(self.sums[0, -1])
+        return 0.0, self.top_ratio, other, other + self.top_ratio * self.q_top
+
+    def next(self, c, up, other, total, s):
+        """The residual after a stage rejects its draft, from the stage's
+        (c, u, other, M) and its undrafted q mass s: the next stage's
+        (c, u, other, M), the count j of leading tokens by descending ratio
+        with p > c q, and whether the residual vanished, its mass falling
+        to `_ZERO_MASS` of the stage's. In exact arithmetic that happens
+        only where r_k = q_k, and the stage then accepts its draft surely.
+        Scalars or arrays of one shape alike."""
+        # c + M / s, and u - M / s with the undrafted mass off the top
+        # tokens taken as a whole, each in its own precision.
+        c = c + total / s
+        up = np.maximum((up * (s - self.q_top) - other) / s, 0.0)
+        j = self.size - self.ratios.searchsorted(c, side="right")
+        other = self.p_sums[j] - c * self.q_sums[j]
+        new = other + up * self.q_top
+        return c, up, other, new, j, new <= _ZERO_MASS * total
+
+    def dense(self, c: float, up: float) -> np.ndarray:
+        """The unnormalised residual of state (c, u) over the vocabulary."""
+        return np.where(self.top, self.q * up, np.maximum(self.p - c * self.q, 0.0))
+
+
+@functools.lru_cache(maxsize=1)
+def residual_table(p: Dist, q: Dist) -> ResidualTable:
+    """The `ResidualTable` of (p, q). The last pair's table is kept, as
+    `ratio_order` keeps its sort: the with-replacement scan, `kseq_solve`,
+    the with- and without-replacement verifiers and their exact rates read
+    one table per position."""
+    return ResidualTable(p, q)
+
+
+def _prefix_q_values(p: Dist, scheme: DraftScheme) -> tuple[np.ndarray, np.ndarray]:
+    """The prefixes of ``ratio_order(p, scheme.q)`` (prefix sizes 1..V):
+    P over them, and Q."""
     if scheme.kind is DraftKind.WITH_REPLACEMENT:
-        s = np.minimum(np.cumsum(scheme.q.mass[order]), 1.0)
-        return s ** scheme.n
+        table = residual_table(p, scheme.q)
+        return table.p_cum, np.minimum(table.q_cum, 1.0) ** scheme.n
     # Without replacement: the coefficient ratio W_{n,H} / W_{n,Sigma}, the
     # subset mass of conditional Poisson sampling (P(S) ∝ prod_{i in S} q_i).
     # W_k over prefix i follows W_k(i) = W_k(i-1) + q_i W_{k-1}(i-1), i.e.
     # one cumulative sum per degree k. Each degree is scaled by the power of
     # two that brings its total near 1: exact, so the ratio keeps its bits,
     # and W_n cannot underflow where q has n tokens of tiny mass.
+    order, _ = ratio_order(p, scheme.q)
+    v = order.size
     qs = scheme.q.mass[order]
     w_prev = np.ones(v + 1)
     for _ in range(scheme.n):
@@ -88,7 +204,7 @@ def _prefix_q_values(scheme: DraftScheme, order: np.ndarray) -> np.ndarray:
         w_prev = w_next
     if w_prev[v] <= 0.0:
         raise ValueError("without-replacement draft count exceeds support size")
-    return w_prev[1:] / w_prev[v]
+    return residual_table(p, scheme.q).p_cum, w_prev[1:] / w_prev[v]
 
 
 def alpha_scan(p: Dist, scheme: DraftScheme) -> ScanResult:
@@ -101,8 +217,7 @@ def alpha_scan(p: Dist, scheme: DraftScheme) -> ScanResult:
     if scheme.kind not in (DraftKind.WITH_REPLACEMENT, DraftKind.WITHOUT_REPLACEMENT):
         raise ValueError(f"no prefix scan for {scheme.kind.value} drafts")
     order, _ = ratio_order(p, scheme.q)
-    q_vals = _prefix_q_values(scheme, order)
-    p_cum = np.cumsum(p.mass[order])
+    p_cum, q_vals = _prefix_q_values(p, scheme)
     f_values = np.concatenate(([0.0], p_cum - q_vals))
     argmin = int(np.argmin(f_values))
     return ScanResult(
@@ -121,6 +236,9 @@ def alpha_greedy_closed(p: Dist, q: Dist, n: int) -> float:
         raise ValueError("size mismatch between p and q")
     if n < 1:
         raise ValueError("draft count must be >= 1")
-    top, tail = greedy_tail(q, n)
+    top, rest = _greedy_rest(q, n)
+    # `greedy_tail`'s distribution without a `Dist`: the same division by
+    # the sum, so the same bits.
+    tail = rest / rest.sum()
     top_mass = float(p.mass[list(top)].sum()) if top else 0.0
-    return min(1.0, top_mass + float(np.minimum(p.mass, tail.mass).sum()))
+    return min(1.0, top_mass + float(np.minimum(p.mass, tail).sum()))

@@ -5,8 +5,9 @@ generation temperature, and reports per-position acceptance rates: the
 optimal rate per draft scheme, each verification method's rate, and the gap
 between them. Methods with exact formulas (rejection sampling with
 replacement, the thresholded scheme, the greedy verifier, and rejection
-sampling without replacement at one or two drafts) are evaluated in closed
-form; rrs-wo at three or more drafts is estimated by seeded Monte Carlo.
+sampling without replacement at one or two drafts, or where its tree of
+rejected draft prefixes is no larger than the estimate's work) are
+evaluated exactly; rrs-wo is otherwise estimated by seeded Monte Carlo.
 
 Positions are streamed: the input's lines go to the worker pool in chunks
 of consecutive positions, a bounded number in flight, and each record is
@@ -45,7 +46,7 @@ import orjson
 from .alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
 from .dists import Dist, _check_logits, softmax_temp
 from .drafts import DraftKind, DraftScheme
-from .mc import estimate_alpha
+from .mc import BLOCK_TRIALS, estimate_alpha
 from .verify import METHODS, kseq_solve, rrs_w_rate_exact, rrs_wo_rate_exact, supports
 
 __all__ = [
@@ -117,7 +118,10 @@ class ExperimentConfig:
 def _lines(path: str):
     """Yield (line number, line) for each line of ``path`` that is not blank,
     as the undecoded bytes."""
-    with open(path, "rb") as fh:
+    # A dump line is one position's logits, 657 KB at V=32000: a 1 MiB
+    # buffer splits the file into lines in about half the time of the
+    # default one.
+    with open(path, "rb", buffering=1 << 20) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isspace():
                 yield lineno, line
@@ -139,6 +143,8 @@ def _loads(lineno: int, line: str | bytes):
         return json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"line {lineno}: invalid JSON ({exc.msg})")
+    except RecursionError:
+        raise MalformedInputError(f"line {lineno}: invalid JSON (nested too deeply)") from None
 
 
 def parse_record(lineno: int, line: str | bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +167,7 @@ def parse_record(lineno: int, line: str | bytes) -> tuple[np.ndarray, np.ndarray
             raise ValueError(f"logits length mismatch: {p.size} vs {q.size}")
         _check_logits(p)
         _check_logits(q)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"line {lineno}: {exc}")
     return p, q
 
@@ -214,8 +220,25 @@ def _position_seed(seed: int, position: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _rrs_wo_exact(q: Dist, n: int, trials: int) -> bool:
+    """Whether rrs-wo is reported by its exact tree walk: at one or two
+    drafts, or where the walk's last level, perm(s, n - 1) rows for the s
+    tokens of positive q mass, is no larger than the n stages of the
+    estimate's trials. Trials count up to one block (`mc.BLOCK_TRIALS`):
+    the estimate holds one block at a time, and the walk all its rows."""
+    if n <= 2:
+        return True
+    return math.perm(int(np.count_nonzero(q.mass)), n - 1) <= n * min(trials, BLOCK_TRIALS)
+
+
 def _method_alpha(
-    method: str, p: Dist, q: Dist, scheme: DraftScheme, alpha_star: float, trials: int, seed: int
+    method: str,
+    p: Dist,
+    q: Dist,
+    scheme: DraftScheme,
+    alpha_star: float,
+    cfg: ExperimentConfig,
+    position: int,
 ):
     if method == "rrs-w":
         return rrs_w_rate_exact(p, q, scheme.n), 0.0
@@ -227,9 +250,10 @@ def _method_alpha(
     if method == "ot-single":
         return alpha_single_draft(p, q), 0.0
     if method == "rrs-wo":
-        if scheme.n <= 2:
+        if _rrs_wo_exact(q, scheme.n, cfg.trials):
             return rrs_wo_rate_exact(p, q, scheme.n), 0.0
-        rep = estimate_alpha(p, scheme, "rrs-wo", trials, seed)
+        seed = _position_seed(cfg.seed, position)
+        rep = estimate_alpha(p, scheme, "rrs-wo", cfg.trials, seed)
         return rep.acceptance_mean, rep.acceptance_stderr
     raise ValueError(f"unknown method {method!r}")
 
@@ -240,7 +264,6 @@ def _run_position(cfg: ExperimentConfig, position: int, source) -> list[list[dic
     position's (p_logits, q_logits). The Monte Carlo seed is the position's,
     and each distinct temperature's softmax is taken once."""
     logits = parse_record(*source) if isinstance(source[1], bytes) else source
-    mc_seed = _position_seed(cfg.seed, position)
     pq_at: dict[float, tuple[Dist, Dist]] = {}
     out = []
     for extra, temperature, n in _variants(cfg):
@@ -259,7 +282,7 @@ def _run_position(cfg: ExperimentConfig, position: int, source) -> list[list[dic
             else:
                 alpha_star = alpha_scan(p, scheme).alpha_star
             for method in methods:
-                alpha, stderr = _method_alpha(method, p, q, scheme, alpha_star, cfg.trials, mc_seed)
+                alpha, stderr = _method_alpha(method, p, q, scheme, alpha_star, cfg, position)
                 rows.append(
                     dict(
                         position=position,

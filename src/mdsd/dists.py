@@ -1,6 +1,7 @@
-"""Probability-vector primitives: validation, temperature softmax, residuals,
-the k most likely tokens, and the ascending view of a distribution that the
-without-replacement sampler and verifier share.
+"""Probability-vector primitives: validation, temperature softmax, the
+normalised positive part of a difference, the k most likely tokens, and the
+ascending view of a distribution that the without-replacement sampler and
+verifier share.
 
 Everything downstream works with `Dist` objects. A `Dist` is renormalized once
 on construction and is immutable afterwards, so the sum-to-one invariant can be
@@ -21,7 +22,6 @@ __all__ = [
     "Dist",
     "stable_argsort",
     "softmax_temp",
-    "residual_dist",
     "top_k_desc",
     "tv_distance",
 ]
@@ -131,14 +131,6 @@ def _positive_part(diff: np.ndarray) -> Dist:
     return Dist(pos)
 
 
-def residual_dist(p: Dist, q: Dist) -> Dist:
-    """Normalized positive part of ``p - q``, uniform when it vanishes (as
-    when ``p == q``)."""
-    if p.vocab_size != q.vocab_size:
-        raise ValueError("size mismatch between p and q")
-    return _positive_part(p.mass - q.mass)
-
-
 def top_k_desc(q: Dist, k: int) -> tuple[int, ...]:
     """The ``k`` largest-mass tokens by descending mass (ties by lowest id)."""
     if k < 0 or k > q.vocab_size:
@@ -222,8 +214,13 @@ class AscendingQ:
         return out + [(after[-1], self.size, self.tail[after[-1]])]
 
     def undrawn(self, drawn: list):
-        """The mass not yet drawn, summed over the runs."""
-        return sum(mass for _, _, mass in self.runs(drawn))
+        """The mass not yet drawn, summed over the runs, first to last."""
+        if not drawn:
+            return self.tail[0]
+        total = self.head[drawn[0]]
+        for lo, hi in zip(drawn, drawn[1:]):
+            total = total + (self.head[hi] - self.head[lo + 1])
+        return total + self.tail[drawn[-1] + 1]
 
     def draw(self, drawn: list, u: np.ndarray) -> np.ndarray:
         """One rank per row not in ``drawn``, each with probability

@@ -101,16 +101,22 @@ def greedy_tail(q: Dist, n: int) -> tuple[tuple[int, ...], Dist]:
     0, the last draft falls back to uniform over the remaining tokens, which
     keeps verification target-preserving.
     """
+    top, rest = _greedy_rest(q, n)
+    return top, Dist(rest)
+
+
+def _greedy_rest(q: Dist, n: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """`greedy_tail` before its `Dist` divides the masses by their sum."""
     top = top_k_desc(q, n - 1)
     rest = q.mass.copy()
     rest[list(top)] = 0.0
     total = rest.sum()
     if total > 0.0:
         # Normalised first: `Dist` rejects a total at or below _ZERO_MASS.
-        return top, Dist(rest / total)
+        return top, rest / total
     rest = np.ones(q.vocab_size)
     rest[list(top)] = 0.0
-    return top, Dist(rest)
+    return top, rest
 
 
 def sample_tuples(scheme: DraftScheme, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Seeded Monte Carlo estimation of acceptance rates.
 
-The report estimates rrs-wo here at three or more drafts; at one or two it
-takes the exact `mdsd.verify.rrs_wo_rate_exact`, and every other method has
-a closed form.
+The report estimates rrs-wo here where the exact
+`mdsd.verify.rrs_wo_rate_exact` would walk a larger tree than the estimate
+walks (see `mdsd.cli`), and every other method has a closed form.
 
 Trials are processed in fixed-size blocks; block b draws from the
 counter-based substream ``Philox(key=seed).jumped(b)``, so results are

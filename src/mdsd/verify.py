@@ -12,11 +12,13 @@ conditional table (`conditional`), so the Monte Carlo path and the exact
 enumeration cannot disagree. `METHODS` says which draft kinds each method
 verifies, and `make_kernel` builds the kernel of a method for a scheme.
 
-Exact acceptance rates: `rrs_w_rate_exact` at any draft count, and
-`rrs_wo_rate_exact` at one or two drafts, which runs every first draft as a
-row of the without-replacement kernel's residual update (`_next`, the one
-the stage walk takes). rrs-wo at three or more drafts is estimated by
-`mdsd.mc`.
+Both rejection-sampling kernels, and their exact acceptance rates, read
+one residual table per (p, q) pair (`mdsd.alpha.residual_table`) and take
+its residual update (`ResidualTable.next`), the one their stage walks
+take: `rrs_w_rate_exact` telescopes along it, and `rrs_wo_rate_exact` walks
+the tree of rejected draft prefixes through it level by level, at any
+draft count. The report takes that walk where its tree is small, and
+estimates rrs-wo by `mdsd.mc` elsewhere.
 
 Methods: recursive rejection sampling against a running residual (with- and
 without-replacement variants; the optimal single-draft transport,
@@ -28,12 +30,13 @@ verifier for greedy drafts.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha import alpha_single_draft, ratio_order
-from .dists import _ZERO_MASS, Dist, _positive_part, residual_dist
+from .alpha import alpha_single_draft, residual_table
+from .dists import Dist, _positive_part
 from .drafts import DraftKind, DraftScheme, greedy_tail
 
 __all__ = [
@@ -142,28 +145,48 @@ class _Kernel:
         return vec
 
 
-def _residual_ladder(p: Dist, q: Dist):
-    """Stage residuals r_1 = p, r_2, ... of rejection sampling with
-    replacement, r_{k+1} the normalized positive part of r_k - q. The ladder
-    does not depend on which tokens were drawn."""
-    r = p
-    while True:
-        yield r.mass
-        r = residual_dist(r, q)
-
-
 class RrsWKernel(_Kernel):
     """Recursive rejection sampling for drafts sampled with replacement:
-    stage k accepts its draft with probability min(r_k/q, 1)."""
+    stage k accepts its draft with probability min(r_k/q, 1), where r_1 = p
+    and r_{k+1} is the normalised positive part of r_k - q. The residuals
+    do not depend on which tokens were drawn: each is the `ResidualTable`
+    update with nothing drafted out (s = 1). A stage whose residual
+    vanishes accepts its draft surely, as in rrs-wo, and no stage after it
+    is reached."""
 
     def __init__(self, p: Dist, q: Dist, n: int):
         super().__init__(p, q, n)
-        ladder = list(itertools.islice(_residual_ladder(p, q), n + 1))
-        self.accepts = np.array([_accept_probs(r, q.mass) for r in ladder[:n]])
-        self.final = ladder[n]
+        table = residual_table(p, q)
+        self.accepts = np.ones((n, p.vocab_size))
+        # Stage 1's residual is p itself, read as it is.
+        self.accepts[0] = _accept_probs(p.mass, q.mass)
+        self.final = None
+        state = table.start()
+        for k in range(n):
+            if k:
+                c, up, _, total = state
+                self.accepts[k] = _accept_probs(table.dense(c, up) / total, q.mass)
+            *state, _, dead = table.next(*state, 1.0)
+            if dead:
+                self.accepts[k] = 1.0
+                break
+        else:
+            c, up, _, _ = state
+            final = table.dense(c, up)
+            self.final = final / final.sum()
 
     def _stages(self, tuples):
         return tuples, self.accepts[np.arange(tuples.shape[1]), tuples], self.final
+
+
+def _wo_accept(pt, qt, top, c, up, total, s):
+    """min(r_k / q_k, 1) at drafts of masses pt and qt, at the top ratio
+    where ``top``: the chance that a stage of `ResidualTable` state
+    (c, u, M) and undrafted q mass s accepts each. The residual is p - c q
+    as the table's sums take it, so that a residual left on one token
+    cancels the same way in both."""
+    value = np.where(top, qt * up, np.maximum(pt - c * qt, 0.0))
+    return np.minimum(value * s / (qt * total), 1.0)
 
 
 class RrsWoKernel(_Kernel):
@@ -172,22 +195,16 @@ class RrsWoKernel(_Kernel):
     to the tokens not yet drafted, and accepts draft t_k with probability
     min(r_k / q_k, 1) at t_k.
 
-    The residual keeps one parameter per row. Over the tokens not yet
-    drafted, r_k = max(p - c_k q, 0) / M_k, and c_{k+1} = c_k + M_k / s_k,
-    where s_k is the undrafted q mass, summed over the runs between the
-    drafts (`AscendingQ.undrawn`). A drafted token keeps the value it had
-    after its own stage, which is 0 unless the stage accepted it surely
-    (and then nothing later is read). M_k comes from prefix sums of p and q
-    in descending p/q order plus O(n) corrections, so a batch costs
-    O(n log V) per row after `ratio_order`'s O(V log V) sort, shared with
-    the scans, and q's ascending view, shared with the draft sampler, and
-    no (rows, V) array is formed.
-
-    On the tokens at the top ratio, the largest finite p/q, the residual is
-    q u with u = max(top ratio - c, 0), and the row carries u beside c. As
-    the residual shrinks onto those tokens, c nears the top ratio and
-    p - c q cancels to rounding noise, while u keeps its relative
-    precision.
+    The residual keeps one parameter per row, the `ResidualTable` state:
+    over the tokens not yet drafted, r_k = max(p - c_k q, 0) / M_k, and
+    c_{k+1} = c_k + M_k / s_k, where s_k is the undrafted q mass, summed
+    over the runs between the drafts (`AscendingQ.undrawn`). A drafted
+    token keeps the value it had after its own stage, which is 0 unless the
+    stage accepted it surely (and then nothing later is read). M_k comes
+    from the table's prefix sums, so a batch costs O(n log V) per row after
+    `ratio_order`'s O(V log V) sort, shared with the scans, and q's
+    ascending view, shared with the draft sampler, and no (rows, V) array
+    is formed.
 
     A residual vanishes, its mass falling to `_ZERO_MASS` of the stage's,
     in exact arithmetic only where r_k = q_k, and there the stage accepts
@@ -196,63 +213,16 @@ class RrsWoKernel(_Kernel):
 
     def __init__(self, p: Dist, q: Dist, n: int):
         super().__init__(p, q, n)
-        v = p.vocab_size
         self.asc = q.ascending
-        # Tokens by descending p/q, `ratio_order` reversed; those with q = 0
-        # lead (p > 0) or trail (p = 0). ``keys`` are the negated ratios,
-        # ascending, to count the tokens with p > c q. The tokens at the top
-        # ratio sit at positions lead..top_end-1; the prefix sums ``sums``
-        # of p and q leave them out, and a third row sums their q.
-        order, ratios = ratio_order(p, q)
-        self.order, self.keys = order[::-1].copy(), -ratios[::-1]
-        lead = int(self.keys.searchsorted(-np.inf, side="right"))
-        self.top_ratio = -self.keys[lead]
-        self.top_end = int(self.keys.searchsorted(-self.top_ratio, side="right"))
-        self.top = np.zeros(v, dtype=bool)
-        self.top[self.order[lead : self.top_end]] = True
-        self.sums = np.zeros((3, v + 1))
-        mass = np.empty((2, v))
-        p.mass.take(self.order, out=mass[0])
-        q.mass.take(self.order, out=mass[1])
-        at_top = self.sums[2]
-        mass[1, lead : self.top_end].cumsum(out=at_top[lead + 1 : self.top_end + 1])
-        mass[:, lead : self.top_end] = 0.0
-        mass.cumsum(axis=1, out=self.sums[:2, 1:])
-        at_top[self.top_end + 1 :] = at_top[self.top_end]
-        self.q_top = at_top[-1]
-
-    def _start(self):
-        """Stage 0's residual, r_0 = p, as (c, u, other, M): ``other`` sums
-        p - c q over the tokens off the top ratio, and M adds u q there."""
-        other = self.sums[0, -1]
-        return 0.0, self.top_ratio, other, other + self.top_ratio * self.q_top
-
-    def _next(self, c, up, other, total, s):
-        """The residual after a stage rejects its draft, from the stage's
-        (c, u, other, M) and its undrafted q mass s: the next stage's
-        (c, u, other, M), the count j of leading tokens of the order with
-        p > c q, and whether the residual vanished, which makes the stage
-        accept its draft surely."""
-        # c + M / s, and u - M / s with the undrafted mass off the top
-        # tokens taken as a whole, each in its own precision.
-        c = c + total / s
-        up = np.maximum((up * (s - self.q_top) - other) / s, 0.0)
-        # j leading tokens of the order have p > c q; other sums p - c q
-        # over them, leaving out the top tokens.
-        j = self.keys.searchsorted(-c)
-        other = self.sums[0, j] - c * self.sums[1, j]
-        new = other + up * self.q_top
-        # Vanished: in exact arithmetic r_k = q_k, so the draft is accepted surely.
-        return c, up, other, new, j, new <= _ZERO_MASS * total
+        self.table = residual_table(p, q)
 
     def _stages(self, tuples):
         m, n = tuples.shape
+        table = self.table
         drafts = tuples.T
         ranks = self.asc.rank[drafts]
-        qt = self.q.mass[drafts]
-        pt = self.p.mass[drafts]
-        top = self.top[drafts]
-        c, up, other, total = self._start()
+        pt, qt, top = self.p.mass[drafts], self.q.mass[drafts], table.top[drafts]
+        c, up, other, total = table.start()
         drawn = []  # the ranks drafted before the stage, as `AscendingQ.insert` keeps them
         accept = np.empty((n, m))
         gone = None  # the rows whose residual has vanished
@@ -264,29 +234,21 @@ class RrsWoKernel(_Kernel):
                 if k:
                     drawn = self.asc.insert(drawn, ranks[k - 1])
                 s = self.asc.undrawn(drawn)
-                # p - c q as the prefix sums take it, so that a residual left
-                # on one token cancels the same way in both.
-                value = np.where(top[k], qt[k] * up, np.maximum(pt[k] - c * qt[k], 0.0))
-                accept[k] = np.minimum(value * s / (qt[k] * total), 1.0)
-                c, up, other, new, j, dead = self._next(c, up, other, total, s)
+                accept[k] = _wo_accept(pt[k], qt[k], top[k], c, up, total, s)
+                c, up, other, total, j, dead = table.next(c, up, other, total, s)
                 if dead.any():
                     gone = dead if gone is None else gone | dead
                 if gone is not None:
                     accept[k, gone] = 1.0
-                total = new
         drawn = self.asc.insert(drawn, ranks[-1])
         if any((x == y).any() for x, y in zip(drawn, drawn[1:])):
             raise ValueError("without-replacement tuple has duplicate tokens")
         if gone is not None and gone.all():
             return tuples, accept.T, None
         if np.ndim(c) == 0:  # one draft: every row has the same residual
-            final = self._dense(c, up)
+            final = table.dense(c, up)
             return tuples, accept.T, final / final.sum()
-        return tuples, accept.T, _WoResidual(self, drafts, c, up, total, j)
-
-    def _dense(self, c: float, up: float) -> np.ndarray:
-        """The undrafted values over the whole vocabulary."""
-        return np.where(self.top, self.q.mass * up, np.maximum(self.p.mass - c * self.q.mass, 0.0))
+        return tuples, accept.T, _WoResidual(table, drafts, c, up, total, j)
 
 
 class _WoResidual:
@@ -295,83 +257,109 @@ class _WoResidual:
     over their total. Only `sample` draws from it: `accepted` needs its mass
     on the drafts, which is 0 by this rule."""
 
-    def __init__(self, kernel, drafts, c, up, total, count):
-        self.kernel, self.drafts = kernel, drafts
+    def __init__(self, table, drafts, c, up, total, count):
+        self.table, self.drafts = table, drafts
         self.c, self.up, self.total, self.count = c, up, total, count
 
     def row(self, i: int) -> np.ndarray:
         """Row i as a dense distribution over the vocabulary."""
-        vec = self.kernel._dense(self.c[i], self.up[i])
+        vec = self.table.dense(self.c[i], self.up[i])
         vec[self.drafts[:, i]] = 0.0
         return vec / vec.sum()
 
     def draw(self, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One token for each row selected by the mask ``rows``, found by
         bisection over the prefix sums."""
-        kern = self.kernel
+        table = self.table
         c, up = self.c[rows], self.up[rows]
         y = rng.random(c.size) * self.total[rows]
         at_top = bool(up.any())
         lo = np.zeros(c.size, dtype=np.intp)
         hi = self.count[rows]
         if at_top:
-            hi = np.where(up > 0.0, np.maximum(hi, kern.top_end), hi)
+            hi = np.where(up > 0.0, np.maximum(hi, table.top_end), hi)
         for _ in range(int(hi.max(initial=0)).bit_length()):
             mid = (lo + hi) >> 1
-            below = kern.sums[0, mid] - c * kern.sums[1, mid]
+            below = table.p_sums[mid] - c * table.q_sums[mid]
             if at_top:
-                below += up * kern.sums[2, mid]
+                below += up * table.at_top_sums(mid)[1]
             go = below <= y
             lo = np.where(go, mid, lo)
             hi = np.where(go, hi, mid)
-        return kern.order[lo]
+        return table.descending[lo]
 
 
 def rrs_w_rate_exact(p: Dist, q: Dist, n: int) -> float:
     """Exact acceptance rate of with-replacement rejection sampling.
 
-    Valid because the stage residuals do not depend on which tokens were
-    drawn: stage k accepts with probability sum min(r_k, q), so the overall
-    rate is 1 - prod(1 - a_k).
+    The stage residuals do not depend on which tokens were drawn: with
+    r_k = max(p - c_k q, 0) / M_k and c_{k+1} = c_k + M_k, stage k accepts
+    sum min(r_k, q) = 1 - M_{k+1} / M_k, so the rate telescopes to
+    1 - M_n / M_0, n steps along `residual_table`. A stage whose residual
+    vanishes accepts surely, and the rate is then 1.
     """
     if n < 1:
         raise ValueError("draft count must be >= 1")
-    reject = 1.0
-    for _, r in zip(range(n), _residual_ladder(p, q)):
-        reject *= 1.0 - float(np.minimum(r, q.mass).sum())
-        if reject <= 0.0:
+    table = residual_table(p, q)
+    state = table.start()
+    first = state[3]
+    for _ in range(n):
+        *state, _, dead = table.next(*state, 1.0)
+        if dead:
             return 1.0
-    return 1.0 - reject
+    return 1.0 - float(state[3]) / first
 
 
 def rrs_wo_rate_exact(p: Dist, q: Dist, n: int) -> float:
-    """Exact acceptance rate of rrs-wo for n = 1 or 2 drafts.
+    """Exact acceptance rate of rrs-wo at any draft count.
 
-    One draft is ot-single's rule, so the rate is the overlap. With two,
-    the rate is sum_a q_a [a_1(a) + (1 - a_1(a)) A_2(a)] over the first
-    draft a, with a_1(a) = min(p_a / q_a, 1). The second stage accepts
-    A_2(a) = sum min(r_1, q_1) = 1 - M_2(a) / M_1, where M_1 is the
-    residual mass after the first stage and M_2(a) the mass after the
-    second with a drafted: every first draft is one row of the kernel's
-    residual update, at O(log V) a row. The kernel's vanishing rule holds:
-    a stage whose residual vanishes accepts surely.
+    One draft is ot-single's rule, so the rate is the overlap. With more,
+    the walk goes through the tree of rejected draft prefixes level by
+    level: level k holds every k-draft prefix that was drafted and
+    rejected, with its weight, the chance of that, and its residual. A
+    row's stage accepts sum min(r_k, q_k) = 1 - M_{k+1} / M_k whichever
+    token it drafts, one `ResidualTable.next` step, and adds that times
+    its weight to the rate. Its children are the undrafted tokens t, each
+    of weight (q_t / s) (1 - min(r_k(t) / q_k(t), 1)); a child that is
+    accepted surely has weight 0 and is dropped. A stage whose residual
+    vanishes accepts surely, as the kernel's does: such a row adds its
+    weight and has no children.
+
+    The last level holds up to perm(s, n - 1) rows, s the tokens of
+    positive q mass, at O(n + log V) each after the table's set-up.
     """
     if n == 1:
         return alpha_single_draft(p, q)
-    if n != 2:
-        raise ValueError("the exact rrs-wo rate needs n = 1 or 2")
     DraftScheme.without_replacement(q, n)  # the scheme's support rule
-    first = np.flatnonzero(q.mass > 0.0)
-    kern = RrsWoKernel(p, q, n)
-    asc = kern.asc
-    c, up, other, one, _, dead = kern._next(*kern._start(), asc.undrawn([]))
-    if dead:
-        return 1.0
-    *_, two, _, dead = kern._next(c, up, other, one, asc.undrawn([asc.rank[first]]))
-    second = np.where(dead, 1.0, 1.0 - two / one)
-    qa = q.mass[first]
-    a1 = _accept_probs(p.mass[first], qa)
-    return float(qa @ (a1 + (1.0 - a1) * second))
+    table = residual_table(p, q)
+    asc = q.ascending
+    tokens = np.flatnonzero(q.mass > 0.0)
+    rank, pt, qt, top = asc.rank[tokens], p.mass[tokens], q.mass[tokens], table.top[tokens]
+    # A level's rows are columns (rows, 1): a row's weight, its stage's
+    # (c, u, other, M) and its drafted ranks, as `AscendingQ.insert` keeps
+    # them; against ``tokens`` they span the (rows, tokens) children. The
+    # root's state, which its children share, stays scalar.
+    weight = np.ones((1, 1))
+    state = table.start()
+    drawn = []
+    rate = 0.0
+    for k in range(n):
+        s = asc.undrawn(drawn)
+        c, up, other, total = state
+        *state, _, dead = table.next(c, up, other, total, s)
+        rate += float((weight * (1.0 - state[3] / total * ~dead)).sum())
+        if k == n - 1:
+            break
+        child = weight * (qt / s) * (1.0 - _wo_accept(pt, qt, top, c, up, total, s))
+        child *= ~dead
+        for d in drawn:
+            child[d == rank] = 0.0
+        rows, cols = np.nonzero(child)
+        weight = child[rows, cols, None]
+        drawn = asc.insert([d[rows] for d in drawn], rank[cols, None])
+        if k:
+            state = [x[rows] for x in state]
+    return rate
 
 
 @dataclass(frozen=True)
@@ -391,60 +379,101 @@ def kseq_solve(p: Dist, q: Dist, n: int) -> KseqParams:
     The breakpoints p_i/q_i are the ascending ratios of `ratio_order(p, q)`
     (-1 for a token with neither mass, below 1 like any other p = 0). With
     the first k tokens of the order in the head, beta = a/rho + b between
-    two of them: a is the head's p mass and b the tail's q mass.
-    g(rho) = 1 - (1 - beta)^n - rho beta does not increase, is >= 0 at
-    rho = 1 and <= 0 at rho = n. A binary search over the breakpoints finds
-    the root's segment, and bisection solves g = 0 on it to adjacent floats.
+    two of them: a is the head's p mass and b the tail's q mass, both read
+    from `residual_table`. g(rho) = 1 - (1 - beta)^n - rho beta does not
+    increase, is >= 0 at rho = 1 and <= 0 at rho = n. A binary search over
+    the breakpoints between 1 and n finds the root's segment, and
+    safeguarded Newton (`_root`) solves g = 0 on it to adjacent floats.
 
     g = beta (sum_{j<n} (1 - beta)^j - rho), so for beta > 0 its sign is
-    that of sum_{0<j<n} s^j - (rho - 1), with s = 1 - beta taken as
+    that of h = sum_{0<j<n} s^j - (rho - 1), with s = 1 - beta taken as
     (c - b) + a (rho - 1) / rho, c the tail's p mass. No step cancels, so
     the root keeps its relative precision both near rho = 1 and where beta
     is tiny.
     """
     if n < 1:
         raise ValueError("draft count must be >= 1")
-    order, ratios = ratio_order(p, q)
-    pm, qm = p.mass.take(order), q.mass.take(order)
+    table = residual_table(p, q)
+    ratios, v = table.ratios, table.size
 
-    def sign_g(rho: float, a: float, c: float, b: float) -> float:
+    def masses(k: int) -> tuple[float, float, float]:
+        # a, c, b with the first k tokens of the order in the head.
+        return (float(table.p_cum[k - 1]) if k else 0.0, *table.tail(v - k))
+
+    def h(rho: float, a: float, c: float, b: float) -> tuple[float, float]:
+        # h and its derivative in rho.
         s = max(c - b, 0.0) + a * (rho - 1.0) / rho
-        total = 0.0
+        total = slope = 0.0
         for _ in range(n - 1):
+            slope = 1.0 + total + s * slope
             total = s * (1.0 + total)
-        return total - (rho - 1.0)
+        return total - (rho - 1.0), slope * a / (rho * rho) - 1.0
 
-    # The root lies in [1, n]. Find the first token whose breakpoint is past
-    # n, or past 1 with g <= 0 there: the root's segment ends at it. The p
-    # mass before lo and the p and q masses from hi on are kept, so each
-    # step sums only the tokens between.
-    lo, hi = 0, pm.size
-    a, c, b = 0.0, 0.0, 0.0
+    # The root lies in [1, n]: its segment ends at the first token whose
+    # breakpoint is at or past n, or past 1 with g <= 0 there.
+    hi = int(ratios.searchsorted(float(n)))
+    lo = min(int(ratios.searchsorted(1.0, side="right")), hi)
     while lo < hi:
         mid = (lo + hi) // 2
-        at = float(ratios[mid])
-        head = a + float(pm[lo : mid + 1].sum())
-        tail_p, tail_q = c + float(pm[mid + 1 : hi].sum()), b + float(qm[mid + 1 : hi].sum())
-        if at >= n or (at > 1.0 and sign_g(at, head, tail_p, tail_q) <= 0.0):
-            hi, c, b = mid, tail_p + float(pm[mid]), tail_q + float(qm[mid])
+        if h(float(ratios[mid]), *masses(mid + 1))[0] <= 0.0:
+            hi = mid
         else:
-            lo, a = mid + 1, head
+            lo = mid + 1
+    a, c, b = masses(lo)
     left = max(float(ratios[lo - 1]), 1.0) if lo else 1.0
-    right = min(float(ratios[lo]), float(n)) if lo < pm.size else float(n)
+    right = min(float(ratios[lo]), float(n)) if lo < v else float(n)
+    h_left, slope = h(left, a, c, b)
     # With beta = 0 everywhere (p and q disjoint) every rho solves; take 1.
-    if sign_g(left, a, c, b) <= 0.0 or a == b == 0.0:
-        right = left
-    while True:
-        mid = 0.5 * (left + right)
-        if not left < mid < right:
-            break
-        if sign_g(mid, a, c, b) > 0.0:
-            left = mid
-        else:
-            right = mid
-    rho = min((left, right), key=lambda r: abs(sign_g(r, a, c, b)))
+    if h_left <= 0.0 or a == b == 0.0:
+        rho = left
+    else:
+        rho = _root(lambda x: h(x, a, c, b), left, right, h_left, slope)
     beta = a / rho + b
     return KseqParams(rho=rho, beta_at_rho=beta, alpha_closed=1.0 - (1.0 - beta) ** n)
+
+
+# The Newton and galloping steps `_root` takes before it only bisects.
+_NEWTON_STEPS = 20
+
+
+def _root(f, left: float, right: float, f_left: float, slope: float) -> float:
+    """The root of h in [left, right] to adjacent floats, where f(x) gives
+    h(x) and its slope, and h(left) = f_left > 0 >= h(right) with ``slope``
+    at left: the end of the last bracket where |h| is smaller.
+
+    Safeguarded Newton: a step that leaves the bracket, or one from where h
+    rises, bisects it instead, and after _NEWTON_STEPS steps only bisection
+    is left. Once a step is below one float, Newton has converged from one
+    side, and the iterate gallops toward the root, 1, 2, 4... floats at a
+    time until h changes sign, so that the bracket closes from both sides.
+    """
+    f_right = None
+    x, fx, reach = left, f_left, 0.0
+    for steps in itertools.count():
+        y = math.nan
+        if slope < 0.0 and steps < _NEWTON_STEPS:
+            y = x - fx / slope
+            one = abs(math.nextafter(x, math.inf if fx > 0.0 else -math.inf) - x)
+            if abs(y - x) < one:
+                reach = 2.0 * reach if reach else one
+                y = x + reach if fx > 0.0 else x - reach
+            else:
+                reach = 0.0
+        if not left < y < right:
+            y = 0.5 * (left + right)
+            if not left < y < right:
+                break
+        fy, slope = f(y)
+        if (fy > 0.0) != (fx > 0.0):
+            reach = 0.0
+        x, fx = y, fy
+        if fx > 0.0:
+            left, f_left = x, fx
+        else:
+            right, f_right = x, fx
+    if f_right is None:
+        f_right = f(right)[0]
+    return left if abs(f_left) <= abs(f_right) else right
 
 
 class KseqKernel(_Kernel):

@@ -4,7 +4,9 @@ Random instances come in two flavours: integer-grid distributions (masses
 k/D for a common denominator) that convert losslessly to rationals for the
 exact oracles, and Dirichlet-random float distributions for the fast-path
 property checks. The float subset brute force and the conditional-Poisson
-draft law below are references that share no code with the prefix scan.
+draft law below are references that share no code with the prefix scan,
+the with-replacement ladder in `Fraction`s shares none with the
+residual table, and kseq's root is checked against a bisection.
 The target-preservation test samples its verifier outputs here
 (`sampled_marginal`), since `estimate_alpha` draws no final token.
 """
@@ -19,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mdsd.alpha import residual_table
 from mdsd.dists import _ZERO_MASS, Dist, tv_distance
 from mdsd.drafts import iter_support, tuple_prob
 from mdsd.mc import _blocks
@@ -66,6 +69,113 @@ def rrs_wo_table(p: Dist, q: Dist, tokens) -> np.ndarray:
     """The exact rrs-wo output distribution of one draft tuple, rounded to
     floats."""
     return np.array(rrs_wo_conditional(p, q, tokens), dtype=float)
+
+
+def rrs_w_ladder(p: Dist, q: Dist, n: int) -> tuple[list, list | None]:
+    """Rejection sampling with replacement in `Fraction`s, on the exact
+    values of the float masses: the stage residuals r_1 = p and r_{k+1} the
+    normalised positive part of r_k - q, one list per stage, and the
+    distribution drawn when all n stages reject. A residual with no mass
+    left makes its stage accept surely: the later stages are never reached
+    and there is no final distribution."""
+    p, q = _fractions(p), _fractions(q)
+    stages, r = [], p
+    for _ in range(n):
+        stages.append(r)
+        rest = [max(a - b, 0) for a, b in zip(r, q)]
+        total = sum(rest)
+        if total == 0:
+            return stages, None
+        r = [x / total for x in rest]
+    return stages, r
+
+
+def rrs_w_ladder_rate(ladder, q: Dist) -> Fraction:
+    """The exact with-replacement rate of a `rrs_w_ladder`,
+    1 - prod(1 - sum min(r_k, q))."""
+    stages, _ = ladder
+    qf = _fractions(q)
+    reject = Fraction(1)
+    for r in stages:
+        reject *= 1 - sum(min(a, b) for a, b in zip(r, qf))
+    return 1 - reject
+
+
+def rrs_w_ladder_conditional(ladder, q: Dist, tokens) -> list:
+    """The exact output distribution of one draft tuple under a
+    `rrs_w_ladder`: stage k accepts its draft t with probability
+    min(r_k(t) / q(t), 1)."""
+    stages, final = ladder
+    qf = _fractions(q)
+    out = [Fraction(0)] * len(qf)
+    weight = Fraction(1)
+    for r, t in zip(stages, tokens):
+        accept = min(r[t] / qf[t], 1)
+        out[t] += weight * accept
+        weight *= 1 - accept
+    if weight:
+        out = [x + weight * f for x, f in zip(out, final)]
+    return out
+
+
+def _fractions(dist: Dist) -> list:
+    """The float masses as exact rationals, renormalised to sum to 1."""
+    exact = [Fraction(float(x)) for x in dist.mass]
+    total = sum(exact)
+    return [x / total for x in exact]
+
+
+def bisected_rho(p, q, n):
+    """kseq's root by bisection: the segment of the first breakpoint at or
+    past n, or past 1 with h <= 0 there, found by a linear scan, and h = 0
+    bisected on it to adjacent floats, keeping the end where |h| is
+    smaller. h and the segment masses are those of `kseq_solve`."""
+    table = residual_table(p, q)
+    ratios, v = table.ratios, table.size
+
+    def masses(k):
+        return (float(table.p_cum[k - 1]) if k else 0.0, *table.tail(v - k))
+
+    def h(rho, a, c, b):
+        s = max(c - b, 0.0) + a * (rho - 1.0) / rho
+        total = 0.0
+        for _ in range(n - 1):
+            total = s * (1.0 + total)
+        return total - (rho - 1.0)
+
+    k = next(
+        (k for k, r in enumerate(ratios) if r >= n or (r > 1.0 and h(float(r), *masses(k + 1)) <= 0.0)), v
+    )
+    a, c, b = masses(k)
+    left = max(float(ratios[k - 1]), 1.0) if k else 1.0
+    right = min(float(ratios[k]), float(n)) if k < v else float(n)
+    if h(left, a, c, b) <= 0.0 or a == b == 0.0:
+        return left
+    while left < (mid := 0.5 * (left + right)) < right:
+        if h(mid, a, c, b) > 0.0:
+            left = mid
+        else:
+            right = mid
+    return min((left, right), key=lambda r: abs(h(r, a, c, b)))
+
+
+def root_noise(p, q, n, rho):
+    """How far rounding can move kseq's root: a bound on the rounding
+    error of h at rho, 4 (n + 1) eps (sum s^j + rho - 1), over |h'(rho)|.
+    Where h is flat (a double root, near-one-hot p and q) its rounding
+    noise spans many floats, and two solves may keep different sign
+    changes inside it."""
+    table = residual_table(p, q)
+    k = int(table.ratios.searchsorted(rho))
+    a = float(table.p_cum[k - 1]) if k else 0.0
+    c, b = table.tail(table.size - k)
+    s = max(c - b, 0.0) + a * (rho - 1.0) / rho
+    total = slope = 0.0
+    for _ in range(n - 1):
+        slope = 1.0 + total + s * slope
+        total = s * (1.0 + total)
+    flat = abs(slope * a / (rho * rho) - 1.0)
+    return 4 * (n + 1) * 2.0**-52 * (total + rho - 1.0) / flat if flat else math.inf
 
 
 def conditional_poisson_probs(q, n: int) -> dict:

@@ -220,6 +220,21 @@ class TestParseRecord:
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
 
+    def test_integer_beyond_float_range_named(self):
+        # np.asarray raises OverflowError for an int that no float holds.
+        line = f'{{"p_logits": [{"1" * 400}, 0.5], "q_logits": [1.0, 2.0]}}'
+        for text in (line, line.encode()):
+            with pytest.raises(MalformedInputError, match="^line 4: int too large to convert to float"):
+                parse_record(4, text)
+
+    def test_deep_nesting_named(self):
+        # orjson refuses the NaN, and the json module then runs out of
+        # recursion depth on the nesting.
+        line = '{"p_logits": ' + "[" * 1000 + "]" * 1000 + ', "q_logits": [NaN]}'
+        for text in (line, line.encode()):
+            with pytest.raises(MalformedInputError, match=r"^line 5: invalid JSON \(nested too deeply\)"):
+                parse_record(5, text)
+
     def test_line_not_utf8_named(self):
         # A byte 0xff, and a lone surrogate encoded as UTF-8 bytes.
         lines = (b'{"p_logits": [0.5, \xff1.0], "q_logits": [1.0, 2.0]}', b'{"n": "\xed\xa0\x80"}')
@@ -507,10 +522,42 @@ class TestRunExperiment:
         assert ratio_order.cache_info().misses == misses + 1
         assert {row["method"] for rows in variants for row in rows} == set(METHODS)
 
+    def test_rrs_wo_exact_where_its_tree_is_small(self, tmp_path):
+        # At V = 8 the tree of rejected prefixes of three drafts has 56
+        # rows at its last level, fewer than the estimate's 3 * 256
+        # row-stages: every rrs-wo row is exact, with stderr 0.
+        cfg = self.config(
+            tmp_path, synth="dirichlet:1.0", vocab=8, sweep="drafts", sweep_values=(1.0, 2.0, 3.0),
+            methods=("rrs-wo",),
+        )
+        rows = [r for r in run_experiment(cfg) if r["position"] != "mean"]
+        assert len(rows) == 3 * cfg.positions
+        by_key = {(r["sweep_value"], r["position"]): r for r in rows}
+        for position, logits in enumerate(cli._positions(cfg)):
+            p, q = (softmax_temp(lg, cfg.temperature) for lg in logits)
+            for n in (1, 2, 3):
+                row = by_key[(n, position)]
+                assert row["stderr"] == 0.0
+                assert row["alpha"] == rrs_wo_rate_exact(p, q, n)
+
+    def test_rrs_wo_exact_rule(self):
+        # Exact at one or two drafts, or where perm(s, n - 1) <= n * trials,
+        # trials counted up to one Monte Carlo block.
+        q8, q50, q500 = (Dist(np.ones(v)) for v in (8, 50, 500))
+        assert cli._rrs_wo_exact(q500, 2, 1)
+        assert cli._rrs_wo_exact(q8, 3, 256)  # 56 <= 768
+        assert not cli._rrs_wo_exact(q50, 3, 256)  # 2450 > 768
+        assert cli._rrs_wo_exact(q50, 3, 1000)  # 2450 <= 3000
+        assert not cli._rrs_wo_exact(q500, 3, 10**6)  # 249500 > 3 * 65536
+        # Only the tokens of positive mass count: 8 * 7 <= 3 * 20 < 16 * 15.
+        assert cli._rrs_wo_exact(Dist(np.array([1.0] * 8 + [0.0] * 8)), 3, 20)
+        assert not cli._rrs_wo_exact(Dist(np.ones(16)), 3, 20)
+
     def test_rrs_wo_exact_below_three_drafts(self, tmp_path):
-        # rrs-wo is reported in closed form at one and two drafts, where at
-        # one it is ot-single's rule, and estimated from the position's seed
-        # at three.
+        # rrs-wo is reported exactly at one and two drafts, where at one it
+        # is ot-single's rule, and estimated from the position's seed at
+        # three, where V = 50 gives the tree 50 * 49 rows at its last
+        # level, more than the estimate's 3 * 256 row-stages.
         cfg = self.config(
             tmp_path, sweep="drafts", sweep_values=(1.0, 2.0, 3.0), methods=("rrs-wo", "ot-single")
         )
@@ -776,6 +823,22 @@ class TestMainEntryPoint:
         assert code == 2
         assert "error: line 2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_overflow_and_deep_nesting_exit_two(self, tmp_path, capsys):
+        # Each fault of its line ends the run with exit code 2 and its line
+        # number, not a traceback.
+        faults = (
+            f'{{"p_logits": [{"1" * 400}, 0.5], "q_logits": [1.0, 2.0]}}',
+            '{"p_logits": ' + "[" * 1000 + "]" * 1000 + ', "q_logits": [NaN]}',
+        )
+        for fault in faults:
+            path = tmp_path / "bad.jsonl"
+            write_jsonl(path, [record([0, 1, 2, 3], [3, 2, 1, 0])])
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(fault + "\n")
+            code = main(["--input", str(path), "--output", str(tmp_path / "r.csv")])
+            assert code == 2
+            assert "error: line 2: " in capsys.readouterr().err
 
     def test_empty_input_warns_exit_zero(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"

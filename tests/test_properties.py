@@ -1,21 +1,31 @@
 """Property tests on degenerate inputs (exact zeros, ties, masses near
 1e-12, one-hot q, p == q, and as many drafts as q has support): the
-without-replacement sampler, verifier and exact rate, the kseq fixed point
+without-replacement sampler, verifier and exact rate, the with-replacement
+verifier and rate against a rational ladder, the kseq fixed point
 and kernel, weak duality of the with-replacement optimum against the
 verifiers' exact rates, the Monte Carlo count against sampled outputs, and
 the one tie rule of every sorted order."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft, ratio_order
+from mdsd.alpha import (
+    alpha_greedy_closed,
+    alpha_scan,
+    alpha_single_draft,
+    ratio_order,
+    residual_table,
+)
 from mdsd.dists import Dist, stable_argsort, tv_distance
 from mdsd.drafts import DraftScheme, iter_support, sample_tuples, tuple_prob
 from mdsd.mc import _blocks, estimate_alpha
 from mdsd.oracle import MAX_TUPLE_NODES, verifier_marginal_exact
 from mdsd.verify import (
     KseqKernel,
+    RrsWKernel,
     RrsWoKernel,
     kseq_solve,
     make_kernel,
@@ -23,7 +33,15 @@ from mdsd.verify import (
     rrs_wo_rate_exact,
 )
 
-from conftest import VANISHED_TABLE_BOUND, rrs_wo_table
+from conftest import (
+    VANISHED_TABLE_BOUND,
+    bisected_rho,
+    root_noise,
+    rrs_w_ladder,
+    rrs_w_ladder_conditional,
+    rrs_w_ladder_rate,
+    rrs_wo_table,
+)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -88,18 +106,38 @@ def test_table_sums_to_one_and_matches_reference(case):
 @PROPERTY
 @given(instances())
 def test_rrs_wo_exact_rate_matches_reference(case):
-    # One and two drafts: the closed form against the exact walk of the
+    # One to four drafts: the overlap at one and the walk over the tree of
+    # rejected draft prefixes at more, against the exact walk of the
     # oracle, summed over the whole support, to VANISHED_TABLE_BOUND, as a
     # residual that vanishes accepts its stage's draft surely; each
     # vanished stage moves the rate by at most its relative mass.
     p, q, _ = case
-    for n in range(1, min(np.count_nonzero(q.mass), 2) + 1):
+    for n in range(1, min(np.count_nonzero(q.mass), 4) + 1):
         scheme = DraftScheme.without_replacement(q, n)
         exact = sum(
             tuple_prob(scheme, t) * float(sum(rrs_wo_table(p, q, t)[x] for x in set(t)))
             for t in iter_support(scheme)
         )
         assert abs(rrs_wo_rate_exact(p, q, n) - exact) <= VANISHED_TABLE_BOUND, (n, exact)
+
+
+@PROPERTY
+@given(instances())
+def test_rrs_w_matches_rational_ladder(case):
+    # The exact rate and the kernel's tables against the ladder in
+    # Fractions, which shares no code with the residual table, the tables
+    # weighted by the tuple's probability, to VANISHED_TABLE_BOUND: a stage
+    # whose residual vanishes accepts its draft surely.
+    p, q, n = case
+    n = min(n, 3)
+    ladder = rrs_w_ladder(p, q, n)
+    assert abs(rrs_w_rate_exact(p, q, n) - float(rrs_w_ladder_rate(ladder, q))) <= VANISHED_TABLE_BOUND
+    scheme = DraftScheme.with_replacement(q, n)
+    kern = RrsWKernel(p, q, n)
+    for t in iter_support(scheme):
+        exact = np.array(rrs_w_ladder_conditional(ladder, q, t), dtype=float)
+        err = np.abs(kern.conditional(t) - exact).max()
+        assert tuple_prob(scheme, t) * err <= VANISHED_TABLE_BOUND, (t, err)
 
 
 @PROPERTY
@@ -126,6 +164,16 @@ def test_verifier_rates_within_optimum(case):
     assert rrs_w_rate_exact(p, q, n) <= star + 1e-9
     assert kseq_solve(p, q, n).alpha_closed <= star + 1e-9
     assert alpha_single_draft(p, q) <= star + 1e-9
+
+
+@PROPERTY
+@given(instances())
+def test_kseq_newton_root_matches_bisection(case):
+    # Within 2 ulps of the bisection root, plus the span of h's rounding
+    # noise, which is wide where h is flat (near-one-hot p and q).
+    p, q, n = case
+    rho, ref = kseq_solve(p, q, n).rho, bisected_rho(p, q, n)
+    assert abs(rho - ref) <= 2 * math.ulp(ref) + root_noise(p, q, n, ref), (rho, ref)
 
 
 @PROPERTY
@@ -193,7 +241,7 @@ def tied_pairs(draw):
 @given(tied_pairs())
 def test_sorted_orders_break_ties_by_lowest_id(pair):
     # One tie rule: every order equals a stable sort of its keys, and the
-    # rrs-wo kernel reads the ratio order reversed.
+    # residual table sums the ratio order reversed.
     p, q = pair
     pm, qm = p.mass, q.mass
     assert np.array_equal(stable_argsort(qm), np.argsort(qm, kind="stable"))
@@ -201,7 +249,9 @@ def test_sorted_orders_break_ties_by_lowest_id(pair):
     ratio = np.divide(pm, qm, out=np.where(pm > 0.0, np.inf, -1.0), where=qm > 0.0)
     order, _ = ratio_order(p, q)
     assert np.array_equal(order, np.argsort(ratio, kind="stable"))
-    assert np.array_equal(RrsWoKernel(p, q, 1).order, order[::-1])
+    table = residual_table(p, q)
+    assert np.array_equal(table.descending, order[::-1])
+    assert np.array_equal(table.top, ratio == table.top_ratio)
 
 
 @PROPERTY

@@ -1,6 +1,7 @@
 """Verification kernels: target preservation, acceptance formulas, and the
 fixed-point solve."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,18 @@ from mdsd.verify import (
     supports,
 )
 
-from conftest import VANISHED_TABLE_BOUND, dirichlet_dist, rrs_wo_table, subset_alpha, support_probs
+from conftest import (
+    VANISHED_TABLE_BOUND,
+    bisected_rho,
+    dirichlet_dist,
+    root_noise,
+    rrs_w_ladder,
+    rrs_w_ladder_conditional,
+    rrs_w_ladder_rate,
+    rrs_wo_table,
+    subset_alpha,
+    support_probs,
+)
 
 P559 = Dist(np.array([0.05, 0.05, 0.9]))
 Q532 = Dist(np.array([0.5, 0.3, 0.2]))
@@ -130,6 +142,35 @@ class TestRrsWithReplacement:
                 p, DraftScheme.with_replacement(q, n), RrsWKernel(p, q, n)
             )
             assert tv_distance(marg, p) <= 1e-9
+
+    def test_rate_and_tables_match_rational_ladder(self, rng):
+        # Against the ladder in Fractions, which shares no code with the
+        # residual table.
+        for _ in range(40):
+            v = int(rng.integers(2, 6))
+            n = int(rng.integers(1, 4))
+            p, q = random_pq(rng, v)
+            ladder = rrs_w_ladder(p, q, n)
+            assert rrs_w_rate_exact(p, q, n) == pytest.approx(float(rrs_w_ladder_rate(ladder, q)), abs=1e-14)
+            kern = RrsWKernel(p, q, n)
+            for t in iter_support(DraftScheme.with_replacement(q, n)):
+                exact = np.array(rrs_w_ladder_conditional(ladder, q, t), dtype=float)
+                assert np.abs(kern.conditional(t) - exact).max() <= 1e-12
+
+    def test_vanished_stage_accepts_surely(self):
+        # p is within 1e-13 of q, so the first stage's residual vanishes:
+        # the stage accepts its draft surely and the rate is 1, where the
+        # exact ladder falls short of 1 by 5e-14 (the residual (1, 0) meets
+        # q at the second stage). Only the first stage can vanish: a later
+        # residual is 0 wherever the one before it was below q.
+        p = Dist(np.array([0.5 + 1e-13, 0.5 - 1e-13]))
+        q = Dist(np.array([0.5, 0.5]))
+        ladder = rrs_w_ladder(p, q, 2)
+        assert rrs_w_rate_exact(p, q, 2) == 1.0
+        assert 0.0 < 1.0 - float(rrs_w_ladder_rate(ladder, q)) <= VANISHED_TABLE_BOUND
+        kern = RrsWKernel(p, q, 2)
+        assert kern.final is None
+        assert (kern.accepts == 1.0).all()
 
     def test_batch_shape(self):
         rng = np.random.default_rng(2)
@@ -326,8 +367,8 @@ class TestRrsWoRateExact:
         )
 
     def test_bad_draft_count(self):
-        with pytest.raises(ValueError, match="n = 1 or 2"):
-            rrs_wo_rate_exact(P559, Q532, 3)
+        with pytest.raises(ValueError, match=">= 1"):
+            rrs_wo_rate_exact(P559, Q532, 0)
         with pytest.raises(ValueError, match="support"):
             rrs_wo_rate_exact(P559, Dist(np.array([1.0, 0.0, 0.0])), 2)
 
@@ -345,6 +386,20 @@ class TestRrsWoRateExact:
 
 
 class TestKseqSolve:
+    def test_newton_root_matches_bisection(self, rng):
+        # Within 2 ulps of the bisection root, plus the span of h's
+        # rounding noise; within 2 ulps outright nearly always.
+        close = 0
+        for _ in range(300):
+            v = int(rng.integers(2, 40))
+            n = int(rng.integers(1, 9))
+            p, q = random_pq(rng, v)
+            rho, ref = kseq_solve(p, q, n).rho, bisected_rho(p, q, n)
+            noise = root_noise(p, q, n, ref)
+            assert abs(rho - ref) <= 2 * math.ulp(ref) + noise, (rho, ref, noise)
+            close += abs(rho - ref) <= 2 * math.ulp(ref)
+        assert close >= 270
+
     def test_identical_fixed_point_at_one(self):
         params = kseq_solve(Q532, Q532, 3)
         assert params.rho == 1.0
