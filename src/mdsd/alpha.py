@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,36 @@ def alpha_single_draft(p: Dist, q: Dist) -> float:
     return float(np.minimum(p.mass, q.mass).sum())
 
 
-@functools.lru_cache(maxsize=1)
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _last_pair(fn):
+    """``functools.lru_cache(maxsize=1)`` for ``fn(p, q)``, keyed by identity
+    (a `Dist` is immutable), except that ``cache_clear`` keeps the counts of
+    ``cache_info``: the report drops each finished position's arrays, and
+    the counts still tell how often a position sorted."""
+    kept = [None, None, None]  # the last call's p, q and result
+    counts = [0, 0]  # hits, misses
+
+    @functools.wraps(fn)
+    def memo(p: Dist, q: Dist):
+        if kept[0] is p and kept[1] is q:
+            counts[0] += 1
+            return kept[2]
+        counts[1] += 1
+        cache_clear()  # the last pair's arrays go before the new ones are built
+        kept[:] = p, q, fn(p, q)
+        return kept[2]
+
+    def cache_clear() -> None:
+        kept[:] = None, None, None
+
+    memo.cache_clear = cache_clear
+    memo.cache_info = lambda: CacheInfo(*counts, 1, int(kept[0] is not None))
+    return memo
+
+
+@_last_pair
 def ratio_order(p: Dist, q: Dist) -> tuple[np.ndarray, np.ndarray]:
     """Token ids sorted by p(x)/q(x) ascending, ties by lowest id, and the
     sorted ratios; q(x) = 0 gives +inf where p(x) > 0 and -1 where p(x) = 0.
@@ -172,7 +202,7 @@ class ResidualTable:
         return np.where(self.top, self.q * up, np.maximum(self.p - c * self.q, 0.0))
 
 
-@functools.lru_cache(maxsize=1)
+@_last_pair
 def residual_table(p: Dist, q: Dist) -> ResidualTable:
     """The `ResidualTable` of (p, q). The last pair's table is kept, as
     `ratio_order` keeps its sort: the with-replacement scan, `kseq_solve`,

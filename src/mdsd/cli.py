@@ -29,6 +29,7 @@ Logits provenance is the caller's responsibility: records are treated as
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
+from .alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft, ratio_order, residual_table
 from .dists import Dist, _check_logits, softmax_temp
 from .drafts import DraftKind, DraftScheme
 from .mc import BLOCK_TRIALS, estimate_alpha
@@ -231,62 +232,56 @@ def _rrs_wo_exact(q: Dist, n: int, trials: int) -> bool:
     return math.perm(int(np.count_nonzero(q.mass)), n - 1) <= n * min(trials, BLOCK_TRIALS)
 
 
-def _method_alpha(
-    method: str,
-    p: Dist,
-    q: Dist,
-    scheme: DraftScheme,
-    alpha_star: float,
-    cfg: ExperimentConfig,
-    position: int,
-):
-    if method == "rrs-w":
-        return rrs_w_rate_exact(p, q, scheme.n), 0.0
-    if method == "kseq":
-        return kseq_solve(p, q, scheme.n).alpha_closed, 0.0
-    if method == "greedy":
-        # The greedy verifier attains the optimum of its scheme.
-        return alpha_star, 0.0
-    if method == "ot-single":
-        return alpha_single_draft(p, q), 0.0
-    if method == "rrs-wo":
-        if _rrs_wo_exact(q, scheme.n, cfg.trials):
-            return rrs_wo_rate_exact(p, q, scheme.n), 0.0
-        seed = _position_seed(cfg.seed, position)
-        rep = estimate_alpha(p, scheme, "rrs-wo", cfg.trials, seed)
-        return rep.acceptance_mean, rep.acceptance_stderr
-    raise ValueError(f"unknown method {method!r}")
+def _rrs_wo_rate(p: Dist, scheme: DraftScheme, alpha_star, cfg: ExperimentConfig, position: int):
+    """rrs-wo's (alpha, stderr): its exact tree walk where `_rrs_wo_exact`
+    allows it, else the estimate from the position's seed."""
+    if _rrs_wo_exact(scheme.q, scheme.n, cfg.trials):
+        return rrs_wo_rate_exact(p, scheme.q, scheme.n), 0.0
+    rep = estimate_alpha(p, scheme, "rrs-wo", cfg.trials, _position_seed(cfg.seed, position))
+    return rep.acceptance_mean, rep.acceptance_stderr
+
+
+# Each method's (alpha, stderr) at a position, from (p, scheme, alpha_star,
+# cfg, position); one entry per `verify.METHODS` row. An entry looks this
+# module's functions up when it runs, so a wrapper set on them later (the
+# benchmark's tracer) sees every call.
+_RATES = {
+    "ot-single": lambda p, s, *_: (alpha_single_draft(p, s.q), 0.0),
+    "rrs-w": lambda p, s, *_: (rrs_w_rate_exact(p, s.q, s.n), 0.0),
+    "kseq": lambda p, s, *_: (kseq_solve(p, s.q, s.n).alpha_closed, 0.0),
+    # The greedy verifier attains the optimum of its scheme.
+    "greedy": lambda p, s, alpha_star, *_: (alpha_star, 0.0),
+    "rrs-wo": _rrs_wo_rate,
+}
 
 
 def _run_position(cfg: ExperimentConfig, position: int, source) -> list[list[dict]]:
     """One position's rows for every sweep variant, in `_variants` order.
     ``source`` is a file's (line number, line), parsed here, or the
     position's (p_logits, q_logits). The Monte Carlo seed is the position's,
-    and each distinct temperature's softmax is taken once."""
+    and each distinct temperature's softmax is taken once. The memoised ratio
+    sort and residual table, which the variants share, are let go at the
+    end."""
     logits = parse_record(*source) if isinstance(source[1], bytes) else source
     pq_at: dict[float, tuple[Dist, Dist]] = {}
     out = []
-    for extra, temperature, n in _variants(cfg):
+    for extra, temperature, n, schemes in _variants(cfg):
         if temperature not in pq_at:
             pq_at[temperature] = tuple(softmax_temp(lg, temperature) for lg in logits)
         p, q = pq_at[temperature]
         rows = []
-        for scheme_name in cfg.schemes:
-            kind = DraftKind(scheme_name)
-            methods = [m for m in cfg.methods if supports(m, kind, n)]
-            if not methods:
-                continue
+        for name, kind, methods in schemes:
             scheme = DraftScheme(kind, q, n)
             if kind is DraftKind.GREEDY:
                 alpha_star = alpha_greedy_closed(p, q, n)
             else:
                 alpha_star = alpha_scan(p, scheme).alpha_star
             for method in methods:
-                alpha, stderr = _method_alpha(method, p, q, scheme, alpha_star, cfg, position)
+                alpha, stderr = _RATES[method](p, scheme, alpha_star, cfg, position)
                 rows.append(
                     dict(
                         position=position,
-                        scheme=scheme_name,
+                        scheme=name,
                         method=method,
                         alpha=alpha,
                         alpha_star=alpha_star,
@@ -296,6 +291,8 @@ def _run_position(cfg: ExperimentConfig, position: int, source) -> list[list[dic
                     )
                 )
         out.append(rows)
+    ratio_order.cache_clear()
+    residual_table.cache_clear()
     return out
 
 
@@ -376,19 +373,25 @@ def _run_positions(cfg: ExperimentConfig, cap: int) -> list[list[list[dict]]]:
     return [_run_position(cfg, position, source) for position, source in positions]
 
 
-def _variants(cfg: ExperimentConfig) -> list[tuple[dict, float, int]]:
-    """(extra report columns, temperature, draft count) of every sweep variant."""
-    if cfg.sweep is None:
-        return [({}, cfg.temperature, cfg.num_drafts)]
-    if cfg.sweep == "temperature":
-        return [
-            ({"sweep_param": "temperature", "sweep_value": v}, float(v), cfg.num_drafts)
-            for v in cfg.sweep_values
-        ]
-    return [
-        ({"sweep_param": "drafts", "sweep_value": int(v)}, cfg.temperature, int(v))
-        for v in cfg.sweep_values
-    ]
+@functools.lru_cache(maxsize=1)
+def _variants(cfg: ExperimentConfig) -> tuple:
+    """The run's plan, worked out once per config: (extra report columns,
+    temperature, draft count, schemes) of every sweep variant, where schemes
+    lists (name, kind, methods) for each requested scheme that some
+    requested method verifies at that draft count."""
+    kinds = [DraftKind(name) for name in cfg.schemes]
+    plan = []
+    for v in cfg.sweep_values or (None,):
+        temperature, n = cfg.temperature, cfg.num_drafts
+        if cfg.sweep == "temperature":
+            temperature = v = float(v)
+        elif cfg.sweep == "drafts":
+            n = v = int(v)
+        extra = {"sweep_param": cfg.sweep, "sweep_value": v} if cfg.sweep else {}
+        methods = [tuple(m for m in cfg.methods if supports(m, kind, n)) for kind in kinds]
+        schemes = tuple(row for row in zip(cfg.schemes, kinds, methods) if row[2])
+        plan.append((extra, temperature, n, schemes))
+    return tuple(plan)
 
 
 def _aggregate(rows: list[dict]) -> list[dict]:
@@ -471,12 +474,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     rows."""
     _check_config(cfg)
     cap = _thread_cap()
-    draft_counts = {n for _, _, n in _variants(cfg)}
-    unused = [
-        m
-        for m in cfg.methods
-        if not any(supports(m, DraftKind(s), n) for s in cfg.schemes for n in draft_counts)
-    ]
+    planned = {m for *_, schemes in _variants(cfg) for *_, methods in schemes for m in methods}
+    unused = [m for m in cfg.methods if m not in planned]
     if unused:
         print(
             "warning: skipping methods that apply to no requested scheme: "

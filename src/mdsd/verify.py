@@ -9,8 +9,8 @@ them one batched coin walk over an (m, n) array of draft tuples, which the
 sampler (`sample`, m output tokens out) and the acceptance count
 (`accepted`, which draws nothing after the coins) share, and the exact
 conditional table (`conditional`), so the Monte Carlo path and the exact
-enumeration cannot disagree. `METHODS` says which draft kinds each method
-verifies, and `make_kernel` builds the kernel of a method for a scheme.
+enumeration cannot disagree. `METHODS` says which kinds and how many drafts
+each method verifies, and `make_kernel` builds a method's kernel for a scheme.
 
 Both rejection-sampling kernels, and their exact acceptance rates, read
 one residual table per (p, q) pair (`mdsd.alpha.residual_table`) and take
@@ -517,27 +517,29 @@ class GreedyKernel(RrsWKernel):
 
 _WR, _WO = DraftKind.WITH_REPLACEMENT, DraftKind.WITHOUT_REPLACEMENT
 
-# The one method/scheme table: the draft kinds each method verifies, and its
-# kernel for target p and a scheme. ot-single also needs a single draft,
-# and is rejection sampling of it.
+# The one method/scheme table: the draft kinds each method verifies, the
+# most drafts it verifies, and its kernel for target p and a scheme.
+# ot-single is rejection sampling of a single draft.
 METHODS = {
-    "ot-single": ((_WR, _WO), lambda p, s: RrsWKernel(p, s.q, 1)),
-    "rrs-w": ((_WR,), lambda p, s: RrsWKernel(p, s.q, s.n)),
-    "kseq": ((_WR,), lambda p, s: KseqKernel(p, s.q, s.n)),
-    "rrs-wo": ((_WO,), lambda p, s: RrsWoKernel(p, s.q, s.n)),
-    "greedy": ((DraftKind.GREEDY,), lambda p, s: GreedyKernel(p, s.q, s.n)),
+    "ot-single": ((_WR, _WO), 1, lambda p, s: RrsWKernel(p, s.q, 1)),
+    "rrs-w": ((_WR,), math.inf, lambda p, s: RrsWKernel(p, s.q, s.n)),
+    "kseq": ((_WR,), math.inf, lambda p, s: KseqKernel(p, s.q, s.n)),
+    "rrs-wo": ((_WO,), math.inf, lambda p, s: RrsWoKernel(p, s.q, s.n)),
+    "greedy": ((DraftKind.GREEDY,), math.inf, lambda p, s: GreedyKernel(p, s.q, s.n)),
 }
 
 
 def supports(method: str, kind: DraftKind, n: int) -> bool:
     """Whether ``method`` verifies n drafts of ``kind``."""
-    if method not in METHODS:
-        return False
-    return kind in METHODS[method][0] and (n == 1 or method != "ot-single")
+    kinds, most, _ = METHODS.get(method, ((), 0, None))
+    return kind in kinds and n <= most
 
 
 def make_kernel(method: str, p: Dist, scheme: DraftScheme):
     """The kernel of ``method`` for target p and ``scheme``."""
-    if not supports(method, scheme.kind, scheme.n):
+    kinds, most, kernel = METHODS.get(method, ((), 0, None))
+    if scheme.kind not in kinds:
         raise ValueError(f"method {method!r} does not apply to {scheme.kind.value} drafts")
-    return METHODS[method][1](p, scheme)
+    if scheme.n > most:
+        raise ValueError(f"method {method!r} verifies at most {most} draft(s), not {scheme.n}")
+    return kernel(p, scheme)

@@ -1,6 +1,7 @@
 """Experiment runner: logits ingestion, synthetic generators, report
 structure and the command-line entry point."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from mdsd import cli
-from mdsd.alpha import ratio_order
+from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft, ratio_order, residual_table
 from mdsd.cli import (
     ExperimentConfig,
     MalformedInputError,
@@ -24,9 +25,9 @@ from mdsd.cli import (
     synth_positions,
 )
 from mdsd.dists import Dist, _check_logits, softmax_temp, tv_distance
-from mdsd.drafts import DraftScheme
+from mdsd.drafts import DraftKind, DraftScheme
 from mdsd.mc import estimate_alpha
-from mdsd.verify import METHODS, rrs_wo_rate_exact
+from mdsd.verify import METHODS, kseq_solve, rrs_w_rate_exact, rrs_wo_rate_exact
 
 
 def write_jsonl(path, records):
@@ -402,6 +403,10 @@ class TestRunExperiment:
         rows = run_experiment(cfg)
         temps = {r["sweep_value"] for r in rows if r["position"] != "mean"}
         assert temps == {0.5, 0.7, 1.0}
+        # A config equal to this one but for a value's type shares its plan;
+        # either way the report's temperatures are floats.
+        rows = run_experiment(dataclasses.replace(cfg, sweep_values=(0.5, 0.7, 1)))
+        assert {type(r["sweep_value"]) for r in rows} == {float}
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_a = self.config(tmp_path, output=str(tmp_path / "a.csv"))
@@ -515,12 +520,65 @@ class TestRunExperiment:
 
     def test_ratio_order_sorted_once_per_position(self, tmp_path):
         # The scans, kseq and rrs-wo of every draft count read one memoised
-        # ratio order of the position's (p, q).
+        # ratio order of the position's (p, q), and the sort and the residual
+        # table are dropped when the position ends.
         cfg = self.config(tmp_path, sweep="drafts", sweep_values=(1.0, 2.0, 3.0), methods=tuple(METHODS))
         misses = ratio_order.cache_info().misses
         variants = cli._run_position(cfg, 0, next(cli._positions(cfg)))
         assert ratio_order.cache_info().misses == misses + 1
         assert {row["method"] for rows in variants for row in rows} == set(METHODS)
+        assert ratio_order.cache_info().currsize == residual_table.cache_info().currsize == 0
+
+    def test_rows_are_their_library_calls(self, tmp_path):
+        # Each row's optimum is its scheme's solver and its rate its
+        # method's, called directly on the position's (p, q); all are exact.
+        cfg = self.config(
+            tmp_path, synth="dirichlet:1.0", vocab=8, temperature=0.7, methods=tuple(METHODS),
+            sweep="drafts", sweep_values=(1.0, 2.0, 3.0),
+        )
+        rows = [r for r in run_experiment(cfg) if r["position"] != "mean"]
+        assert len(rows) == (6 + 4 + 4) * cfg.positions
+        logits = list(cli._positions(cfg))
+        for row in rows:
+            p, q = (softmax_temp(lg, cfg.temperature) for lg in logits[row["position"]])
+            n = row["sweep_value"]
+            scheme = DraftScheme(DraftKind(row["scheme"]), q, n)
+            if scheme.kind is DraftKind.GREEDY:
+                star = alpha_greedy_closed(p, q, n)
+            else:
+                star = alpha_scan(p, scheme).alpha_star
+            rate = {
+                "rrs-w": lambda: rrs_w_rate_exact(p, q, n),
+                "kseq": lambda: kseq_solve(p, q, n).alpha_closed,
+                "ot-single": lambda: alpha_single_draft(p, q),
+                "rrs-wo": lambda: rrs_wo_rate_exact(p, q, n),
+                "greedy": lambda: star,
+            }[row["method"]]()
+            assert (row["alpha_star"], row["alpha"], row["stderr"]) == (star, rate, 0.0), row
+            assert row["gap"] == rate - star
+
+    def test_plan_not_rebuilt_per_position(self, tmp_path, monkeypatch):
+        # Which methods verify which scheme at which draft count depends
+        # only on the config: the `supports` calls do not grow with the run.
+        calls = []
+        supports = cli.supports
+
+        def counted(*args):
+            calls.append(args)
+            return supports(*args)
+
+        monkeypatch.setattr(cli, "supports", counted)
+        monkeypatch.setenv("MDSD_THREADS", "1")
+        counts = []
+        for positions in (4, 40):
+            calls.clear()
+            cfg = self.config(
+                tmp_path, positions=positions, methods=tuple(METHODS),
+                sweep="drafts", sweep_values=(1.0, 2.0, 3.0),
+            )
+            run_experiment(cfg)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_rrs_wo_exact_where_its_tree_is_small(self, tmp_path):
         # At V = 8 the tree of rejected prefixes of three drafts has 56

@@ -84,13 +84,22 @@ class TestOTSingle:
         p = Dist(np.array([0.2, 0.3, 0.5]))
         q = Dist(np.array([0.0, 0.5, 0.5]))
         tuples = {"ot-single": (0,), "greedy": (1, 0)}
-        for method, (kinds, _) in METHODS.items():
+        for method, (kinds, _, _) in METHODS.items():
             t = tuples.get(method, (0, 1))
             kern = make_kernel(method, p, DraftScheme(kinds[0], q, len(t)))
             with pytest.raises(ValueError, match="draft outside support"):
                 kern.sample([t], np.random.default_rng(0))
             with pytest.raises(ValueError, match="draft outside support"):
                 kern.conditional(t)
+
+    def test_draft_count_named(self):
+        # The kind fits and only the count is wrong: the message says so.
+        for kind in (DraftKind.WITH_REPLACEMENT, DraftKind.WITHOUT_REPLACEMENT):
+            assert supports("ot-single", kind, 1) and not supports("ot-single", kind, 3)
+            with pytest.raises(ValueError, match="'ot-single' verifies at most 1 draft.*not 3"):
+                make_kernel("ot-single", P559, DraftScheme(kind, Q532, 3))
+        with pytest.raises(ValueError, match="does not apply to greedy drafts"):
+            make_kernel("ot-single", P559, DraftScheme.greedy(Q532, 1))
 
     def test_enumerated_acceptance_is_overlap(self, rng):
         for _ in range(100):
@@ -594,10 +603,10 @@ class TestSamplerMatchesTable:
     def test_every_method(self):
         rng = np.random.default_rng(31)
         tuples = 0
-        for method, (kinds, _) in METHODS.items():
+        for method, (kinds, most, _) in METHODS.items():
             for _ in range(self.INSTANCES):
                 v = int(rng.integers(3, 5))
-                n = 1 if method == "ot-single" else int(rng.integers(1, 4))
+                n = 1 if most == 1 else int(rng.integers(1, 4))
                 # The third draw is dropped; it keeps the seed's instances.
                 p, q, _ = (dirichlet_dist(rng, v) for _ in range(3))
                 for kind in kinds:
