@@ -63,8 +63,11 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 def _last_pair(fn):
     """``functools.lru_cache(maxsize=1)`` for ``fn(p, q)``, keyed by identity
     (a `Dist` is immutable), except that ``cache_clear`` keeps the counts of
-    ``cache_info``: the report drops each finished position's arrays, and
-    the counts still tell how often a position sorted."""
+    ``cache_info``, which tell how often a position sorted. A miss drops the
+    last pair's result before it builds the next, so a finished position's
+    arrays are held until the next position's first call and no longer:
+    freeing them at the position's end instead only made the next position
+    fault the same pages in again."""
     kept = [None, None, None]  # the last call's p, q and result
     counts = [0, 0]  # hits, misses
 

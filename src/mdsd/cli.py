@@ -9,12 +9,14 @@ sampling without replacement at one or two drafts, or where its tree of
 rejected draft prefixes is no larger than the estimate's work) are
 evaluated exactly; rrs-wo is otherwise estimated by seeded Monte Carlo.
 
-Positions are streamed: the input's lines go to the worker pool in chunks
-of consecutive positions, a bounded number in flight, and each record is
-parsed where its position runs, so the main process only reads lines, as
-bytes it does not decode, and the input held at once does not grow with
-its length. The report is the same whatever the worker count
-(``MDSD_THREADS``).
+Positions are streamed: the main process scans the input for its line
+ends, through one reused buffer, and sends the worker pool chunks of
+consecutive positions, a bounded number in flight, as (line number,
+offset, length) spans. Each position reads its own record from the file
+and parses it where it runs, so no record's bytes pass between processes
+and the input held at once does not grow with its length. The input must
+be a regular file, which each position can seek in. The report is the same
+whatever the worker count (``MDSD_THREADS``).
 
 A record is parsed by orjson from its bytes. orjson refuses ``NaN`` and
 ``-Infinity``, which Python's json module writes for a masked logit, so a
@@ -29,14 +31,18 @@ Logits provenance is the caller's responsibility: records are treated as
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import itertools
 import json
 import math
 import os
+import re
 import signal
+import stat
 import sys
+import threading
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft, ratio_order, residual_table
+from .alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
 from .dists import Dist, _check_logits, softmax_temp
 from .drafts import DraftKind, DraftScheme
 from .mc import BLOCK_TRIALS, estimate_alpha
@@ -82,6 +88,9 @@ BASE_COLUMNS = (
 # (V=1000, 2 workers) about 9% in per-task overhead.
 _CHUNK_BYTES = 1 << 18
 _CHUNK_POSITIONS = 16
+# `_lines` reads the input in blocks of this size; a line may span blocks.
+_SCAN_BYTES = 1 << 20
+_NOT_SPACE = re.compile(rb"[^ \t\n\r\x0b\x0c]")  # bytes.isspace's complement
 
 
 class MalformedInputError(ValueError):
@@ -117,15 +126,46 @@ class ExperimentConfig:
 
 
 def _lines(path: str):
-    """Yield (line number, line) for each line of ``path`` that is not blank,
-    as the undecoded bytes."""
-    # A dump line is one position's logits, 657 KB at V=32000: a 1 MiB
-    # buffer splits the file into lines in about half the time of the
-    # default one.
-    with open(path, "rb", buffering=1 << 20) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.isspace():
-                yield lineno, line
+    """Yield (line number, offset, length) for each line of ``path`` that is
+    not blank, that is, not made only of ASCII whitespace (the rule of
+    `bytes.isspace`). A line's span holds its newline, if it has one.
+    ``path`` must be a regular file: each position reads its own record from
+    it (`_read_record`), and a pipe would block the reader."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValueError(f"input {path!r} is not a regular file")
+    # One buffer serves the whole scan and no line is copied out of it: a
+    # dump line is one position's logits, 657 KB at V=32000.
+    buf = bytearray(_SCAN_BYTES)
+    lineno, start, base, blank = 1, 0, 0, True  # base: buf[0]'s file offset
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buf):
+            i = 0
+            while i < size:
+                end = buf.find(b"\n", i, size)
+                if blank and _NOT_SPACE.search(buf, i, size if end < 0 else end):
+                    blank = False
+                if end < 0:
+                    break
+                if not blank:
+                    yield lineno, start, base + end + 1 - start
+                i = end + 1
+                lineno, start, blank = lineno + 1, base + i, True
+            base += size
+    if not blank:
+        yield lineno, start, base - start
+
+
+def _read_record(path: str, lineno: int, offset: int, length: int):
+    """`parse_record` of the line that `_lines` spanned as ``lineno``,
+    ``offset`` and ``length``, read from ``path``."""
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        line = fh.read(length)
+    if len(line) != length:
+        raise MalformedInputError(
+            f"line {lineno}: the file ends {length - len(line)} bytes before the line does"
+        )
+    return parse_record(lineno, line)
 
 
 def _loads(lineno: int, line: str | bytes):
@@ -176,8 +216,8 @@ def parse_record(lineno: int, line: str | bytes) -> tuple[np.ndarray, np.ndarray
 def load_logits(path: str):
     """Stream each record of a line-delimited file as (p_logits, q_logits),
     `parse_record` over its lines."""
-    for lineno, line in _lines(path):
-        yield parse_record(lineno, line)
+    for span in _lines(path):
+        yield _read_record(path, *span)
 
 
 def synth_positions(kind: str, param: float, vocab: int, count: int, seed: int):
@@ -257,12 +297,11 @@ _RATES = {
 
 def _run_position(cfg: ExperimentConfig, position: int, source) -> list[list[dict]]:
     """One position's rows for every sweep variant, in `_variants` order.
-    ``source`` is a file's (line number, line), parsed here, or the
-    position's (p_logits, q_logits). The Monte Carlo seed is the position's,
-    and each distinct temperature's softmax is taken once. The memoised ratio
-    sort and residual table, which the variants share, are let go at the
-    end."""
-    logits = parse_record(*source) if isinstance(source[1], bytes) else source
+    ``source`` is the span of a file's line, (line number, offset, length),
+    whose record is read and parsed here, or the position's
+    (p_logits, q_logits). The Monte Carlo seed is the position's, and each
+    distinct temperature's softmax is taken once."""
+    logits = source if cfg.input_path is None else _read_record(cfg.input_path, *source)
     pq_at: dict[float, tuple[Dist, Dist]] = {}
     out = []
     for extra, temperature, n, schemes in _variants(cfg):
@@ -291,8 +330,6 @@ def _run_position(cfg: ExperimentConfig, position: int, source) -> list[list[dic
                     )
                 )
         out.append(rows)
-    ratio_order.cache_clear()
-    residual_table.cache_clear()
     return out
 
 
@@ -309,8 +346,8 @@ def _thread_cap() -> int:
 
 
 def _positions(cfg: ExperimentConfig):
-    """Yield each position's source for `_run_position`, read or drawn
-    lazily: a file's (line number, line), its bytes unparsed, or
+    """Yield each position's source for `_run_position`, found or drawn
+    lazily: the span of a file's line, (line number, offset, length), or
     (p_logits, q_logits)."""
     if cfg.input_path is not None:
         yield from _lines(cfg.input_path)
@@ -328,8 +365,8 @@ def _chunks(positions):
     chunk, size = [], 0
     for item in positions:
         chunk.append(item)
-        second = item[1][1]  # a file's line, or the q logits
-        size += len(second) if isinstance(second, bytes) else 2 * second.nbytes
+        last = item[1][-1]  # a file line's length, or the q logits
+        size += last if isinstance(last, int) else 2 * last.nbytes
         if len(chunk) == _CHUNK_POSITIONS or size >= _CHUNK_BYTES:
             yield chunk
             chunk, size = [], 0
@@ -341,6 +378,38 @@ def _run_chunk(cfg: ExperimentConfig, chunk) -> list[list[list[dict]]]:
     return [_run_position(cfg, position, source) for position, source in chunk]
 
 
+@contextlib.contextmanager
+def _sigterm_held():
+    """Run the block with the Python handler of SIGTERM held back: a SIGTERM
+    that arrives meanwhile is handled when the block ends.
+
+    A handler that raises, as `main`'s does, must not run inside an at-fork
+    hook, where Python ignores the exception, and a fork runs such hooks.
+    Blocking the signal in this thread would not keep it out: another thread
+    (a BLAS library's) takes it, and this thread runs the handler all the
+    same. In a process forked in the block, the recording handler calls the
+    one it replaced."""
+    handler = signal.getsignal(signal.SIGTERM)
+    if not callable(handler) or threading.current_thread() is not threading.main_thread():
+        yield  # no Python handler, or one that runs in another thread
+        return
+    pid, caught = os.getpid(), []
+
+    def hold(signum, frame):
+        if os.getpid() == pid:
+            caught.append(frame)
+        else:
+            handler(signum, frame)
+
+    signal.signal(signal.SIGTERM, hold)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, handler)
+        if caught:
+            handler(signal.SIGTERM, caught[0])
+
+
 def _run_positions(cfg: ExperimentConfig, cap: int) -> list[list[list[dict]]]:
     """Every position's `_run_position` result, in position order.
 
@@ -349,7 +418,10 @@ def _run_positions(cfg: ExperimentConfig, cap: int) -> list[list[list[dict]]]:
     ``cap`` workers with at most two per worker in flight, so at most
     2 * workers + 2 chunks are held at once; otherwise positions run
     serially as they are read. If a chunk fails or the run is stopped, the
-    chunks not yet started are cancelled."""
+    chunks not yet started are cancelled.
+
+    The first submit forks every worker, so it runs with SIGTERM held back
+    (`_sigterm_held`)."""
     positions = enumerate(_positions(cfg))
     if cap > 1:
         chunks = _chunks(positions)
@@ -359,6 +431,8 @@ def _run_positions(cfg: ExperimentConfig, cap: int) -> list[list[list[dict]]]:
             out, window = [], deque()
             with ProcessPoolExecutor(max_workers=cap) as pool:
                 try:
+                    with _sigterm_held():
+                        window.append(pool.submit(_run_chunk, cfg, next(chunks)))
                     for chunk in chunks:
                         if len(window) == 2 * cap:
                             out.extend(window.popleft().result())

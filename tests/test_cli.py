@@ -5,13 +5,17 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mdsd import cli
 from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft, ratio_order, residual_table
@@ -98,6 +102,76 @@ class TestLoadLogits:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         assert list(load_logits(str(path))) == []
+
+
+def reference_lines(data: bytes):
+    """`cli._lines` by splitting: the pieces of ``data.split(b"\\n")``, each
+    with its newline and numbered from 1, that are not empty or blank by
+    `bytes.isspace`, as (line number, offset, length)."""
+    out, offset = [], 0
+    pieces = data.split(b"\n")
+    for lineno, piece in enumerate(pieces, start=1):
+        line = piece if lineno == len(pieces) else piece + b"\n"
+        if line and not line.isspace():
+            out.append((lineno, offset, len(line)))
+        offset += len(line)
+    return out
+
+
+WHITESPACE = (b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c")  # bytes.isspace's six
+
+
+class TestLines:
+    """`_lines` scans through one buffer of `_SCAN_BYTES`; a line or a blank
+    run may cross any number of buffer edges."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.sampled_from([*WHITESPACE, b"\r\n", b"{}", b"x\xff"]), max_size=40).map(b"".join),
+        st.sampled_from([1, 2, 3, 5, 8, 1 << 20]),
+    )
+    @example(b"", 1 << 20)
+    @example(b'{"a": 1}\r\n\r\n{"b": 2}\r\n', 1 << 20)  # CRLF endings
+    @example(b"{}\n{}", 1 << 20)  # no final newline
+    @example(b"{}\n \t\r\x0b\x0c\n\n" + b" " * 20 + b"\n{}", 3)  # blank runs across edges
+    @example(b"{" + b" " * 50 + b"}\n \n" + b"x" * 30, 7)  # lines longer than the buffer
+    def test_matches_split_reference(self, tmp_path_factory, data, scan_bytes):
+        path = tmp_path_factory.getbasetemp() / "lines.jsonl"
+        path.write_bytes(data)
+        with mock.patch.object(cli, "_SCAN_BYTES", scan_bytes):
+            assert list(cli._lines(str(path))) == reference_lines(data)
+
+    @pytest.mark.parametrize("space", WHITESPACE)
+    def test_line_of_one_whitespace_byte_is_blank(self, tmp_path, space):
+        path = tmp_path / "in.jsonl"
+        data = b"{}\n" + space * 3 + b"\n{}\n"
+        path.write_bytes(data)
+        spans = list(cli._lines(str(path)))
+        assert len(spans) == 2 and spans == reference_lines(data)
+
+    def test_records_longer_than_the_buffer(self, tmp_path, monkeypatch):
+        # CRLF endings, a blank line and no final newline; read back through
+        # a buffer far shorter than a record, each record is the same.
+        path = tmp_path / "in.jsonl"
+        logits_file(path, 3, 40)
+        want = list(load_logits(str(path)))
+        lines = path.read_bytes().splitlines()
+        path.write_bytes(lines[0] + b"\r\n\r\n" + b"\r\n".join(lines[1:]))
+        monkeypatch.setattr(cli, "_SCAN_BYTES", 64)
+        assert [lineno for lineno, *_ in cli._lines(str(path))] == [1, 3, 4]
+        np.testing.assert_array_equal(list(load_logits(str(path))), want)
+
+    def test_file_cut_short_names_the_line(self, tmp_path):
+        # A record is read after the scan found its line: a file truncated
+        # in between is a malformed line, named.
+        path = tmp_path / "in.jsonl"
+        logits_file(path, 2, 40)
+        spans = list(cli._lines(str(path)))
+        with open(path, "r+b") as fh:
+            fh.truncate(spans[1][1] + 10)
+        cfg = ExperimentConfig(input_path=str(path))
+        with pytest.raises(MalformedInputError, match="line 2: the file ends"):
+            cli._run_position(cfg, 1, spans[1])
 
 
 def reference_parse(lineno, line):
@@ -518,16 +592,18 @@ class TestRunExperiment:
         swept = [r["sweep_value"] for r in rows if r["position"] != "mean"]
         assert swept == sorted(swept)
 
-    def test_ratio_order_sorted_once_per_position(self, tmp_path):
+    def test_ratio_order_sorted_once_per_position(self, tmp_path, monkeypatch):
         # The scans, kseq and rrs-wo of every draft count read one memoised
-        # ratio order of the position's (p, q), and the sort and the residual
-        # table are dropped when the position ends.
+        # ratio order and residual table of the position's (p, q): each
+        # position sorts and builds its table once, whether or not the
+        # previous position's are still held.
+        monkeypatch.setenv("MDSD_THREADS", "1")
         cfg = self.config(tmp_path, sweep="drafts", sweep_values=(1.0, 2.0, 3.0), methods=tuple(METHODS))
-        misses = ratio_order.cache_info().misses
-        variants = cli._run_position(cfg, 0, next(cli._positions(cfg)))
-        assert ratio_order.cache_info().misses == misses + 1
-        assert {row["method"] for rows in variants for row in rows} == set(METHODS)
-        assert ratio_order.cache_info().currsize == residual_table.cache_info().currsize == 0
+        memos = (ratio_order, residual_table)
+        misses = [memo.cache_info().misses for memo in memos]
+        rows = run_experiment(cfg)
+        assert [memo.cache_info().misses for memo in memos] == [m + cfg.positions for m in misses]
+        assert {row["method"] for row in rows} == set(METHODS)
 
     def test_rows_are_their_library_calls(self, tmp_path):
         # Each row's optimum is its scheme's solver and its rate its
@@ -706,7 +782,7 @@ class TestStreaming:
         """Swap in a pool that logs each submitted chunk, and check at every
         submit that at most two chunks per worker are in flight, counting a
         chunk as done once its result has been taken."""
-        log = dict(chunks=[], taken=0, peak=0, workers=[], done=[])
+        log = dict(chunks=[], taken=0, peak=0, workers=[], done=[], task_bytes=[])
 
         class CountingPool(cli.ProcessPoolExecutor):
             def __init__(self, max_workers):
@@ -716,6 +792,7 @@ class TestStreaming:
 
             def submit(self, fn, *args, **kwargs):
                 log["chunks"].append([pos for pos, _ in args[-1]])
+                log["task_bytes"].append(len(pickle.dumps((fn, args, kwargs))))
                 in_flight = len(log["chunks"]) - log["taken"]
                 assert in_flight <= 2 * self.workers
                 log["peak"] = max(log["peak"], in_flight)
@@ -771,6 +848,22 @@ class TestStreaming:
         assert [len(c) for c in pool_log["chunks"]] == [16, 16, 8]
         assert pool_log["workers"] == [2, 2]
 
+    def test_pool_task_does_not_grow_with_the_record(self, tmp_path, monkeypatch, pool_log):
+        # A task carries each line's span, not its bytes: records of 60 and
+        # of 6000 tokens make tasks of the same size, far below the record's.
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", 1)
+        monkeypatch.setenv("MDSD_THREADS", "2")
+        sizes = {}
+        for vocab in (60, 6000):
+            path = tmp_path / f"v{vocab:04d}.jsonl"
+            logits_file(path, 3, vocab)
+            pool_log["task_bytes"].clear()
+            run_experiment(self.config(tmp_path, path, "r.csv", methods=("rrs-w",)))
+            sizes[vocab] = max(pool_log["task_bytes"])
+            record_bytes = path.stat().st_size // 3
+        assert sizes[6000] - sizes[60] <= 16
+        assert sizes[6000] < record_bytes // 100
+
     def test_first_position_runs_before_later_records_are_read(self, tmp_path, monkeypatch):
         events = []
         lines, run = cli._lines, cli._run_position
@@ -824,6 +917,23 @@ class TestStreaming:
         logits_file(path, 1, 20)
         rows = run_experiment(self.config(tmp_path, path, "r.csv"))
         assert {r["position"] for r in rows} == {0, "mean"}
+
+
+def main_env() -> dict:
+    """The environment for a subprocess that imports this checkout's mdsd,
+    at two workers."""
+    env = dict(os.environ, MDSD_THREADS="2")
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_main(args, timeout, code="import sys; from mdsd.cli import main; sys.exit(main(sys.argv[1:]))"):
+    """`main(args)` in a subprocess, stopped after ``timeout`` seconds."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=main_env(), capture_output=True, text=True, timeout=timeout,
+    )
 
 
 class TestMainEntryPoint:
@@ -975,6 +1085,39 @@ class TestMainEntryPoint:
         assert "synth must be" in err and spec in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_input_not_a_regular_file_exit_two(self, tmp_path):
+        # Each position opens the input again to read its record, so a FIFO
+        # would block a reader: it is refused, by name, before any position.
+        fifo = tmp_path / "in.fifo"
+        os.mkfifo(fifo)
+        out = tmp_path / "r.csv"
+        proc = run_main(["--input", str(fifo), "--output", str(out)], timeout=20)
+        assert proc.returncode == 2
+        assert f"error: input {str(fifo)!r} is not a regular file" in proc.stderr
+        assert not out.exists()
+
+    def test_sigterm_while_workers_fork_exit_143(self, tmp_path):
+        # A SIGTERM sent from an at-fork hook of the pool's first fork is not
+        # lost in the hook: the run still exits 143 and writes no report.
+        code = (
+            "import os, signal, sys\n"
+            "from mdsd.cli import main\n"
+            "os.cpu_count = lambda: 2\n"
+            "sent = []\n"
+            "def stop():\n"
+            "    if not sent:\n"
+            "        sent.append(True)\n"
+            "        os.kill(os.getpid(), signal.SIGTERM)\n"
+            "os.register_at_fork(after_in_parent=stop)\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "r.csv"
+        args = ["--synth", "zipf:1.0", "--vocab", "50", "--positions", "40", "--trials", "16"]
+        proc = run_main([*args, "--output", str(out)], timeout=60, code=code)
+        assert proc.returncode == 128 + signal.SIGTERM, proc.stderr
+        assert "Exception ignored" not in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
     def test_sigterm_leaves_no_worker(self, tmp_path):
         def group_size(pgid):
@@ -994,12 +1137,9 @@ class TestMainEntryPoint:
             "import sys; from mdsd.cli import main; sys.exit(main(['--synth', 'zipf:1.0', "
             "'--vocab', '20000', '--positions', '1000', '--trials', '64', '--output', sys.argv[1]]))"
         )
-        env = dict(os.environ, MDSD_THREADS="2")
-        package_root = os.path.dirname(os.path.dirname(cli.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         proc = subprocess.Popen(
             [sys.executable, "-c", code, str(tmp_path / "r.csv")],
-            env=env, start_new_session=True, stderr=subprocess.DEVNULL,
+            env=main_env(), start_new_session=True, stderr=subprocess.DEVNULL,
         )
         pgid = proc.pid
         try:
