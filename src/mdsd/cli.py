@@ -18,6 +18,13 @@ and the input held at once does not grow with its length. The input must
 be a regular file, which each position can seek in. The report is the same
 whatever the worker count (``MDSD_THREADS``).
 
+The pool lives from the first pooled run until a run asks for another
+worker count or finds a worker dead, a pooled run fails or is stopped, or
+the process exits, so a process that runs many experiments forks its
+workers once; a forked child starts without it. `main` shuts it down before
+it returns. Workers are forked whatever the platform's default start method,
+and a worker exits by itself once the process that forked it is gone.
+
 A record is parsed by orjson from its bytes. orjson refuses ``NaN`` and
 ``-Infinity``, which Python's json module writes for a masked logit, so a
 line orjson refuses is parsed again by the json module, whose result or
@@ -37,14 +44,17 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing.util
 import os
 import re
 import signal
 import stat
 import sys
 import threading
+import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +101,8 @@ _CHUNK_POSITIONS = 16
 # `_lines` reads the input in blocks of this size; a line may span blocks.
 _SCAN_BYTES = 1 << 20
 _NOT_SPACE = re.compile(rb"[^ \t\n\r\x0b\x0c]")  # bytes.isspace's complement
+# How often an idle worker checks that the process that forked it lives.
+_OWNER_POLL_S = 0.25
 
 
 class MalformedInputError(ValueError):
@@ -410,18 +422,99 @@ def _sigterm_held():
             handler(signal.SIGTERM, caught[0])
 
 
+# The pool that pooled runs share, (worker count, executor, exit finalizer),
+# or None. _pool_lock guards it and serialises the pooled runs of threads.
+_pool = None
+_pool_lock = threading.RLock()
+# In a forked child, the pools its parent kept, never collected: collecting
+# an executor takes its shutdown lock, which a thread of the parent may have
+# held at the fork.
+_inherited_pools = []
+
+
+def _forget_pool() -> None:
+    """Start a forked child with no pool and a free lock: the parent's
+    workers are not its own, and a thread of the parent may have held the
+    lock at the fork."""
+    global _pool, _pool_lock
+    if _pool is not None:
+        _inherited_pools.append(_pool)
+    _pool, _pool_lock = None, threading.RLock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _worker_init(owner: int) -> None:
+    """Set a pool worker up. SIGTERM ends it at once: the handler it forked
+    with may be `main`'s, which would raise in the worker and, depending on
+    when it came, ship the exit back as its chunk's result or break the
+    pool; a worker that dies always breaks it. A daemon thread ends the
+    worker once ``owner``, the process that forked it, is gone: an idle
+    worker waits on its task queue, whose write end it holds itself, so the
+    owner's death closes nothing it reads."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    threading.Thread(target=_exit_when_orphaned, args=(owner,), daemon=True).start()
+
+
+def _exit_when_orphaned(owner: int) -> None:
+    while os.getppid() == owner:
+        time.sleep(_OWNER_POLL_S)
+    os._exit(1)
+
+
+def _pool_for(cap: int) -> ProcessPoolExecutor:
+    """The kept pool of ``cap`` workers, or a new one in place of a pool of
+    another worker count or with a dead worker. The caller holds
+    `_pool_lock`; the new pool forks its workers at its first submit."""
+    global _pool
+    # The executor marks itself broken once its manager thread sees a worker
+    # die, and then refuses every submit.
+    if _pool is None or _pool[0] != cap or _pool[1]._broken:
+        _drop_pool()
+        # Workers are forked whatever the default start method, so that each
+        # is this process's child and sees it die. Under forkserver a
+        # worker's parent would be the fork server, which outlives this
+        # process as long as a worker lives.
+        pool = ProcessPoolExecutor(
+            max_workers=cap,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_worker_init,
+            initargs=(os.getpid(),),
+        )
+        # The exit of a multiprocessing child joins its own children before
+        # the executor's exit hook stops them, so it would wait for the
+        # workers for ever. This finalizer shuts the pool down first. Its
+        # priority, 11, runs it before the task queue's own finalizer (10),
+        # which stops the thread that sends the workers their stop signals.
+        finalizer = multiprocessing.util.Finalize(None, _drop_pool, exitpriority=11)
+        _pool = (cap, pool, finalizer)
+    return _pool[1]
+
+
+def _drop_pool() -> None:
+    """Shut the kept pool down and forget it: chunks not yet started are
+    cancelled and running ones awaited."""
+    global _pool
+    with _pool_lock:
+        kept, _pool = _pool, None
+        if kept is not None:
+            kept[2].cancel()
+            kept[1].shutdown(cancel_futures=True)
+
+
 def _run_positions(cfg: ExperimentConfig, cap: int) -> list[list[list[dict]]]:
     """Every position's `_run_position` result, in position order.
 
     Positions stream from the input in chunks (see _CHUNK_BYTES). Once a
-    second chunk is read and ``cap`` allows it, chunks run on a pool of
-    ``cap`` workers with at most two per worker in flight, so at most
-    2 * workers + 2 chunks are held at once; otherwise positions run
-    serially as they are read. If a chunk fails or the run is stopped, the
-    chunks not yet started are cancelled.
+    second chunk is read and ``cap`` allows it, chunks run on the kept pool
+    of ``cap`` workers (`_pool_for`) with at most two per worker in flight,
+    so at most 2 * workers + 2 chunks are held at once; otherwise positions
+    run serially as they are read. If a chunk fails or the run is stopped,
+    the pool is dropped: the chunks not yet started are cancelled.
 
-    The first submit forks every worker, so it runs with SIGTERM held back
-    (`_sigterm_held`)."""
+    The first submit to a new pool forks every worker, so it runs with
+    SIGTERM held back (`_sigterm_held`)."""
     positions = enumerate(_positions(cfg))
     if cap > 1:
         chunks = _chunks(positions)
@@ -429,8 +522,9 @@ def _run_positions(cfg: ExperimentConfig, cap: int) -> list[list[list[dict]]]:
         chunks = itertools.chain(head, chunks)
         if len(head) > 1:
             out, window = [], deque()
-            with ProcessPoolExecutor(max_workers=cap) as pool:
+            with _pool_lock:
                 try:
+                    pool = _pool_for(cap)
                     with _sigterm_held():
                         window.append(pool.submit(_run_chunk, cfg, next(chunks)))
                     for chunk in chunks:
@@ -440,7 +534,7 @@ def _run_positions(cfg: ExperimentConfig, cap: int) -> list[list[list[dict]]]:
                     for future in window:
                         out.extend(future.result())
                 except BaseException:
-                    pool.shutdown(wait=False, cancel_futures=True)
+                    _drop_pool()
                     raise
             return out
         positions = itertools.chain.from_iterable(chunks)
@@ -652,10 +746,17 @@ def main(argv=None) -> int:
     previous = signal.signal(signal.SIGTERM, _stop)
     try:
         run_experiment(cfg)
+    except BrokenProcessPool as exc:  # a worker was killed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (MalformedInputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
+        # The run leaves no worker behind. The pool is shut down while _stop
+        # still handles SIGTERM, so a SIGTERM meanwhile ends the run as an
+        # exception, whose exit finishes the shutdown.
+        _drop_pool()
         signal.signal(signal.SIGTERM, previous)
     return 0
 

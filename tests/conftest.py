@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mdsd import cli
 from mdsd.alpha import residual_table
 from mdsd.dists import _ZERO_MASS, Dist, tv_distance
 from mdsd.drafts import iter_support, tuple_prob
@@ -251,3 +252,12 @@ def first_draft_marginal(scheme, trials: int, seed: int) -> Dist:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
+
+
+@pytest.fixture(autouse=True)
+def no_kept_pool():
+    """Drop the worker pool a test's runs kept, so that no later test meets
+    workers forked before its own monkeypatches, and none forks beside the
+    pool's live manager thread."""
+    yield
+    cli._drop_pool()

@@ -4,11 +4,13 @@ structure and the command-line entry point."""
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from unittest import mock
 
@@ -769,6 +771,43 @@ def logits_file(path, positions, vocab, seed=0):
     )
 
 
+@pytest.fixture
+def pool_log(monkeypatch):
+    """Swap in a pool that logs the worker count it is made with and each
+    submitted chunk, and check at every submit that at most two chunks per
+    worker are in flight, counting a chunk as done once its result has been
+    taken."""
+    log = dict(chunks=[], taken=0, peak=0, workers=[], done=[], task_bytes=[])
+
+    class CountingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            super().__init__(max_workers=max_workers, **kwargs)
+            self.workers = max_workers
+            log["workers"].append(max_workers)
+
+        def submit(self, fn, *args, **kwargs):
+            log["chunks"].append([pos for pos, _ in args[-1]])
+            log["task_bytes"].append(len(pickle.dumps((fn, args, kwargs))))
+            in_flight = len(log["chunks"]) - log["taken"]
+            assert in_flight <= 2 * self.workers
+            log["peak"] = max(log["peak"], in_flight)
+            future = super().submit(fn, *args, **kwargs)
+            result, chunk = future.result, log["chunks"][-1]
+
+            def counted(*a, **kw):
+                log["taken"] += 1
+                out = result(*a, **kw)
+                log["done"].append(chunk)
+                return out
+
+            future.result = counted
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return log
+
+
 class TestStreaming:
     """Positions stream from the input into the pool, one chunk per task."""
 
@@ -776,41 +815,6 @@ class TestStreaming:
         return ExperimentConfig(
             input_path=str(path), trials=64, seed=3, output=str(tmp_path / name), **kw
         )
-
-    @pytest.fixture
-    def pool_log(self, monkeypatch):
-        """Swap in a pool that logs each submitted chunk, and check at every
-        submit that at most two chunks per worker are in flight, counting a
-        chunk as done once its result has been taken."""
-        log = dict(chunks=[], taken=0, peak=0, workers=[], done=[], task_bytes=[])
-
-        class CountingPool(cli.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                super().__init__(max_workers=max_workers)
-                self.workers = max_workers
-                log["workers"].append(max_workers)
-
-            def submit(self, fn, *args, **kwargs):
-                log["chunks"].append([pos for pos, _ in args[-1]])
-                log["task_bytes"].append(len(pickle.dumps((fn, args, kwargs))))
-                in_flight = len(log["chunks"]) - log["taken"]
-                assert in_flight <= 2 * self.workers
-                log["peak"] = max(log["peak"], in_flight)
-                future = super().submit(fn, *args, **kwargs)
-                result, chunk = future.result, log["chunks"][-1]
-
-                def counted(*a, **kw):
-                    log["taken"] += 1
-                    out = result(*a, **kw)
-                    log["done"].append(chunk)
-                    return out
-
-                future.result = counted
-                return future
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        return log
 
     def test_window_reports_match_serial(self, tmp_path, monkeypatch, pool_log):
         # Every position is its own chunk, so 12 chunks pass through a window
@@ -846,7 +850,7 @@ class TestStreaming:
         )
         run_experiment(synth)
         assert [len(c) for c in pool_log["chunks"]] == [16, 16, 8]
-        assert pool_log["workers"] == [2, 2]
+        assert pool_log["workers"] == [2]  # the two runs share one pool
 
     def test_pool_task_does_not_grow_with_the_record(self, tmp_path, monkeypatch, pool_log):
         # A task carries each line's span, not its bytes: records of 60 and
@@ -904,6 +908,16 @@ class TestStreaming:
         assert pool_log["chunks"] == [[0], [1], [2], [3], [4]]
         assert pool_log["done"] == [[0], [1], [2]]
         assert pool_log["taken"] == 4
+        # A failed run drops the pool, and the next run forks a new one.
+        pool_log.update(chunks=[], taken=0)
+        with pytest.raises(MalformedInputError, match="line 4"):
+            run_experiment(self.config(tmp_path, path, "r.csv"))
+        assert cli._pool is None
+        logits_file(path, 5, 20)
+        pool_log.update(chunks=[], taken=0)
+        rows = run_experiment(self.config(tmp_path, path, "r.csv"))
+        assert {r["position"] for r in rows} == {0, 1, 2, 3, 4, "mean"}
+        assert pool_log["workers"] == [2, 2, 2]
 
     def test_single_position_starts_no_pool(self, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -1172,3 +1186,273 @@ class TestMainEntryPoint:
         assert code == 2
         assert "MDSD_THREADS" in capsys.readouterr().err
         assert not out.exists()
+
+
+def synth_config(output, seed=3):
+    """A 40-position run at V=50: three chunks, so two workers pool it."""
+    return ExperimentConfig(
+        synth="zipf:1.0", vocab=50, positions=40, trials=16, seed=seed, output=str(output)
+    )
+
+
+def report(cfg) -> bytes:
+    with open(cfg.output, "rb") as fh:
+        return fh.read()
+
+
+def proc_alive(pid) -> bool:
+    """Whether ``pid`` runs: it exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def wait_until(done, timeout) -> bool:
+    deadline = time.monotonic() + timeout
+    while not done():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+# A subprocess's pooled runs, its pool started by the start method named
+# by its first argument: ``run(threads, output)`` runs `synth_config` at
+# MDSD_THREADS=threads, and ``workers()`` prints the pids of its live
+# workers on one line.
+POOL_SCRIPT = """\
+import multiprocessing, os, sys, time
+from mdsd.cli import ExperimentConfig, run_experiment
+os.cpu_count = lambda: 2
+multiprocessing.set_start_method(sys.argv[1])
+
+def run(threads, output):
+    os.environ["MDSD_THREADS"] = threads
+    run_experiment(ExperimentConfig(
+        synth="zipf:1.0", vocab=50, positions=40, trials=16, seed=3, output=output))
+
+def workers():
+    print(*sorted(p.pid for p in multiprocessing.active_children()), flush=True)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+class TestPool:
+    """One pool per process: pooled runs fork their workers once, and the
+    workers end with the pool, a failure or the process."""
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver"])
+    def test_runs_share_one_pair_of_workers(self, tmp_path, method):
+        # Three runs at two workers and one serial run fork two workers,
+        # which the process's normal exit ends, also where the default start
+        # method does not fork.
+        code = POOL_SCRIPT + (
+            "forks = []\n"
+            "os.register_at_fork(after_in_parent=lambda: forks.append(1))\n"
+            "for i, threads in enumerate('2221'):\n"
+            "    run(threads, os.path.join(sys.argv[2], f'r{i}.csv'))\n"
+            "print(len(forks))\n"
+            "workers()\n"
+        )
+        proc = run_main([method, str(tmp_path)], timeout=120, code=code)
+        assert proc.returncode == 0, proc.stderr
+        forks, pids = proc.stdout.splitlines()
+        assert forks == "2" and len(pids.split()) == 2
+        assert not any(proc_alive(int(pid)) for pid in pids.split())
+        reports = {(tmp_path / f"r{i}.csv").read_bytes() for i in range(4)}
+        assert len(reports) == 1
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver"])
+    def test_idle_workers_end_with_a_killed_owner(self, tmp_path, method):
+        code = POOL_SCRIPT + "run('2', sys.argv[2]); workers(); time.sleep(120)\n"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, method, str(tmp_path / "r.csv")],
+            env=main_env(), stdout=subprocess.PIPE, text=True,
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(pids) == 2
+            proc.kill()
+            proc.wait(timeout=10)
+            assert wait_until(lambda: not any(map(proc_alive, pids)), 2.0)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            for pid in filter(proc_alive, pids):
+                os.kill(pid, signal.SIGKILL)
+
+    def test_main_leaves_no_worker(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("MDSD_THREADS", "2")
+        args = ["--synth", "zipf:1.0", "--vocab", "50", "--positions", "40", "--trials", "16"]
+        assert main([*args, "--output", str(tmp_path / "r.csv")]) == 0
+        assert cli._pool is None and not multiprocessing.active_children()
+
+    def test_worker_killed_mid_run_exits_one(self, tmp_path):
+        def workers(pid):
+            found = []
+            for child in filter(str.isdigit, os.listdir("/proc")):
+                try:
+                    with open(f"/proc/{child}/stat") as fh:
+                        fields = fh.read().rsplit(")", 1)[1].split()
+                except OSError:
+                    continue
+                if int(fields[1]) == pid:
+                    found.append(int(child))
+            return found
+
+        # V=20000 puts one position in each chunk, so the workers are busy
+        # for many seconds.
+        code = (
+            "import sys; from mdsd.cli import main; sys.exit(main(['--synth', 'zipf:1.0', "
+            "'--vocab', '20000', '--positions', '1500', '--trials', '64', '--output', sys.argv[1]]))"
+        )
+        out = tmp_path / "r.csv"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, str(out)],
+            env=main_env(), start_new_session=True, stderr=subprocess.PIPE, text=True,
+        )
+        pgid = proc.pid
+        try:
+            assert wait_until(lambda: len(workers(proc.pid)) == 2, 30)
+            time.sleep(0.5)
+            os.kill(workers(proc.pid)[0], signal.SIGTERM)
+            _, err = proc.communicate(timeout=30)
+            assert proc.returncode == 1, err
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ") and "abruptly" in lines[0]
+            assert not out.exists()
+
+            def group_gone():
+                try:
+                    os.killpg(pgid, 0)
+                except ProcessLookupError:
+                    return True
+                return False
+
+            assert wait_until(group_gone, 5), "a worker outlived the run"
+        finally:
+            try:
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.communicate()
+
+    def test_worker_killed_between_runs(self, tmp_path, monkeypatch, pool_log):
+        monkeypatch.setenv("MDSD_THREADS", "2")
+        first = synth_config(tmp_path / "first.csv")
+        run_experiment(first)
+        pids = [p.pid for p in multiprocessing.active_children()]
+        assert len(pids) == 2
+        os.kill(pids[0], signal.SIGTERM)
+        # The pool marks itself broken before it reaps its workers.
+        assert wait_until(lambda: not any(os.path.exists(f"/proc/{pid}") for pid in pids), 10)
+        second = dataclasses.replace(first, output=str(tmp_path / "second.csv"))
+        run_experiment(second)
+        assert pool_log["workers"] == [2, 2]
+        assert report(second) == report(first)
+
+    def test_another_worker_count_replaces_the_pool(self, tmp_path, monkeypatch, pool_log):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        reports = []
+        for threads in ("2", "3"):
+            monkeypatch.setenv("MDSD_THREADS", threads)
+            cfg = synth_config(tmp_path / f"t{threads}.csv")
+            before = [p.pid for p in multiprocessing.active_children()]
+            run_experiment(cfg)
+            reports.append(report(cfg))
+        assert pool_log["workers"] == [2, 3]
+        assert len(before) == 2 and not any(map(proc_alive, before))
+        assert cli._pool[0] == 3
+        assert reports[0] == reports[1]
+
+    def test_fork_of_a_pool_holder_makes_its_own_pool(self, tmp_path, monkeypatch):
+        # The child inherits its parent's idle pool, whose workers and
+        # manager thread are not its own: it must fork its own.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("MDSD_THREADS", "2")
+        cfg = synth_config(tmp_path / "parent.csv")
+        run_experiment(cfg)
+        child_cfg = dataclasses.replace(cfg, output=str(tmp_path / "child.csv"))
+        child = multiprocessing.get_context("fork").Process(target=run_experiment, args=(child_cfg,))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+        assert report(child_cfg) == report(cfg)
+
+    def test_fork_during_another_threads_run(self, tmp_path, monkeypatch):
+        # A thread's pooled run holds the pool's lock when the main thread
+        # forks. The child, which lacks that thread, must not wait for the
+        # lock, and makes its own pool.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("MDSD_THREADS", "2")
+        long_run = ExperimentConfig(
+            synth="zipf:1.0", vocab=20000, positions=200, trials=64, output=str(tmp_path / "long.csv")
+        )
+        thread = threading.Thread(target=run_experiment, args=(long_run,))
+        thread.start()
+        try:
+            assert wait_until(lambda: cli._pool is not None, 30)
+            child_cfg = synth_config(tmp_path / "child.csv")
+            child = multiprocessing.get_context("fork").Process(target=run_experiment, args=(child_cfg,))
+            child.start()
+            assert thread.is_alive(), "the run ended before the fork"
+            child.join(timeout=60)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        finally:
+            thread.join(timeout=120)
+        assert child.exitcode == 0
+        serial = synth_config(tmp_path / "serial.csv")
+        monkeypatch.setenv("MDSD_THREADS", "1")
+        run_experiment(serial)
+        assert report(child_cfg) == report(serial)
+
+    def test_threads_take_turns_at_the_pool(self, tmp_path, monkeypatch):
+        # Two good runs and one that fails mid-stream, at once: the failure
+        # drops the pool, which must not cut the other runs short.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", 1)
+        monkeypatch.setenv("MDSD_THREADS", "1")
+        good = [synth_config(tmp_path / f"serial{seed}.csv", seed=seed) for seed in (1, 2)]
+        for cfg in good:
+            run_experiment(cfg)
+        bad = tmp_path / "bad.jsonl"
+        logits_file(bad, 5, 20)
+        lines = bad.read_text().splitlines()
+        lines[3] = json.dumps(record([0, 1], [1, 0, 2]))
+        bad.write_text("\n".join(lines) + "\n")
+        monkeypatch.setenv("MDSD_THREADS", "2")
+        runs = [dataclasses.replace(cfg, output=str(tmp_path / f"pooled{cfg.seed}.csv")) for cfg in good]
+        runs.append(ExperimentConfig(input_path=str(bad), trials=16, output=str(tmp_path / "bad.csv")))
+        errors = {}
+
+        def run(cfg):
+            try:
+                run_experiment(cfg)
+            except Exception as exc:
+                errors[cfg.output] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(cfg,)) for cfg in runs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert list(errors) == [runs[2].output]
+        assert isinstance(errors[runs[2].output], MalformedInputError)
+        for cfg, pooled in zip(good, runs):
+            assert report(pooled) == report(cfg)
