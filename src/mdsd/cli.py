@@ -22,8 +22,9 @@ The pool lives from the first pooled run until a run asks for another
 worker count or finds a worker dead, a pooled run fails or is stopped, or
 the process exits, so a process that runs many experiments forks its
 workers once; a forked child starts without it. `main` shuts it down before
-it returns. Workers are forked whatever the platform's default start method,
-and a worker exits by itself once the process that forked it is gone.
+it returns, and a SIGTERM ends `main`'s process at once, with exit code 143.
+Workers are forked whatever the platform's default start method, and a
+worker exits by itself once the process that forked it is gone.
 
 A record is parsed by orjson from its bytes. orjson refuses ``NaN`` and
 ``-Infinity``, which Python's json module writes for a masked logit, so a
@@ -38,7 +39,6 @@ Logits provenance is the caller's responsibility: records are treated as
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import hashlib
 import itertools
@@ -390,38 +390,6 @@ def _run_chunk(cfg: ExperimentConfig, chunk) -> list[list[list[dict]]]:
     return [_run_position(cfg, position, source) for position, source in chunk]
 
 
-@contextlib.contextmanager
-def _sigterm_held():
-    """Run the block with the Python handler of SIGTERM held back: a SIGTERM
-    that arrives meanwhile is handled when the block ends.
-
-    A handler that raises, as `main`'s does, must not run inside an at-fork
-    hook, where Python ignores the exception, and a fork runs such hooks.
-    Blocking the signal in this thread would not keep it out: another thread
-    (a BLAS library's) takes it, and this thread runs the handler all the
-    same. In a process forked in the block, the recording handler calls the
-    one it replaced."""
-    handler = signal.getsignal(signal.SIGTERM)
-    if not callable(handler) or threading.current_thread() is not threading.main_thread():
-        yield  # no Python handler, or one that runs in another thread
-        return
-    pid, caught = os.getpid(), []
-
-    def hold(signum, frame):
-        if os.getpid() == pid:
-            caught.append(frame)
-        else:
-            handler(signum, frame)
-
-    signal.signal(signal.SIGTERM, hold)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, handler)
-        if caught:
-            handler(signal.SIGTERM, caught[0])
-
-
 # The pool that pooled runs share, (worker count, executor, exit finalizer),
 # or None. _pool_lock guards it and serialises the pooled runs of threads.
 _pool = None
@@ -446,13 +414,14 @@ os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _worker_init(owner: int) -> None:
-    """Set a pool worker up. SIGTERM ends it at once: the handler it forked
-    with may be `main`'s, which would raise in the worker and, depending on
-    when it came, ship the exit back as its chunk's result or break the
-    pool; a worker that dies always breaks it. A daemon thread ends the
-    worker once ``owner``, the process that forked it, is gone: an idle
-    worker waits on its task queue, whose write end it holds itself, so the
-    owner's death closes nothing it reads."""
+    """Set a pool worker up. SIGTERM ends it at once, whatever handler it
+    forked with: one that raises would, depending on when it came, ship the
+    exit back as its chunk's result or break the pool; a worker that dies
+    always breaks it. A daemon thread ends the worker within
+    `_OWNER_POLL_S` once ``owner``, the process that forked it, is gone, as
+    after `main`'s SIGTERM: an idle worker waits on its task queue, whose
+    write end it holds itself, so the owner's death closes nothing it
+    reads."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     threading.Thread(target=_exit_when_orphaned, args=(owner,), daemon=True).start()
 
@@ -511,10 +480,7 @@ def _run_positions(cfg: ExperimentConfig, cap: int) -> list[list[list[dict]]]:
     of ``cap`` workers (`_pool_for`) with at most two per worker in flight,
     so at most 2 * workers + 2 chunks are held at once; otherwise positions
     run serially as they are read. If a chunk fails or the run is stopped,
-    the pool is dropped: the chunks not yet started are cancelled.
-
-    The first submit to a new pool forks every worker, so it runs with
-    SIGTERM held back (`_sigterm_held`)."""
+    the pool is dropped: the chunks not yet started are cancelled."""
     positions = enumerate(_positions(cfg))
     if cap > 1:
         chunks = _chunks(positions)
@@ -525,8 +491,6 @@ def _run_positions(cfg: ExperimentConfig, cap: int) -> list[list[list[dict]]]:
             with _pool_lock:
                 try:
                     pool = _pool_for(cap)
-                    with _sigterm_held():
-                        window.append(pool.submit(_run_chunk, cfg, next(chunks)))
                     for chunk in chunks:
                         if len(window) == 2 * cap:
                             out.extend(window.popleft().result())
@@ -736,13 +700,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _stop(signum, frame):
-    raise SystemExit(128 + signum)
+    os._exit(128 + signum)
 
 
 def main(argv=None) -> int:
     cfg = ExperimentConfig(**vars(_build_parser().parse_args(argv)))
-    # A SIGTERM ends the run as an exception does, so the pool is shut down
-    # with it instead of leaving its workers running.
+    # A SIGTERM ends the process at once, with no report; the pool's
+    # workers see it gone and exit by themselves (`_worker_init`).
     previous = signal.signal(signal.SIGTERM, _stop)
     try:
         run_experiment(cfg)
@@ -753,9 +717,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        # The run leaves no worker behind. The pool is shut down while _stop
-        # still handles SIGTERM, so a SIGTERM meanwhile ends the run as an
-        # exception, whose exit finishes the shutdown.
+        # The run leaves no worker behind.
         _drop_pool()
         signal.signal(signal.SIGTERM, previous)
     return 0

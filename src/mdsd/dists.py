@@ -29,6 +29,11 @@ __all__ = [
 # A total at or below this is no mass: `Dist` rejects it, and a residual
 # that small has vanished.
 _ZERO_MASS = 1e-12
+# A token's mass below the smallest normal float is no mass: `Dist` sets it
+# to 0 once normalised. A subnormal mass has too few bits to divide by or to
+# scale by its power of two, so the samplers, scans, verifiers and oracles,
+# which all read the `Dist`, see it as 0 alike.
+_TINY_MASS = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +41,8 @@ class Dist:
     """A probability distribution over token ids ``0..vocab_size-1``.
 
     The mass vector is validated (finite, non-negative, positive total) and
-    renormalized once here; the backing array is marked read-only.
+    renormalized once here, a mass below `_TINY_MASS` set to 0; the backing
+    array is marked read-only.
     """
 
     mass: np.ndarray
@@ -62,6 +68,7 @@ class Dist:
         if total <= _ZERO_MASS:
             raise ValueError("distribution has no mass")
         arr = arr / total
+        np.copyto(arr, 0.0, where=arr < _TINY_MASS)
         arr.flags.writeable = False
         object.__setattr__(self, "mass", arr)
 

@@ -1057,6 +1057,36 @@ class TestMainEntryPoint:
         assert any(row.startswith("0,without-replacement,rrs-wo,") for row in rows)
 
     @pytest.mark.parametrize(
+        "rec, seeds",
+        [
+            # At temperature 1, exp(-740) is a subnormal mass, which is no
+            # mass: q has two tokens of support, and no scan, verifier or
+            # sampler may divide by or draw the others.
+            (record([1, 0, 2, 0.5, 0], [0, 0, -740, -740, -740]), [0]),
+            # Seeds at which a sampler that drew subnormal tokens would draw
+            # a duplicate.
+            (record([0] * 29, [0, 0] + [-740] * 27), [8, 11, 22, 24, 41]),
+        ],
+    )
+    def test_subnormal_draft_masses_are_no_mass(self, tmp_path, capsys, rec, seeds):
+        path = tmp_path / "sub.jsonl"
+        write_jsonl(path, [rec])
+        out = tmp_path / "r.csv"
+        for seed in seeds:
+            args = ["--input", str(path), "--temperature", "1", "--trials", "256", "--seed", str(seed)]
+            assert main([*args, "--output", str(out)]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "error: without-replacement draft count exceeds support size"
+            ]
+            assert not out.exists()
+            assert main([*args, "--num-drafts", "2", "--output", str(out)]) == 0
+            rows = out.read_text().splitlines()[1:]
+            out.unlink()
+            assert len(rows) == 2 * 4
+            for row in rows:
+                assert all(math.isfinite(float(cell)) for cell in row.split(",")[3:7]), row
+
+    @pytest.mark.parametrize(
         "args, field",
         [
             (["--num-drafts", "0"], "num_drafts"),
@@ -1130,6 +1160,27 @@ class TestMainEntryPoint:
         proc = run_main([*args, "--output", str(out)], timeout=60, code=code)
         assert proc.returncode == 128 + signal.SIGTERM, proc.stderr
         assert "Exception ignored" not in proc.stderr
+        assert not out.exists()
+
+    def test_sigterm_in_a_serial_run_exit_143(self, tmp_path):
+        # One worker runs the positions in the main process; a SIGTERM at its
+        # first position ends the run there.
+        code = (
+            "import os, signal, sys\n"
+            "from mdsd import cli\n"
+            "os.environ['MDSD_THREADS'] = '1'\n"
+            "run = cli._run_position\n"
+            "def stop(*args):\n"
+            "    os.kill(os.getpid(), signal.SIGTERM)\n"
+            "    return run(*args)\n"
+            "cli._run_position = stop\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "r.csv"
+        args = ["--synth", "zipf:1.0", "--vocab", "50", "--positions", "40", "--trials", "16"]
+        proc = run_main([*args, "--output", str(out)], timeout=60, code=code)
+        assert proc.returncode == 128 + signal.SIGTERM, proc.stderr
+        assert proc.stderr == ""
         assert not out.exists()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")

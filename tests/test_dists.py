@@ -63,6 +63,12 @@ class TestDist:
         d = Dist(np.array([1.5e308, 1e308, 5e307]))
         assert np.allclose(d.mass, [0.5, 1 / 3, 1 / 6], rtol=1e-15, atol=0)
 
+    def test_mass_below_the_smallest_normal_is_none(self):
+        # Subnormal once normalised, as given or by the division: set to 0.
+        tiny = np.finfo(np.float64).tiny
+        assert np.array_equal(Dist(np.array([1.0, 5e-320, tiny, 0.0])).mass, [1.0, 0.0, tiny, 0.0])
+        assert np.array_equal(Dist(np.array([1e300, 1e-10])).mass, [1.0, 0.0])
+
     def test_finite_total_keeps_its_bits(self, rng):
         for _ in range(20):
             arr = rng.random(7) * 10.0 ** rng.integers(-6, 300)

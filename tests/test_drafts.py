@@ -183,6 +183,16 @@ class TestSamplers:
         assert one.shape == (1, scheme.n)
         assert tuple_prob(scheme, one[0]) > 0.0
 
+    def test_without_replacement_never_draws_a_subnormal_mass(self):
+        # The third token's subnormal mass is no mass: three drafts exceed
+        # the support, and two never draw it. Had it kept its mass, u * E
+        # could round up to a subnormal undrawn total E and pick an empty run.
+        q = Dist(np.array([0.6, 0.4, 5e-320]))
+        with pytest.raises(ValueError, match="exceeds support size"):
+            DraftScheme.without_replacement(q, 3)
+        tuples = sample_tuples(DraftScheme.without_replacement(q, 2), 200_000, np.random.default_rng(3))
+        assert not (tuples == 2).any() and (tuples[:, 0] != tuples[:, 1]).all()
+
     def test_greedy_first_token_deterministic(self):
         scheme = DraftScheme.greedy(Q532, 2)
         rng = np.random.default_rng(0)
