@@ -15,14 +15,13 @@ one statement of the rejection residual max(p - c q, 0).
 from __future__ import annotations
 
 import functools
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dists import _ZERO_MASS, Dist, stable_argsort
-from .drafts import DraftKind, DraftScheme, _greedy_rest
+from .drafts import DraftScheme
 
 __all__ = [
     "ResidualTable",
@@ -214,49 +213,22 @@ def residual_table(p: Dist, q: Dist) -> ResidualTable:
     return ResidualTable(p, q)
 
 
-def _prefix_q_values(p: Dist, scheme: DraftScheme) -> tuple[np.ndarray, np.ndarray]:
-    """The prefixes of ``ratio_order(p, scheme.q)`` (prefix sizes 1..V):
-    P over them, and Q."""
-    if scheme.kind is DraftKind.WITH_REPLACEMENT:
-        table = residual_table(p, scheme.q)
-        return table.p_cum, np.minimum(table.q_cum, 1.0) ** scheme.n
-    # Without replacement: the coefficient ratio W_{n,H} / W_{n,Sigma}, the
-    # subset mass of conditional Poisson sampling (P(S) ∝ prod_{i in S} q_i).
-    # W_k over prefix i follows W_k(i) = W_k(i-1) + q_i W_{k-1}(i-1), i.e.
-    # one cumulative sum per degree k. Each degree is scaled by the power of
-    # two that brings its total near 1: exact, so the ratio keeps its bits,
-    # and W_n cannot underflow where q has n tokens of tiny mass.
-    order, _ = ratio_order(p, scheme.q)
-    v = order.size
-    qs = scheme.q.mass[order]
-    w_prev = np.ones(v + 1)
-    for _ in range(scheme.n):
-        w_next = np.zeros(v + 1)
-        w_next[1:] = np.cumsum(qs * w_prev[:-1])
-        w_next *= 2.0 ** -math.frexp(w_next[v])[1]
-        w_prev = w_next
-    if w_prev[v] <= 0.0:
-        raise ValueError("without-replacement draft count exceeds support size")
-    return residual_table(p, scheme.q).p_cum, w_prev[1:] / w_prev[v]
-
-
 def alpha_scan(p: Dist, scheme: DraftScheme) -> ScanResult:
     """Optimal acceptance rate via the sorted prefix scan.
 
-    Runs in O(V log V + n V). Only the with- and without-replacement schemes
-    have the structure this relies on; the greedy optimum is
-    `alpha_greedy_closed`.
+    Runs in O(V log V + n V). Only a scheme whose row has a Q(H) form
+    (``scheme.q_form``) has the structure this relies on; the greedy optimum
+    is `alpha_greedy_closed`.
     """
-    if scheme.kind not in (DraftKind.WITH_REPLACEMENT, DraftKind.WITHOUT_REPLACEMENT):
+    if scheme.q_form is None:
         raise ValueError(f"no prefix scan for {scheme.kind.value} drafts")
-    order, _ = ratio_order(p, scheme.q)
-    p_cum, q_vals = _prefix_q_values(p, scheme)
-    f_values = np.concatenate(([0.0], p_cum - q_vals))
+    table = residual_table(p, scheme.q)
+    f_values = np.concatenate(([0.0], table.p_cum - scheme.q_form(scheme, table)))
     argmin = int(np.argmin(f_values))
     return ScanResult(
         alpha_star=1.0 + float(f_values[argmin]),
         argmin_prefix_len=argmin,
-        ordering=order,
+        ordering=table.order,
         f_values=f_values,
     )
 
@@ -267,11 +239,6 @@ def alpha_greedy_closed(p: Dist, q: Dist, n: int) -> float:
     and the last-draft distribution, clamped to 1 against rounding."""
     if p.vocab_size != q.vocab_size:
         raise ValueError("size mismatch between p and q")
-    if n < 1:
-        raise ValueError("draft count must be >= 1")
-    top, rest = _greedy_rest(q, n)
-    # `greedy_tail`'s distribution without a `Dist`: the same division by
-    # the sum, so the same bits.
-    tail = rest / rest.sum()
+    top, tail = DraftScheme.greedy(q, n).prefix_law
     top_mass = float(p.mass[list(top)].sum()) if top else 0.0
-    return min(1.0, top_mass + float(np.minimum(p.mass, tail).sum()))
+    return min(1.0, top_mass + float(np.minimum(p.mass, tail.mass).sum()))

@@ -323,7 +323,7 @@ def _run_position(cfg: ExperimentConfig, position: int, source) -> list[list[dic
         rows = []
         for name, kind, methods in schemes:
             scheme = DraftScheme(kind, q, n)
-            if kind is DraftKind.GREEDY:
+            if scheme.q_form is None:
                 alpha_star = alpha_greedy_closed(p, q, n)
             else:
                 alpha_star = alpha_scan(p, scheme).alpha_star

@@ -24,7 +24,7 @@ import pytest
 from mdsd import cli
 from mdsd.alpha import residual_table
 from mdsd.dists import _ZERO_MASS, Dist, tv_distance
-from mdsd.drafts import iter_support, tuple_prob
+from mdsd.drafts import DraftKind, iter_support, tuple_prob
 from mdsd.mc import _blocks
 from mdsd.oracle import rrs_wo_conditional
 from mdsd.verify import make_kernel
@@ -55,6 +55,18 @@ def grid_dist(weights) -> Dist:
 def grid_fracs(weights) -> tuple[Fraction, ...]:
     total = sum(weights)
     return tuple(Fraction(int(w), total) for w in weights)
+
+
+def kind_cases(vocab: int, n: int, support: int):
+    """(kind, draft count) for every `DraftKind` at draft count n, so that a
+    kind with no case fails instead of going untested: greedy at no more than
+    ``vocab`` drafts, and without replacement skipped where fewer than n
+    tokens have mass."""
+    for kind in DraftKind:
+        if kind is DraftKind.GREEDY:
+            yield kind, min(n, vocab)
+        elif kind is not DraftKind.WITHOUT_REPLACEMENT or support >= n:
+            yield kind, n
 
 
 def dirichlet_dist(rng: np.random.Generator, vocab: int, conc: float = 1.0) -> Dist:

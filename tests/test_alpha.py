@@ -1,6 +1,7 @@
 """Optimal acceptance rate solvers against hand values, the float subset
 brute force and the exact rational oracle."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -234,6 +235,16 @@ class TestAlphaGreedyClosed:
             0.5919415879517816, 0.001692937834746239, 0.06406704518102543,
         ]))
         assert alpha_greedy_closed(p, q, 6) == 1.0
+
+    def test_no_token_left_for_the_last_draft(self):
+        # n - 1 = V: the greedy scheme's own check, not a 0/0 rate of 1.
+        with pytest.raises(ValueError) as scheme_err:
+            DraftScheme.greedy(Q532, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as closed_err:
+                alpha_greedy_closed(P631, Q532, 4)
+        assert str(closed_err.value) == str(scheme_err.value)
 
     def test_tiny_remainder_is_not_exhausted(self):
         # The top token leaves 3e-13 of q's mass: the last draft is drawn

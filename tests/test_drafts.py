@@ -16,20 +16,15 @@ from mdsd.drafts import (
     tuple_prob,
 )
 
-from conftest import dirichlet_dist
+from conftest import dirichlet_dist, kind_cases
 
 Q532 = Dist(np.array([0.5, 0.3, 0.2]))
 
 
 def all_schemes(q, n):
     """One scheme of every kind over the same base distribution."""
-    out = [
-        DraftScheme.with_replacement(q, n),
-        DraftScheme.greedy(q, n),
-    ]
-    if np.count_nonzero(q.mass) >= n:
-        out.append(DraftScheme.without_replacement(q, n))
-    return out
+    cases = kind_cases(q.vocab_size, n, np.count_nonzero(q.mass))
+    return [DraftScheme(kind, q, m) for kind, m in cases]
 
 
 class TestSchemeValidation:
@@ -169,13 +164,9 @@ class TestSamplers:
                 assert abs(freq - prob) <= 4 * se + 1e-12, (t, freq, prob)
         assert not counts
 
-    @pytest.mark.parametrize("kind", ["wr", "wo", "greedy"])
+    @pytest.mark.parametrize("kind", list(DraftKind), ids=lambda kind: kind.value)
     def test_batch_sampler_frequencies(self, kind):
-        scheme = {
-            "wr": DraftScheme.with_replacement(Q532, 2),
-            "wo": DraftScheme.without_replacement(Q532, 2),
-            "greedy": DraftScheme.greedy(Q532, 2),
-        }[kind]
+        scheme = DraftScheme(kind, Q532, 2)
         rng = np.random.default_rng(12)
         arr = sample_tuples(scheme, self.N_DRAWS, rng)
         self.check_frequencies(scheme, [tuple(int(x) for x in row) for row in arr])
@@ -192,6 +183,23 @@ class TestSamplers:
             DraftScheme.without_replacement(q, 3)
         tuples = sample_tuples(DraftScheme.without_replacement(q, 2), 200_000, np.random.default_rng(3))
         assert not (tuples == 2).any() and (tuples[:, 0] != tuples[:, 1]).all()
+
+    def test_draw_streams_are_pinned(self):
+        # No benchmark workload samples greedy tuples, so this is what holds
+        # their bytes: the top n - 1 tokens, then one `choice` from the rest
+        # on the caller's generator. The random schemes' draws are pinned to
+        # their values for this seed.
+        q = Dist(np.array([0.1, 0.25, 0.05, 0.4, 0.2]))
+        top, tail = greedy_tail(q, 3)
+        drawn = sample_tuples(DraftScheme.greedy(q, 3), 6, np.random.default_rng(11))
+        assert (drawn[:, :2] == top).all()
+        assert (drawn[:, 2] == np.random.default_rng(11).choice(5, size=6, p=tail.mass)).all()
+        pinned = {
+            DraftKind.WITH_REPLACEMENT: [[1, 3, 3], [0, 1, 4], [0, 1, 4], [3, 2, 3]],
+            DraftKind.WITHOUT_REPLACEMENT: [[0, 4, 3], [1, 3, 4], [3, 2, 4], [2, 4, 3]],
+        }
+        for kind, want in pinned.items():
+            assert sample_tuples(DraftScheme(kind, q, 3), 4, np.random.default_rng(11)).tolist() == want
 
     def test_greedy_first_token_deterministic(self):
         scheme = DraftScheme.greedy(Q532, 2)

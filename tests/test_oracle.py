@@ -19,7 +19,7 @@ from mdsd.oracle import (
     tuple_probs_exact,
 )
 
-from conftest import conditional_poisson_probs, grid_dist, grid_fracs, grid_weights
+from conftest import conditional_poisson_probs, grid_dist, grid_fracs, grid_weights, kind_cases
 
 Q532 = rational_dist([5, 3, 2])
 
@@ -53,22 +53,9 @@ class TestTupleProbsExact:
             q_frac = grid_fracs(wq)
             q_dist = grid_dist(wq)
             pairs = [
-                (
-                    RationalScheme(DraftKind.WITH_REPLACEMENT, q_frac, n),
-                    DraftScheme.with_replacement(q_dist, n),
-                ),
-                (
-                    RationalScheme(DraftKind.GREEDY, q_frac, min(n, v)),
-                    DraftScheme.greedy(q_dist, min(n, v)),
-                ),
+                (RationalScheme(kind, q_frac, m), DraftScheme(kind, q_dist, m))
+                for kind, m in kind_cases(v, n, np.count_nonzero(wq))
             ]
-            if sum(1 for w in wq if w > 0) >= n:
-                pairs.append(
-                    (
-                        RationalScheme(DraftKind.WITHOUT_REPLACEMENT, q_frac, n),
-                        DraftScheme.without_replacement(q_dist, n),
-                    )
-                )
             for rat, flo in pairs:
                 probs = tuple_probs_exact(rat)
                 assert sum(probs.values()) == 1
@@ -120,12 +107,7 @@ class TestDualityTriangle:
             v, n, wp, wq = random_grid_case(rng)
             p = grid_fracs(wp)
             q = grid_fracs(wq)
-            schemes = [
-                RationalScheme(DraftKind.WITH_REPLACEMENT, q, n),
-                RationalScheme(DraftKind.GREEDY, q, min(n, v)),
-            ]
-            if sum(1 for w in wq if w > 0) >= n:
-                schemes.append(RationalScheme(DraftKind.WITHOUT_REPLACEMENT, q, n))
+            schemes = [RationalScheme(kind, q, m) for kind, m in kind_cases(v, n, np.count_nonzero(wq))]
             for s in schemes:
                 assert alpha_maxflow(p, s) == alpha_subset_exact(p, s), s.kind
 
