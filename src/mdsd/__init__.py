@@ -34,7 +34,6 @@ from .oracle import (
     verifier_marginal_exact,
 )
 from .verify import (
-    GreedyKernel,
     KseqKernel,
     KseqParams,
     RrsWKernel,

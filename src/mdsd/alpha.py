@@ -62,11 +62,11 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 def _last_pair(fn):
     """``functools.lru_cache(maxsize=1)`` for ``fn(p, q)``, keyed by identity
     (a `Dist` is immutable), except that ``cache_clear`` keeps the counts of
-    ``cache_info``, which tell how often a position sorted. A miss drops the
-    last pair's result before it builds the next, so a finished position's
-    arrays are held until the next position's first call and no longer:
-    freeing them at the position's end instead only made the next position
-    fault the same pages in again."""
+    ``cache_info``, which tell how often a position built its table. A miss
+    drops the last pair's result before it builds the next, so a finished
+    position's arrays are held until the next position's first call and no
+    longer: freeing them at the position's end instead only made the next
+    position fault the same pages in again."""
     kept = [None, None, None]  # the last call's p, q and result
     counts = [0, 0]  # hits, misses
 
@@ -88,13 +88,12 @@ def _last_pair(fn):
     return memo
 
 
-@_last_pair
 def ratio_order(p: Dist, q: Dist) -> tuple[np.ndarray, np.ndarray]:
     """Token ids sorted by p(x)/q(x) ascending, ties by lowest id, and the
     sorted ratios; q(x) = 0 gives +inf where p(x) > 0 and -1 where p(x) = 0.
-    `residual_table` and the without-replacement scan read it, and the last
-    pair's result is kept (a `Dist` is immutable and keyed by identity), so
-    a position sorts once; both arrays are read-only.
+    `ResidualTable` sorts by it, so under `residual_table`'s memo a position
+    sorts once; both arrays are read-only, as the table shares them with
+    every reader.
     """
     if p.vocab_size != q.vocab_size:
         raise ValueError("size mismatch between p and q")
@@ -206,10 +205,10 @@ class ResidualTable:
 
 @_last_pair
 def residual_table(p: Dist, q: Dist) -> ResidualTable:
-    """The `ResidualTable` of (p, q). The last pair's table is kept, as
-    `ratio_order` keeps its sort: the with-replacement scan, `kseq_solve`,
-    the with- and without-replacement verifiers and their exact rates read
-    one table per position."""
+    """The `ResidualTable` of (p, q), with its `ratio_order` sort. The last
+    pair's table is kept: the scans, `kseq_solve`, the rejection-sampling
+    verifiers and their exact rates read one table, and one sort, per
+    position."""
     return ResidualTable(p, q)
 
 

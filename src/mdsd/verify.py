@@ -9,22 +9,25 @@ them one batched coin walk over an (m, n) array of draft tuples, which the
 sampler (`sample`, m output tokens out) and the acceptance count
 (`accepted`, which draws nothing after the coins) share, and the exact
 conditional table (`conditional`), so the Monte Carlo path and the exact
-enumeration cannot disagree. `METHODS` says which kinds and how many drafts
-each method verifies, and `make_kernel` builds a method's kernel for a scheme.
+enumeration cannot disagree. A tuple may open with fixed drafts, greedy's
+top-q tokens, which the base checks and strips before the stages. `METHODS`
+says which kinds and how many drafts each method verifies, and
+`make_kernel` builds a method's kernel for a scheme.
 
-Both rejection-sampling kernels, and their exact acceptance rates, read
-one residual table per (p, q) pair (`mdsd.alpha.residual_table`) and take
-its residual update (`ResidualTable.next`), the one their stage walks
-take: `rrs_w_rate_exact` telescopes along it, and `rrs_wo_rate_exact` walks
-the tree of rejected draft prefixes through it level by level, at any
-draft count. The report takes that walk where its tree is small, and
-estimates rrs-wo by `mdsd.mc` elsewhere.
+Recursive rejection sampling is stated once, as the without-replacement
+walk of `RrsWoKernel`: one residual table per (p, q) pair
+(`mdsd.alpha.residual_table`) and its residual update
+(`ResidualTable.next`) at the undrafted q mass s. With replacement nothing
+is drafted out, s = 1, and that walk is `RrsWKernel`; ot-single is it at
+one draft, and greedy's verifier is it at the one draft after the fixed
+prefix. `rrs_w_rate_exact` telescopes along the same update, and
+`rrs_wo_rate_exact` walks the tree of rejected draft prefixes through it
+level by level, at any draft count. The report takes that walk where its
+tree is small, and estimates rrs-wo by `mdsd.mc` elsewhere.
 
 Methods: recursive rejection sampling against a running residual (with- and
-without-replacement variants; the optimal single-draft transport,
-ot-single, is the with-replacement kernel at one draft), the per-draft
-thresholded scheme with its fixed-point parameter rho, and the exact
-verifier for greedy drafts.
+without-replacement variants, ot-single and greedy's verifier), and the
+per-draft thresholded scheme with its fixed-point parameter rho.
 """
 
 from __future__ import annotations
@@ -37,14 +40,13 @@ import numpy as np
 
 from .alpha import alpha_single_draft, residual_table
 from .dists import Dist, _positive_part
-from .drafts import DraftKind, DraftScheme, greedy_tail
+from .drafts import DraftKind, DraftScheme
 
 __all__ = [
     "RrsWKernel",
     "RrsWoKernel",
     "KseqParams",
     "KseqKernel",
-    "GreedyKernel",
     "METHODS",
     "supports",
     "make_kernel",
@@ -75,19 +77,25 @@ class _Kernel:
     `conditional` walks them as weights, so the Monte Carlo path and the
     exact table share one rule.
     ``q`` is the distribution the read drafts come from; a draft it cannot
-    produce is an error.
+    produce is an error. A tuple of n drafts may open with the fixed drafts
+    ``top`` (greedy's top-q tokens): `_walk` checks and strips them, so the
+    stages read only the drafts after them, and `accepted`, which reads the
+    whole tuple, still counts a final draw that lands on one.
     """
 
-    def __init__(self, p: Dist, q: Dist, n: int):
+    def __init__(self, p: Dist, q: Dist, n: int, top: tuple[int, ...] = ()):
         if p.vocab_size != q.vocab_size:
             raise ValueError("size mismatch between p and q")
-        self.p, self.q, self.n = p, q, n
+        self.p, self.q, self.n, self.top = p, q, n, top
 
     def _walk(self, tuples):
         tuples = np.asarray(tuples, dtype=np.intp)
-        if tuples.ndim != 2:
-            raise ValueError("draft tuples must be an (m, n) array")
-        cols, accept, final = self._stages(tuples)
+        if tuples.ndim != 2 or tuples.shape[1] != self.n:
+            raise ValueError(f"draft tuples must be an (m, {self.n}) array")
+        k = len(self.top)
+        if (tuples[:, :k] != self.top).any():
+            raise ValueError("draft tuple does not match the greedy top prefix")
+        cols, accept, final = self._stages(tuples[:, k:])
         if (self.q.mass[cols] <= 0.0).any():
             raise ValueError("draft outside support")
         return cols, accept, final
@@ -120,8 +128,8 @@ class _Kernel:
         own tuple, given the coins of `sample` and with nothing drawn after
         them: a row that accepts a draft counts 1, and a row that rejects
         every draft counts the final distribution's mass on its distinct
-        drafts. That mass is 0 for a per-row residual, which zeroes the
-        drafts, so only a vector final is read."""
+        drafts, fixed ones included. That mass is 0 for a per-row residual,
+        which zeroes the drafts, so only a vector final is read."""
         _, hit, final = self._coins(tuples, rng)
         missed = ~hit.any(axis=0)
         count = float(missed.size - np.count_nonzero(missed))
@@ -145,41 +153,7 @@ class _Kernel:
         return vec
 
 
-class RrsWKernel(_Kernel):
-    """Recursive rejection sampling for drafts sampled with replacement:
-    stage k accepts its draft with probability min(r_k/q, 1), where r_1 = p
-    and r_{k+1} is the normalised positive part of r_k - q. The residuals
-    do not depend on which tokens were drawn: each is the `ResidualTable`
-    update with nothing drafted out (s = 1). A stage whose residual
-    vanishes accepts its draft surely, as in rrs-wo, and no stage after it
-    is reached."""
-
-    def __init__(self, p: Dist, q: Dist, n: int):
-        super().__init__(p, q, n)
-        table = residual_table(p, q)
-        self.accepts = np.ones((n, p.vocab_size))
-        # Stage 1's residual is p itself, read as it is.
-        self.accepts[0] = _accept_probs(p.mass, q.mass)
-        self.final = None
-        state = table.start()
-        for k in range(n):
-            if k:
-                c, up, _, total = state
-                self.accepts[k] = _accept_probs(table.dense(c, up) / total, q.mass)
-            *state, _, dead = table.next(*state, 1.0)
-            if dead:
-                self.accepts[k] = 1.0
-                break
-        else:
-            c, up, _, _ = state
-            final = table.dense(c, up)
-            self.final = final / final.sum()
-
-    def _stages(self, tuples):
-        return tuples, self.accepts[np.arange(tuples.shape[1]), tuples], self.final
-
-
-def _wo_accept(pt, qt, top, c, up, total, s):
+def _rrs_accept(pt, qt, top, c, up, total, s):
     """min(r_k / q_k, 1) at drafts of masses pt and qt, at the top ratio
     where ``top``: the chance that a stage of `ResidualTable` state
     (c, u, M) and undrafted q mass s accepts each. The residual is p - c q
@@ -202,53 +176,78 @@ class RrsWoKernel(_Kernel):
     token keeps the value it had after its own stage, which is 0 unless the
     stage accepted it surely (and then nothing later is read). M_k comes
     from the table's prefix sums, so a batch costs O(n log V) per row after
-    `ratio_order`'s O(V log V) sort, shared with the scans, and q's
-    ascending view, shared with the draft sampler, and no (rows, V) array
-    is formed.
+    the table's O(V log V) sort, shared with the scans, and q's ascending
+    view, shared with the draft sampler, and no (rows, V) array is formed.
 
     A residual vanishes, its mass falling to `_ZERO_MASS` of the stage's,
     in exact arithmetic only where r_k = q_k, and there the stage accepts
     its draft surely: such a row accepts that draft and stops.
+
+    This walk is the one statement of recursive rejection sampling: with
+    ``replace`` (`RrsWKernel`) nothing is drafted out, and s = 1 at every
+    stage.
     """
 
-    def __init__(self, p: Dist, q: Dist, n: int):
-        super().__init__(p, q, n)
-        self.asc = q.ascending
+    replace = False
+
+    def __init__(self, p: Dist, q: Dist, n: int, top: tuple[int, ...] = ()):
+        super().__init__(p, q, n, top)
         self.table = residual_table(p, q)
+
+    def _undrafted(self, drafts):
+        """The undrafted q mass s of each stage of (n, m) drafts: 1 with
+        replacement, else summed over the runs between the ranks drafted
+        before the stage. Without replacement, a tuple that repeats a token
+        is an error once its last stage is read."""
+        if self.replace:
+            yield from itertools.repeat(1.0, len(drafts))
+            return
+        asc = self.q.ascending
+        drawn = []  # the ranks drafted before the stage, as `AscendingQ.insert` keeps them
+        for ranks in asc.rank[drafts]:
+            yield asc.undrawn(drawn)
+            drawn = asc.insert(drawn, ranks)
+        if any((x == y).any() for x, y in zip(drawn, drawn[1:])):
+            raise ValueError("without-replacement tuple has duplicate tokens")
 
     def _stages(self, tuples):
         m, n = tuples.shape
         table = self.table
         drafts = tuples.T
-        ranks = self.asc.rank[drafts]
         pt, qt, top = self.p.mass[drafts], self.q.mass[drafts], table.top[drafts]
         c, up, other, total = table.start()
-        drawn = []  # the ranks drafted before the stage, as `AscendingQ.insert` keeps them
         accept = np.empty((n, m))
         gone = None  # the rows whose residual has vanished
         # A draft with no q mass gives inf or nan here, and so does a row
         # after its residual vanished; `_walk` rejects the first, and the
         # second has stopped.
         with np.errstate(divide="ignore", invalid="ignore"):
-            for k in range(n):
-                if k:
-                    drawn = self.asc.insert(drawn, ranks[k - 1])
-                s = self.asc.undrawn(drawn)
-                accept[k] = _wo_accept(pt[k], qt[k], top[k], c, up, total, s)
+            for k, s in enumerate(self._undrafted(drafts)):
+                accept[k] = _rrs_accept(pt[k], qt[k], top[k], c, up, total, s)
                 c, up, other, total, j, dead = table.next(c, up, other, total, s)
                 if dead.any():
                     gone = dead if gone is None else gone | dead
                 if gone is not None:
                     accept[k, gone] = 1.0
-        drawn = self.asc.insert(drawn, ranks[-1])
-        if any((x == y).any() for x, y in zip(drawn, drawn[1:])):
-            raise ValueError("without-replacement tuple has duplicate tokens")
         if gone is not None and gone.all():
             return tuples, accept.T, None
-        if np.ndim(c) == 0:  # one draft: every row has the same residual
+        if np.ndim(c) == 0:  # with replacement or one draft: every row has the same residual
             final = table.dense(c, up)
             return tuples, accept.T, final / final.sum()
         return tuples, accept.T, _WoResidual(table, drafts, c, up, total, j)
+
+
+class RrsWKernel(RrsWoKernel):
+    """Recursive rejection sampling for drafts sampled with replacement:
+    stage k accepts its draft with probability min(r_k/q, 1), where r_1 = p
+    and r_{k+1} is the normalised positive part of r_k - q. It is the rrs-wo
+    walk with nothing drafted out (s = 1): the residuals do not depend on
+    which tokens were drawn, so every row keeps one scalar state and the
+    final distribution is one vector. ot-single is this kernel at one
+    draft, and greedy's verifier is it at the draft after the fixed prefix
+    ``top``, against q renormalised off that prefix."""
+
+    replace = True
 
 
 class _WoResidual:
@@ -350,7 +349,7 @@ def rrs_wo_rate_exact(p: Dist, q: Dist, n: int) -> float:
         rate += float((weight * (1.0 - state[3] / total * ~dead)).sum())
         if k == n - 1:
             break
-        child = weight * (qt / s) * (1.0 - _wo_accept(pt, qt, top, c, up, total, s))
+        child = weight * (qt / s) * (1.0 - _rrs_accept(pt, qt, top, c, up, total, s))
         child *= ~dead
         for d in drawn:
             child[d == rank] = 0.0
@@ -376,14 +375,15 @@ def kseq_solve(p: Dist, q: Dist, n: int) -> KseqParams:
     """Solve 1 - (1 - beta(rho))^n = rho * beta(rho) for rho >= 1, where
     beta(rho) = sum min(p/rho, q).
 
-    The breakpoints p_i/q_i are the ascending ratios of `ratio_order(p, q)`
-    (-1 for a token with neither mass, below 1 like any other p = 0). With
-    the first k tokens of the order in the head, beta = a/rho + b between
-    two of them: a is the head's p mass and b the tail's q mass, both read
-    from `residual_table`. g(rho) = 1 - (1 - beta)^n - rho beta does not
-    increase, is >= 0 at rho = 1 and <= 0 at rho = n. A binary search over
-    the breakpoints between 1 and n finds the root's segment, and
-    safeguarded Newton (`_root`) solves g = 0 on it to adjacent floats.
+    The breakpoints p_i/q_i are the ascending ratios of the
+    `residual_table` of (p, q), ``ratios`` (-1 for a token with neither
+    mass, below 1 like any other p = 0). With the first k tokens of its
+    order in the head, beta = a/rho + b between two of them: a is the
+    head's p mass and b the tail's q mass, both read from the same table.
+    g(rho) = 1 - (1 - beta)^n - rho beta does not increase, is >= 0 at
+    rho = 1 and <= 0 at rho = n. A binary search over the breakpoints
+    between 1 and n finds the root's segment, and safeguarded Newton
+    (`_root`) solves g = 0 on it to adjacent floats.
 
     g = beta (sum_{j<n} (1 - beta)^j - rho), so for beta > 0 its sign is
     that of h = sum_{0<j<n} s^j - (rho - 1), with s = 1 - beta taken as
@@ -498,21 +498,11 @@ class KseqKernel(_Kernel):
         return tuples, self.accept[tuples], self.terminal
 
 
-class GreedyKernel(RrsWKernel):
-    """Verifier for greedy drafts: the deterministic top tokens make the
-    problem single-draft, so rejection sampling of the last draft against
-    its distribution, the optimal single-draft transport, achieves the
-    scheme's optimal acceptance rate exactly."""
-
-    def __init__(self, p: Dist, q: Dist, n: int):
-        self.top, tail = greedy_tail(q, n)
-        super().__init__(p, tail, 1)
-        self.n = n
-
-    def _stages(self, tuples):
-        if tuples.shape[1] != self.n or (tuples[:, : self.n - 1] != self.top).any():
-            raise ValueError("draft tuple does not match the greedy top prefix")
-        return super()._stages(tuples[:, -1:])
+def _rrs_w(p: Dist, scheme: DraftScheme) -> RrsWKernel:
+    """rrs-w of the scheme's drawn drafts against their law, behind its
+    fixed prefix (greedy's top n - 1 tokens, none for the other kinds)."""
+    top, law = scheme.prefix_law
+    return RrsWKernel(p, law, scheme.n, top)
 
 
 _WR, _WO = DraftKind.WITH_REPLACEMENT, DraftKind.WITHOUT_REPLACEMENT
@@ -522,10 +512,10 @@ _WR, _WO = DraftKind.WITH_REPLACEMENT, DraftKind.WITHOUT_REPLACEMENT
 # ot-single is rejection sampling of a single draft.
 METHODS = {
     "ot-single": ((_WR, _WO), 1, lambda p, s: RrsWKernel(p, s.q, 1)),
-    "rrs-w": ((_WR,), math.inf, lambda p, s: RrsWKernel(p, s.q, s.n)),
+    "rrs-w": ((_WR,), math.inf, _rrs_w),
     "kseq": ((_WR,), math.inf, lambda p, s: KseqKernel(p, s.q, s.n)),
     "rrs-wo": ((_WO,), math.inf, lambda p, s: RrsWoKernel(p, s.q, s.n)),
-    "greedy": ((DraftKind.GREEDY,), math.inf, lambda p, s: GreedyKernel(p, s.q, s.n)),
+    "greedy": ((DraftKind.GREEDY,), math.inf, _rrs_w),
 }
 
 

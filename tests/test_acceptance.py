@@ -27,11 +27,11 @@ from mdsd.oracle import (
     verifier_marginal_exact,
 )
 from mdsd.verify import (
-    GreedyKernel,
     KseqKernel,
     RrsWKernel,
     RrsWoKernel,
     kseq_solve,
+    make_kernel,
     rrs_w_rate_exact,
 )
 
@@ -162,11 +162,12 @@ def tiny_kernel_cases(rng):
     p = Dist(rng.dirichlet(np.ones(v)))
     q = Dist(rng.dirichlet(np.ones(v)))
     n_g = min(n, v)
+    greedy = DraftScheme.greedy(q, n_g)
     cases = [
         (DraftScheme.with_replacement(q, 1), RrsWKernel(p, q, 1)),
         (DraftScheme.with_replacement(q, n), RrsWKernel(p, q, n)),
         (DraftScheme.with_replacement(q, n), KseqKernel(p, q, n)),
-        (DraftScheme.greedy(q, n_g), GreedyKernel(p, q, n_g)),
+        (greedy, make_kernel("greedy", p, greedy)),
         (DraftScheme.without_replacement(q, n_g), RrsWoKernel(p, q, n_g)),
     ]
     return p, q, cases
@@ -229,7 +230,7 @@ class TestCriterion4:
 
             # Greedy verifier achieves its scheme's optimum exactly.
             scheme_g = DraftScheme.greedy(q, n_g)
-            kern_g = GreedyKernel(p, q, n_g)
+            kern_g = make_kernel("greedy", p, scheme_g)
             enum_g = sum(
                 tuple_prob(scheme_g, t)
                 * float(sum(kern_g.conditional(t)[i] for i in set(t)))

@@ -12,6 +12,7 @@ from mdsd.alpha import (
     alpha_scan,
     alpha_single_draft,
     ratio_order,
+    residual_table,
 )
 from mdsd.dists import Dist, softmax_temp
 from mdsd.drafts import DraftKind, DraftScheme
@@ -91,14 +92,17 @@ class TestRatioOrder:
             assert (ratios == ratio[want]).all()
 
     def test_read_only_and_kept_for_the_last_pair(self):
-        # One sort serves every reader of a pair, so none may write to it.
+        # One sort serves every reader of a pair, so none may write to it:
+        # the residual table keeps it for the last pair.
         order, ratios = ratio_order(P631, Q253)
         assert not order.flags.writeable and not ratios.flags.writeable
         with pytest.raises(ValueError):
             order[0] = 1
-        hits = ratio_order.cache_info().hits
-        assert ratio_order(P631, Q253)[0] is order
-        assert ratio_order.cache_info().hits == hits + 1
+        table = residual_table(P631, Q253)
+        hits = residual_table.cache_info().hits
+        assert residual_table(P631, Q253).order is table.order
+        assert residual_table.cache_info().hits == hits + 1
+        assert not table.order.flags.writeable and not table.ratios.flags.writeable
 
 
 class TestAlphaScan:

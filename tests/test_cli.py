@@ -595,16 +595,18 @@ class TestRunExperiment:
         assert swept == sorted(swept)
 
     def test_ratio_order_sorted_once_per_position(self, tmp_path, monkeypatch):
-        # The scans, kseq and rrs-wo of every draft count read one memoised
-        # ratio order and residual table of the position's (p, q): each
-        # position sorts and builds its table once, whether or not the
-        # previous position's are still held.
+        # The scans, kseq and the verifiers' rates of every draft count read
+        # one memoised residual table of the position's (p, q), and only
+        # the table sorts: each position sorts and builds its table once,
+        # whether or not the previous position's is still held.
         monkeypatch.setenv("MDSD_THREADS", "1")
+        sorts = []
+        monkeypatch.setattr("mdsd.alpha.ratio_order", lambda p, q: sorts.append(p) or ratio_order(p, q))
         cfg = self.config(tmp_path, sweep="drafts", sweep_values=(1.0, 2.0, 3.0), methods=tuple(METHODS))
-        memos = (ratio_order, residual_table)
-        misses = [memo.cache_info().misses for memo in memos]
+        misses = residual_table.cache_info().misses
         rows = run_experiment(cfg)
-        assert [memo.cache_info().misses for memo in memos] == [m + cfg.positions for m in misses]
+        assert len(sorts) == cfg.positions
+        assert residual_table.cache_info().misses == misses + cfg.positions
         assert {row["method"] for row in rows} == set(METHODS)
 
     def test_rows_are_their_library_calls(self, tmp_path):

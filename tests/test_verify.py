@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
-from mdsd.cli import synth_positions
+from mdsd.cli import _RATES, ExperimentConfig, _rrs_wo_exact, synth_positions
 from mdsd.dists import _ZERO_MASS, Dist, softmax_temp, top_k_desc, tv_distance
 from mdsd.drafts import DraftKind, DraftScheme, iter_support, sample_tuples, tuple_prob
 from mdsd.mc import estimate_alpha
 from mdsd.oracle import RationalScheme, alpha_subset_exact, rrs_wo_conditional, verifier_marginal_exact
 from mdsd.verify import (
-    GreedyKernel,
     KseqKernel,
     RrsWKernel,
     RrsWoKernel,
@@ -177,9 +176,16 @@ class TestRrsWithReplacement:
         ladder = rrs_w_ladder(p, q, 2)
         assert rrs_w_rate_exact(p, q, 2) == 1.0
         assert 0.0 < 1.0 - float(rrs_w_ladder_rate(ladder, q)) <= VANISHED_TABLE_BOUND
+        # On every tuple both stages accept surely and no final is drawn:
+        # the output is the first draft.
         kern = RrsWKernel(p, q, 2)
-        assert kern.final is None
-        assert (kern.accepts == 1.0).all()
+        tuples = np.array(list(iter_support(DraftScheme.with_replacement(q, 2))))
+        _, accept, final = kern._stages(tuples)
+        assert final is None
+        assert (accept == 1.0).all()
+        for t in tuples:
+            assert kern.conditional(t).tolist() == np.eye(2)[t[0]].tolist()
+        assert (kern.sample(tuples, np.random.default_rng(0)) == tuples[:, 0]).all()
 
     def test_batch_shape(self):
         rng = np.random.default_rng(2)
@@ -504,7 +510,7 @@ class TestKseqKernel:
 class TestGreedyVerify:
     def test_acceptance_includes_top_tokens(self):
         p = Dist(np.array([0.2, 0.3, 0.5]))
-        kern = GreedyKernel(p, Q532, 2)
+        kern = make_kernel("greedy", p, DraftScheme.greedy(Q532, 2))
         # Last draft 1 is rejected half the time; the resampled token can be
         # the deterministic draft 0, which still counts as accepted.
         vec = kern.conditional((0, 1))
@@ -515,7 +521,7 @@ class TestGreedyVerify:
     def test_hand_acceptance(self):
         p = Dist(np.array([0.2, 0.3, 0.5]))
         scheme = DraftScheme.greedy(Q532, 2)
-        kern = GreedyKernel(p, Q532, 2)
+        kern = make_kernel("greedy", p, scheme)
         assert enumerated_acceptance(scheme, kern) == pytest.approx(0.9, abs=1e-12)
         assert enumerated_acceptance(scheme, kern) == pytest.approx(
             alpha_greedy_closed(p, Q532, 2), abs=1e-12
@@ -527,7 +533,7 @@ class TestGreedyVerify:
             n = int(rng.integers(1, v + 1))
             p, q = random_pq(rng, v)
             scheme = DraftScheme.greedy(q, n)
-            kern = GreedyKernel(p, q, n)
+            kern = make_kernel("greedy", p, scheme)
             closed = alpha_greedy_closed(p, q, n)
             assert enumerated_acceptance(scheme, kern) == pytest.approx(closed, abs=1e-9)
             assert subset_alpha(p, support_probs(scheme)) == pytest.approx(closed, abs=1e-9)
@@ -537,14 +543,14 @@ class TestGreedyVerify:
             v = int(rng.integers(2, 5))
             n = int(rng.integers(1, v + 1))
             p, q = random_pq(rng, v)
-            marg = verifier_marginal_exact(
-                p, DraftScheme.greedy(q, n), GreedyKernel(p, q, n)
-            )
+            scheme = DraftScheme.greedy(q, n)
+            marg = verifier_marginal_exact(p, scheme, make_kernel("greedy", p, scheme))
             assert tv_distance(marg, p) <= 1e-9
 
     def test_invalid_prefix_errors(self):
+        kern = make_kernel("greedy", P559, DraftScheme.greedy(Q532, 2))
         with pytest.raises(ValueError, match="greedy top prefix"):
-            GreedyKernel(P559, Q532, 2).sample([(0, 1), (1, 0)], np.random.default_rng(0))
+            kern.sample([(0, 1), (1, 0)], np.random.default_rng(0))
 
     def test_conditional_matches_unfolded_formula(self, rng):
         # Spell the three-case conditional out from scratch: scale p by the
@@ -564,7 +570,7 @@ class TestGreedyVerify:
             z = np.where(
                 in_top, p.mass * u, np.maximum(p.mass * u - q.mass, 0.0)
             )
-            kern = GreedyKernel(p, q, n)
+            kern = make_kernel("greedy", p, DraftScheme.greedy(q, n))
             for last in range(v):
                 if in_top[last] or q.mass[last] <= 1e-12:
                     continue
@@ -575,6 +581,73 @@ class TestGreedyVerify:
                 assert np.allclose(got, expect, atol=1e-9), (top, last)
 
 
+class TestMethodTables:
+    """`METHODS` and the report's `cli._RATES` state the same methods: each
+    row's kernel, enumerated over its scheme's support at V <= 5, reaches
+    the rate the report gives it, at every kind it verifies. A method with
+    a kernel and no rate, or a rate its kernel does not reach, fails here."""
+
+    def test_kernel_reaches_reported_rate(self, rng):
+        assert set(_RATES) == set(METHODS)
+        cfg = ExperimentConfig()
+        checked = 0
+        for i in range(30):
+            v = int(rng.integers(2, 6))
+            if i % 2:
+                p, q = random_pq(rng, v)
+            else:  # integer masses, with ties
+                p, q = (Dist(rng.integers(1, 4, size=v).astype(float)) for _ in range(2))
+            for method, (kinds, most, _) in METHODS.items():
+                for kind in kinds:
+                    for n in range(1, min(most, v, 3) + 1):
+                        scheme = DraftScheme(kind, q, n)
+                        if scheme.q_form is None:
+                            alpha_star = alpha_greedy_closed(p, q, n)
+                        else:
+                            alpha_star = alpha_scan(p, scheme).alpha_star
+                        # rrs-wo is covered where the report walks it exactly.
+                        assert method != "rrs-wo" or _rrs_wo_exact(q, n, cfg.trials)
+                        rate, stderr = _RATES[method](p, scheme, alpha_star, cfg, 0)
+                        assert stderr == 0.0
+                        kern = make_kernel(method, p, scheme)
+                        assert enumerated_acceptance(scheme, kern) == pytest.approx(rate, abs=1e-12), (
+                            method, kind, n, p.mass, q.mass,
+                        )
+                        checked += 1
+        assert checked >= 300
+
+    def test_tuple_width_checked(self):
+        # A kernel built for n drafts refuses a tuple one draft wider or
+        # narrower, in `sample` and in `conditional`.
+        for method, (kinds, most, _) in METHODS.items():
+            n = min(most, 2)
+            kern = make_kernel(method, P559, DraftScheme(kinds[0], Q532, n))
+            for t in ((0, 1, 2)[: n + 1], (0, 1, 2)[: n - 1]):
+                with pytest.raises(ValueError, match=rf"\(m, {n}\) array"):
+                    kern.sample([t], np.random.default_rng(0))
+                with pytest.raises(ValueError, match=rf"\(m, {n}\) array"):
+                    kern.conditional(t)
+
+    def test_replacement_kernels_leave_q_unsorted(self, rng):
+        # The ascending sort of q is the without-replacement walk's alone:
+        # rrs-w, ot-single and greedy's verifier, built and walked, leave
+        # q and greedy's law without it.
+        for method, kind, n in (
+            ("rrs-w", DraftKind.WITH_REPLACEMENT, 3),
+            ("ot-single", DraftKind.WITH_REPLACEMENT, 1),
+            ("greedy", DraftKind.GREEDY, 3),
+        ):
+            p, q = random_pq(rng, 6)
+            scheme = DraftScheme(kind, q, n)
+            kern = make_kernel(method, p, scheme)
+            tuples = sample_tuples(scheme, 64, rng)
+            kern.sample(tuples, rng)
+            kern.accepted(tuples, rng)
+            kern.conditional(tuples[0])
+            for dist in (q, scheme.prefix_law[1]):
+                assert "ascending" not in dist.__dict__, method
+
+
 class TestDeterminism:
     def test_same_seed_same_output(self):
         for make in (
@@ -582,7 +655,7 @@ class TestDeterminism:
             lambda: RrsWKernel(P559, Q532, 2),
             lambda: RrsWoKernel(P559, Q532, 2),
             lambda: KseqKernel(P559, Q532, 2),
-            lambda: GreedyKernel(P559, Q532, 2),
+            lambda: make_kernel("greedy", P559, DraftScheme.greedy(Q532, 2)),
         ):
             kern = make()
             t = [(0, 1), (0, 2)] if kern.n > 1 else [(1,), (2,)]
