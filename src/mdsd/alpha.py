@@ -15,8 +15,8 @@ one statement of the rejection residual max(p - c q, 0).
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "alpha_single_draft",
     "ratio_order",
     "residual_table",
+    "residual_value",
     "alpha_scan",
     "alpha_greedy_closed",
 ]
@@ -56,38 +57,6 @@ def alpha_single_draft(p: Dist, q: Dist) -> float:
     return float(np.minimum(p.mass, q.mass).sum())
 
 
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-def _last_pair(fn):
-    """``functools.lru_cache(maxsize=1)`` for ``fn(p, q)``, keyed by identity
-    (a `Dist` is immutable), except that ``cache_clear`` keeps the counts of
-    ``cache_info``, which tell how often a position built its table. A miss
-    drops the last pair's result before it builds the next, so a finished
-    position's arrays are held until the next position's first call and no
-    longer: freeing them at the position's end instead only made the next
-    position fault the same pages in again."""
-    kept = [None, None, None]  # the last call's p, q and result
-    counts = [0, 0]  # hits, misses
-
-    @functools.wraps(fn)
-    def memo(p: Dist, q: Dist):
-        if kept[0] is p and kept[1] is q:
-            counts[0] += 1
-            return kept[2]
-        counts[1] += 1
-        cache_clear()  # the last pair's arrays go before the new ones are built
-        kept[:] = p, q, fn(p, q)
-        return kept[2]
-
-    def cache_clear() -> None:
-        kept[:] = None, None, None
-
-    memo.cache_clear = cache_clear
-    memo.cache_info = lambda: CacheInfo(*counts, 1, int(kept[0] is not None))
-    return memo
-
-
 def ratio_order(p: Dist, q: Dist) -> tuple[np.ndarray, np.ndarray]:
     """Token ids sorted by p(x)/q(x) ascending, ties by lowest id, and the
     sorted ratios; q(x) = 0 gives +inf where p(x) > 0 and -1 where p(x) = 0.
@@ -102,6 +71,14 @@ def ratio_order(p: Dist, q: Dist) -> tuple[np.ndarray, np.ndarray]:
     ratios = ratio[order]
     order.flags.writeable = ratios.flags.writeable = False
     return order, ratios
+
+
+def residual_value(pt, qt, top, c, up):
+    """The unnormalised residual of `ResidualTable` state (c, u) at tokens of
+    masses pt and qt: u q where ``top`` (the top ratio), max(p - c q, 0)
+    elsewhere. Its one value formula, which `ResidualTable.dense` and the
+    rejection-sampling stages read alike."""
+    return np.where(top, qt * up, np.maximum(pt - c * qt, 0.0))
 
 
 class ResidualTable:
@@ -123,7 +100,8 @@ class ResidualTable:
     rejects its draft leaves max(r - q_k, 0), where q_k is q over the
     undrafted mass s, and that is the update `next` takes (s = 1 with
     replacement). A drafted token falls to 0 by the same rule, so M sums
-    the whole vocabulary.
+    the whole vocabulary. `residual_value` gives its value at any tokens,
+    and `draw` draws tokens from it.
 
     One table per (p, q) pair is kept (`residual_table`); its arrays are
     read-only.
@@ -166,11 +144,6 @@ class ResidualTable:
         top[self.descending[self.lead : self.top_end]] = True
         return top
 
-    def at_top_sums(self, j):
-        """The p and q masses of the top tokens among the first j by
-        descending ratio, as the two rows of ``at_top``."""
-        return self.at_top[:, np.clip(np.subtract(j, self.lead), 0, self.at_top.shape[1] - 1)]
-
     def tail(self, j: int) -> tuple[float, float]:
         """The p and q masses of the first j tokens by descending ratio."""
         k = min(max(j - self.lead, 0), self.at_top.shape[1] - 1)
@@ -200,16 +173,49 @@ class ResidualTable:
 
     def dense(self, c: float, up: float) -> np.ndarray:
         """The unnormalised residual of state (c, u) over the vocabulary."""
-        return np.where(self.top, self.q * up, np.maximum(self.p - c * self.q, 0.0))
+        return residual_value(self.p, self.q, self.top, c, up)
+
+    def draw(self, c, up, count, y) -> np.ndarray:
+        """One token per row of residual state (c, u), by bisection over the
+        prefix sums: where the residual, summed by descending ratio, passes
+        y, a uniform scaled by the row's mass M. ``count`` is the row's j of
+        `next`; a row with u > 0 also reaches the top tokens."""
+        at_top = bool(up.any())
+        lo = np.zeros(c.size, dtype=np.intp)
+        hi = np.where(up > 0.0, np.maximum(count, self.top_end), count) if at_top else count
+        for _ in range(int(hi.max(initial=0)).bit_length()):
+            mid = (lo + hi) >> 1
+            below = self.p_sums[mid] - c * self.q_sums[mid]
+            if at_top:
+                below += up * self.at_top[1, np.clip(mid - self.lead, 0, self.at_top.shape[1] - 1)]
+            go = below <= y
+            lo = np.where(go, mid, lo)
+            hi = np.where(go, hi, mid)
+        return self.descending[lo]
 
 
-@_last_pair
+# The last pair's p, q and table, and the hits and misses of `residual_table`.
+_last = [None, None, None]
+_counts = {"hits": 0, "misses": 0}
+
+
 def residual_table(p: Dist, q: Dist) -> ResidualTable:
     """The `ResidualTable` of (p, q), with its `ratio_order` sort. The last
-    pair's table is kept: the scans, `kseq_solve`, the rejection-sampling
-    verifiers and their exact rates read one table, and one sort, per
-    position."""
-    return ResidualTable(p, q)
+    pair's table is kept, by identity (a `Dist` is immutable), so the scans,
+    `kseq_solve`, the verifiers and their exact rates read one table per
+    position; ``cache_info()`` counts hits and misses. A miss drops the last
+    table before it builds the next: freeing it at the position's end
+    instead only made the next position fault the same pages in again."""
+    if _last[0] is p and _last[1] is q:
+        _counts["hits"] += 1
+    else:
+        _counts["misses"] += 1
+        _last[:] = None, None, None  # the last pair's arrays go before the new ones are built
+        _last[:] = p, q, ResidualTable(p, q)
+    return _last[2]
+
+
+residual_table.cache_info = lambda: SimpleNamespace(**_counts)
 
 
 def alpha_scan(p: Dist, scheme: DraftScheme) -> ScanResult:
@@ -240,4 +246,4 @@ def alpha_greedy_closed(p: Dist, q: Dist, n: int) -> float:
         raise ValueError("size mismatch between p and q")
     top, tail = DraftScheme.greedy(q, n).prefix_law
     top_mass = float(p.mass[list(top)].sum()) if top else 0.0
-    return min(1.0, top_mass + float(np.minimum(p.mass, tail.mass).sum()))
+    return min(1.0, top_mass + alpha_single_draft(p, tail))

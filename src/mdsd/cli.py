@@ -247,8 +247,14 @@ def synth_positions(kind: str, param: float, vocab: int, count: int, seed: int):
         for _ in range(count):
             yield Dist(rng.dirichlet(conc)), Dist(rng.dirichlet(conc))
     elif kind == "zipf":
-        base = 1.0 / np.arange(1, vocab + 1) ** float(param)
-        base /= base.sum()
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                base = 1.0 / np.arange(1, vocab + 1) ** float(param)
+                base /= base.sum()
+        except FloatingPointError:
+            raise ValueError(
+                f"zipf exponent {param} puts 1/rank^s out of float range at vocab {vocab}"
+            ) from None
         for _ in range(count):
             yield Dist(rng.permutation(base)), Dist(rng.permutation(base))
     else:

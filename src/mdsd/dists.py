@@ -1,7 +1,7 @@
-"""Probability-vector primitives: validation, temperature softmax, the
-normalised positive part of a difference, the k most likely tokens, and the
-ascending view of a distribution that the without-replacement sampler and
-verifier share.
+"""Probability-vector primitives: validation, temperature softmax, the k
+most likely tokens, and the ascending view of a distribution that the
+without-replacement sampler and verifier share (the rejection residual is
+`mdsd.alpha.ResidualTable`'s).
 
 Everything downstream works with `Dist` objects. A `Dist` is renormalized once
 on construction and is immutable afterwards, so the sum-to-one invariant can be
@@ -126,16 +126,6 @@ def softmax_temp(logits, temperature: float) -> Dist:
     # In place: ``scaled`` is this call's own array.
     scaled -= top
     return Dist(np.exp(scaled, out=scaled))
-
-
-def _positive_part(diff: np.ndarray) -> Dist:
-    # The normalized positive part of ``diff``. When it vanishes (mass at
-    # most _ZERO_MASS) the uniform distribution is returned, so the result
-    # is always a valid `Dist`.
-    pos = np.maximum(diff, 0.0)
-    if pos.sum() <= _ZERO_MASS:
-        return Dist.uniform(pos.size)
-    return Dist(pos)
 
 
 def top_k_desc(q: Dist, k: int) -> tuple[int, ...]:

@@ -23,7 +23,8 @@ one draft, and greedy's verifier is it at the one draft after the fixed
 prefix. `rrs_w_rate_exact` telescopes along the same update, and
 `rrs_wo_rate_exact` walks the tree of rejected draft prefixes through it
 level by level, at any draft count. The report takes that walk where its
-tree is small, and estimates rrs-wo by `mdsd.mc` elsewhere.
+tree is small, and estimates rrs-wo by `mdsd.mc` elsewhere. kseq's stages
+and terminal read the same table (`KseqKernel`).
 
 Methods: recursive rejection sampling against a running residual (with- and
 without-replacement variants, ot-single and greedy's verifier), and the
@@ -38,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha import alpha_single_draft, residual_table
-from .dists import Dist, _positive_part
+from .alpha import alpha_single_draft, residual_table, residual_value
+from .dists import _ZERO_MASS, Dist
 from .drafts import DraftKind, DraftScheme
 
 __all__ = [
@@ -54,14 +55,6 @@ __all__ = [
     "rrs_w_rate_exact",
     "rrs_wo_rate_exact",
 ]
-
-
-def _accept_probs(p_like: np.ndarray, q_like: np.ndarray) -> np.ndarray:
-    """min(p/q, 1) elementwise; tokens with q = 0 can never be proposed, so
-    their entry is arbitrary (set to 0)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(q_like > 0.0, p_like / np.where(q_like > 0.0, q_like, 1.0), 0.0)
-    return np.minimum(ratio, 1.0)
 
 
 class _Kernel:
@@ -80,13 +73,16 @@ class _Kernel:
     produce is an error. A tuple of n drafts may open with the fixed drafts
     ``top`` (greedy's top-q tokens): `_walk` checks and strips them, so the
     stages read only the drafts after them, and `accepted`, which reads the
-    whole tuple, still counts a final draw that lands on one.
+    whole tuple, still counts a final draw that lands on one. Every stage
+    rule reads the rejection residual from ``table``, the `residual_table`
+    of (p, q).
     """
 
     def __init__(self, p: Dist, q: Dist, n: int, top: tuple[int, ...] = ()):
         if p.vocab_size != q.vocab_size:
             raise ValueError("size mismatch between p and q")
         self.p, self.q, self.n, self.top = p, q, n, top
+        self.table = residual_table(p, q)
 
     def _walk(self, tuples):
         tuples = np.asarray(tuples, dtype=np.intp)
@@ -156,11 +152,10 @@ class _Kernel:
 def _rrs_accept(pt, qt, top, c, up, total, s):
     """min(r_k / q_k, 1) at drafts of masses pt and qt, at the top ratio
     where ``top``: the chance that a stage of `ResidualTable` state
-    (c, u, M) and undrafted q mass s accepts each. The residual is p - c q
-    as the table's sums take it, so that a residual left on one token
-    cancels the same way in both."""
-    value = np.where(top, qt * up, np.maximum(pt - c * qt, 0.0))
-    return np.minimum(value * s / (qt * total), 1.0)
+    (c, u, M) and undrafted q mass s accepts each. The residual is
+    `residual_value`, as the table's sums take it, so that a residual left
+    on one token cancels the same way in both."""
+    return np.minimum(residual_value(pt, qt, top, c, up) * s / (qt * total), 1.0)
 
 
 class RrsWoKernel(_Kernel):
@@ -189,10 +184,6 @@ class RrsWoKernel(_Kernel):
     """
 
     replace = False
-
-    def __init__(self, p: Dist, q: Dist, n: int, top: tuple[int, ...] = ()):
-        super().__init__(p, q, n, top)
-        self.table = residual_table(p, q)
 
     def _undrafted(self, drafts):
         """The undrafted q mass s of each stage of (n, m) drafts: 1 with
@@ -267,25 +258,10 @@ class _WoResidual:
         return vec / vec.sum()
 
     def draw(self, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One token for each row selected by the mask ``rows``, found by
-        bisection over the prefix sums."""
-        table = self.table
-        c, up = self.c[rows], self.up[rows]
-        y = rng.random(c.size) * self.total[rows]
-        at_top = bool(up.any())
-        lo = np.zeros(c.size, dtype=np.intp)
-        hi = self.count[rows]
-        if at_top:
-            hi = np.where(up > 0.0, np.maximum(hi, table.top_end), hi)
-        for _ in range(int(hi.max(initial=0)).bit_length()):
-            mid = (lo + hi) >> 1
-            below = table.p_sums[mid] - c * table.q_sums[mid]
-            if at_top:
-                below += up * table.at_top_sums(mid)[1]
-            go = below <= y
-            lo = np.where(go, mid, lo)
-            hi = np.where(go, hi, mid)
-        return table.descending[lo]
+        """One token for each row selected by the mask ``rows``
+        (`ResidualTable.draw`)."""
+        y = rng.random(np.count_nonzero(rows)) * self.total[rows]
+        return self.table.draw(self.c[rows], self.up[rows], self.count[rows], y)
 
 
 def rrs_w_rate_exact(p: Dist, q: Dist, n: int) -> float:
@@ -481,21 +457,35 @@ class KseqKernel(_Kernel):
     with probability min(p/(rho q), 1); if all fail, sample the terminal
     distribution, the normalised positive part of p - rho q.
 
+    Both are the residual table's: a stage accepts as the table's start
+    state would at mass rho and s = 1 (`_rrs_accept`), and the terminal is
+    the residual at c = rho (`ResidualTable.dense`).
+
     Exactness needs the terminal T with (1 - miss)/beta min(q, p/rho) +
     miss T = p, where miss = (1 - beta)^n. At the root 1 - miss = rho beta,
     so T = max(p - rho q, 0)/miss, and the positive part's mass is
     1 - rho beta = miss. Normalising it avoids dividing by a tiny miss.
+    A terminal of mass at most `_ZERO_MASS` has vanished (in exact
+    arithmetic only at p = q), and the last stage then accepts surely, as a
+    rejection-sampling stage whose residual vanished does.
     """
 
     def __init__(self, p: Dist, q: Dist, n: int):
         super().__init__(p, q, n)
         self.params = kseq_solve(p, q, n)
-        rho = self.params.rho
-        self.accept = _accept_probs(p.mass / rho, q.mass)
-        self.terminal = _positive_part(p.mass - rho * q.mass).mass
 
     def _stages(self, tuples):
-        return tuples, self.accept[tuples], self.terminal
+        table, rho = self.table, self.params.rho
+        pt, qt, top = self.p.mass[tuples], self.q.mass[tuples], table.top[tuples]
+        # A draft with no q mass gives inf or nan here; `_walk` rejects it.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            accept = _rrs_accept(pt, qt, top, 0.0, table.top_ratio, rho, 1.0)
+        terminal = table.dense(rho, max(table.top_ratio - rho, 0.0))
+        mass = terminal.sum()
+        if mass <= _ZERO_MASS:
+            accept[:, -1] = 1.0
+            return tuples, accept, None
+        return tuples, accept, terminal / mass
 
 
 def _rrs_w(p: Dist, scheme: DraftScheme) -> RrsWKernel:

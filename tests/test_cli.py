@@ -1008,6 +1008,18 @@ class TestMainEntryPoint:
         assert "error: line 2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["zipf:400", "zipf:-400"])
+    def test_zipf_out_of_range_exit_two(self, tmp_path, capsys, spec):
+        # 1/rank^s overflows, or divides by an underflowed rank^s, at V=50:
+        # exit code 2 with one message naming the exponent and the vocab,
+        # and no RuntimeWarning (which pyproject makes a test error).
+        out = tmp_path / "r.csv"
+        code = main(["--synth", spec, "--vocab", "50", "--trials", "16", "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: zipf exponent {float(spec[5:])} puts 1/rank^s out of float range at vocab 50\n"
+        assert not out.exists()
+
     def test_overflow_and_deep_nesting_exit_two(self, tmp_path, capsys):
         # Each fault of its line ends the run with exit code 2 and its line
         # number, not a traceback.

@@ -1,5 +1,5 @@
-"""Distribution primitives: construction, softmax, residuals and the k most
-likely tokens."""
+"""Distribution primitives: construction, softmax and the k most likely
+tokens; and kseq's terminal, the residual these once held."""
 
 import math
 
@@ -8,11 +8,11 @@ import pytest
 
 from mdsd.dists import (
     Dist,
-    _positive_part,
     softmax_temp,
     top_k_desc,
     tv_distance,
 )
+from mdsd.verify import KseqKernel
 
 from conftest import dirichlet_dist
 
@@ -121,32 +121,44 @@ class TestSoftmaxTemp:
             assert tv_distance(a, b) <= 1e-12
 
 
+def kseq_terminal(p: Dist, q: Dist, n: int):
+    """`KseqKernel`'s rho and the terminal its stages give (None where it
+    vanished), for a tuple of q's likeliest token."""
+    kern = KseqKernel(p, q, n)
+    _, _, final = kern._stages(np.full((1, n), int(q.mass.argmax())))
+    return kern.params.rho, final
+
+
 class TestResidualDist:
-    """The normalised positive part of a difference, uniform where it
-    vanishes: `KseqKernel`'s terminal, the residual of p - rho q."""
+    """kseq's terminal, the normalised positive part of p - rho q, read
+    from the residual table; None where it vanishes."""
 
     def test_single_positive_residual(self):
         p = Dist(np.array([0.6, 0.4]))
         q = Dist(np.array([0.4, 0.6]))
-        assert np.allclose(_positive_part(p.mass - q.mass).mass, [1.0, 0.0])
+        for n in (1, 2, 3):
+            assert np.array_equal(kseq_terminal(p, q, n)[1], [1.0, 0.0])
 
-    def test_equal_gives_uniform(self):
+    def test_equal_terminal_vanishes(self):
         d = Dist(np.array([0.5, 0.5]))
-        assert np.allclose(_positive_part(d.mass - d.mass).mass, [0.5, 0.5])
+        for n in (1, 2, 3):
+            assert kseq_terminal(d, d, n)[1] is None
 
     def test_hand_value(self):
         p = Dist(np.array([0.5, 0.3, 0.2]))
         q = Dist(np.array([0.2, 0.5, 0.3]))
-        assert np.allclose(_positive_part(p.mass - q.mass).mass, [1.0, 0.0, 0.0])
+        for n in (1, 2, 3):
+            assert np.array_equal(kseq_terminal(p, q, n)[1], [1.0, 0.0, 0.0])
 
     def test_always_valid_and_zero_where_q_dominates(self, rng):
         for _ in range(200):
             p = dirichlet_dist(rng, 6)
             q = dirichlet_dist(rng, 6)
-            r = _positive_part(p.mass - q.mass)
-            assert np.all(r.mass >= 0)
-            assert abs(r.mass.sum() - 1.0) <= 1e-9
-            assert np.all(r.mass[q.mass >= p.mass] == 0.0)
+            n = int(rng.integers(1, 4))
+            rho, r = kseq_terminal(p, q, n)
+            assert np.all(r >= 0)
+            assert abs(r.sum() - 1.0) <= 1e-12
+            assert np.all(r[rho * q.mass >= p.mass] == 0.0)
 
 
 class TestTopK:

@@ -195,13 +195,18 @@ def test_kseq_solves_its_fixed_point(case):
 @PROPERTY
 @given(instances())
 def test_kseq_kernel_preserves_target(case):
-    # The terminal is a distribution, and wherever the tuples can be
-    # enumerated the kernel's exact output marginal is p, however small the
-    # miss probability (1 - beta)^n gets.
+    # The terminal the stages give is a distribution, or None where it
+    # vanished and the last stage accepts surely, and wherever the tuples
+    # can be enumerated the kernel's exact output marginal is p, however
+    # small the miss probability (1 - beta)^n gets.
     p, q, n = case
     kern = KseqKernel(p, q, n)
-    assert ((kern.terminal >= 0.0) & (kern.terminal <= 1.0)).all()
-    assert abs(kern.terminal.sum() - 1.0) <= 1e-12
+    _, accept, final = kern._stages(np.full((1, n), int(q.mass.argmax())))
+    if final is None:
+        assert (accept[:, -1] == 1.0).all()
+    else:
+        assert ((final >= 0.0) & (final <= 1.0)).all()
+        assert abs(final.sum() - 1.0) <= 1e-12
     if p.vocab_size**n <= MAX_TUPLE_NODES:
         marg = verifier_marginal_exact(p, DraftScheme.with_replacement(q, n), kern)
         assert tv_distance(marg, p) <= 1e-9

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
+from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft, residual_table
 from mdsd.cli import _RATES, ExperimentConfig, _rrs_wo_exact, synth_positions
 from mdsd.dists import _ZERO_MASS, Dist, softmax_temp, top_k_desc, tv_distance
 from mdsd.drafts import DraftKind, DraftScheme, iter_support, sample_tuples, tuple_prob
@@ -499,6 +499,42 @@ class TestKseqKernel:
                 p, DraftScheme.with_replacement(q, n), KseqKernel(p, q, n)
             )
             assert tv_distance(marg, p) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "p",
+        [Q532, Dist(np.array([0.5 + 1e-14, 0.3 - 1e-14, 0.2]))],
+        ids=["equal", "near-equal"],
+    )
+    def test_vanished_terminal_accepts_surely(self, p):
+        # Where rho q meets p the terminal's mass is at most _ZERO_MASS: it
+        # has vanished, the last stage accepts surely, and no final is
+        # drawn, so `sample` draws only the stage coins.
+        for n in (1, 2, 3):
+            kern = KseqKernel(p, Q532, n)
+            table = kern.table
+            terminal = table.dense(kern.params.rho, max(table.top_ratio - kern.params.rho, 0.0))
+            assert terminal.sum() <= _ZERO_MASS
+            tuples = np.array(list(iter_support(DraftScheme.with_replacement(Q532, n))))
+            _, accept, final = kern._stages(tuples)
+            assert final is None
+            assert (accept[:, -1] == 1.0).all()
+            for t in tuples:
+                assert kern.conditional(t).sum() == pytest.approx(1.0, abs=1e-15)
+            rng, coins = np.random.default_rng(5), np.random.default_rng(5)
+            kern.sample(tuples, rng)
+            coins.random((n, len(tuples)))
+            assert rng.random() == coins.random()
+
+    def test_reads_the_solvers_table(self):
+        # kseq's stages and terminal read the residual table that
+        # `kseq_solve` built for the pair: no second sort.
+        p, q = Dist(P559.mass.copy()), Dist(Q532.mass.copy())
+        kseq_solve(p, q, 2)
+        misses = residual_table.cache_info().misses
+        kern = KseqKernel(p, q, 2)
+        kern.sample([(0, 1), (2, 2)], np.random.default_rng(0))
+        assert residual_table.cache_info().misses == misses
+        assert kern.table is residual_table(p, q)
 
     def test_batch_shape(self):
         kern = KseqKernel(P559, Q532, 2)
