@@ -106,12 +106,13 @@ def _check_logits(arr: np.ndarray) -> None:
 
 def softmax_temp(logits, temperature: float) -> Dist:
     """Temperature softmax. ``temperature == 0`` collapses to the argmax
-    one-hot (ties broken toward the lowest token id)."""
+    one-hot (ties broken toward the lowest token id); a temperature must be
+    finite and >= 0."""
     arr = np.asarray(logits, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("empty distribution")
-    if temperature < 0:
-        raise ValueError("temperature must be non-negative")
+    if not (math.isfinite(temperature) and temperature >= 0.0):
+        raise ValueError(f"temperature must be finite and >= 0 (got {temperature})")
     _check_logits(arr)
     if temperature == 0.0:
         return Dist.one_hot(arr.size, int(np.argmax(arr)))
@@ -212,12 +213,7 @@ class AscendingQ:
 
     def undrawn(self, drawn: list):
         """The mass not yet drawn, summed over the runs, first to last."""
-        if not drawn:
-            return self.tail[0]
-        total = self.head[drawn[0]]
-        for lo, hi in zip(drawn, drawn[1:]):
-            total = total + (self.head[hi] - self.head[lo + 1])
-        return total + self.tail[drawn[-1] + 1]
+        return sum(mass for *_, mass in self.runs(drawn))
 
     def draw(self, drawn: list, u: np.ndarray) -> np.ndarray:
         """One rank per row not in ``drawn``, each with probability

@@ -273,8 +273,7 @@ def rrs_w_rate_exact(p: Dist, q: Dist, n: int) -> float:
     1 - M_n / M_0, n steps along `residual_table`. A stage whose residual
     vanishes accepts surely, and the rate is then 1.
     """
-    if n < 1:
-        raise ValueError("draft count must be >= 1")
+    n = DraftScheme.with_replacement(q, n).n  # the scheme's draft-count rule
     table = residual_table(p, q)
     state = table.start()
     first = state[3]
@@ -303,9 +302,9 @@ def rrs_wo_rate_exact(p: Dist, q: Dist, n: int) -> float:
     The last level holds up to perm(s, n - 1) rows, s the tokens of
     positive q mass, at O(n + log V) each after the table's set-up.
     """
+    n = DraftScheme.without_replacement(q, n).n  # the scheme's draft-count and support rules
     if n == 1:
         return alpha_single_draft(p, q)
-    DraftScheme.without_replacement(q, n)  # the scheme's support rule
     table = residual_table(p, q)
     asc = q.ascending
     tokens = np.flatnonzero(q.mass > 0.0)
@@ -353,13 +352,13 @@ def kseq_solve(p: Dist, q: Dist, n: int) -> KseqParams:
 
     The breakpoints p_i/q_i are the ascending ratios of the
     `residual_table` of (p, q), ``ratios`` (-1 for a token with neither
-    mass, below 1 like any other p = 0). With the first k tokens of its
-    order in the head, beta = a/rho + b between two of them: a is the
-    head's p mass and b the tail's q mass, both read from the same table.
+    mass, below 1 like any other p = 0). With the tokens whose breakpoint
+    is below rho in the head, beta = a/rho + b: a is the head's p mass and
+    b the tail's q mass, both read from the same table at rho.
     g(rho) = 1 - (1 - beta)^n - rho beta does not increase, is >= 0 at
-    rho = 1 and <= 0 at rho = n. A binary search over the breakpoints
-    between 1 and n finds the root's segment, and safeguarded Newton
-    (`_root`) solves g = 0 on it to adjacent floats.
+    rho = 1 and <= 0 at rho = n, and safeguarded Newton (`_root`) solves
+    g = 0 on [1, n] to adjacent floats; its bracket carries it across the
+    kinks at the breakpoints.
 
     g = beta (sum_{j<n} (1 - beta)^j - rho), so for beta > 0 its sign is
     that of h = sum_{0<j<n} s^j - (rho - 1), with s = 1 - beta taken as
@@ -367,44 +366,28 @@ def kseq_solve(p: Dist, q: Dist, n: int) -> KseqParams:
     the root keeps its relative precision both near rho = 1 and where beta
     is tiny.
     """
-    if n < 1:
-        raise ValueError("draft count must be >= 1")
+    n = DraftScheme.with_replacement(q, n).n  # the scheme's draft-count rule
     table = residual_table(p, q)
-    ratios, v = table.ratios, table.size
 
-    def masses(k: int) -> tuple[float, float, float]:
-        # a, c, b with the first k tokens of the order in the head.
-        return (float(table.p_cum[k - 1]) if k else 0.0, *table.tail(v - k))
-
-    def h(rho: float, a: float, c: float, b: float) -> tuple[float, float]:
-        # h and its derivative in rho.
+    def h(rho: float) -> tuple[float, float, float]:
+        # h, its derivative in rho, and beta.
+        k = int(table.ratios.searchsorted(rho))
+        a = float(table.p_cum[k - 1]) if k else 0.0
+        c, b = table.tail(table.size - k)
         s = max(c - b, 0.0) + a * (rho - 1.0) / rho
         total = slope = 0.0
         for _ in range(n - 1):
             slope = 1.0 + total + s * slope
             total = s * (1.0 + total)
-        return total - (rho - 1.0), slope * a / (rho * rho) - 1.0
+        return total - (rho - 1.0), slope * a / (rho * rho) - 1.0, a / rho + b
 
-    # The root lies in [1, n]: its segment ends at the first token whose
-    # breakpoint is at or past n, or past 1 with g <= 0 there.
-    hi = int(ratios.searchsorted(float(n)))
-    lo = min(int(ratios.searchsorted(1.0, side="right")), hi)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if h(float(ratios[mid]), *masses(mid + 1))[0] <= 0.0:
-            hi = mid
-        else:
-            lo = mid + 1
-    a, c, b = masses(lo)
-    left = max(float(ratios[lo - 1]), 1.0) if lo else 1.0
-    right = min(float(ratios[lo]), float(n)) if lo < v else float(n)
-    h_left, slope = h(left, a, c, b)
-    # With beta = 0 everywhere (p and q disjoint) every rho solves; take 1.
-    if h_left <= 0.0 or a == b == 0.0:
-        rho = left
-    else:
-        rho = _root(lambda x: h(x, a, c, b), left, right, h_left, slope)
-    beta = a / rho + b
+    rho = 1.0
+    h_one, slope, beta = h(1.0)
+    # The root is 1 where h(1) <= 0. With beta = 0 everywhere (p and q
+    # disjoint) every rho solves; take 1.
+    if h_one > 0.0 and beta > 0.0:
+        rho = _root(lambda x: h(x)[:2], 1.0, float(n), h_one, slope)
+        beta = h(rho)[2]
     return KseqParams(rho=rho, beta_at_rho=beta, alpha_closed=1.0 - (1.0 - beta) ** n)
 
 

@@ -139,10 +139,13 @@ def _fractions(dist: Dist) -> list:
 
 
 def bisected_rho(p, q, n):
-    """kseq's root by bisection: the segment of the first breakpoint at or
-    past n, or past 1 with h <= 0 there, found by a linear scan, and h = 0
-    bisected on it to adjacent floats, keeping the end where |h| is
-    smaller. h and the segment masses are those of `kseq_solve`."""
+    """kseq's root by bisection, an independent reference for `kseq_solve`:
+    the segment of the first breakpoint at or past n, or past 1 with h <= 0
+    there, found by a linear scan over the breakpoints, and h = 0 bisected
+    on that segment's fixed masses to adjacent floats, keeping the end
+    where |h| is smaller. It shares only the residual table's sums and the
+    form of h with the solver, which reads its masses at each rho and takes
+    one Newton search over [1, n]."""
     table = residual_table(p, q)
     ratios, v = table.ratios, table.size
 

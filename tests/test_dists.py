@@ -96,6 +96,14 @@ class TestSoftmaxTemp:
         with pytest.raises(ValueError):
             softmax_temp([0.0, 1.0], -0.5)
 
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf])
+    def test_non_finite_temperature_errors(self, temperature):
+        # The CLI's rule and wording. At +inf a masked logit would give
+        # -inf / inf, and NaN would surface as a mass error.
+        for logits in ([0.0, 1.0], [0.0, 1.0, -math.inf]):
+            with pytest.raises(ValueError, match=r"temperature must be finite and >= 0 \(got"):
+                softmax_temp(logits, temperature)
+
     def test_tiny_temperature_does_not_overflow(self):
         # logits / 1e-310 overflow; the result is the argmax, ties shared.
         assert np.array_equal(softmax_temp([1.0, 0.0, -np.inf], 1e-310).mass, [1, 0, 0])

@@ -400,6 +400,28 @@ class TestRrsWoRateExact:
             assert abs(rep.acceptance_mean - rate) <= 5.0 * sd, (rep.acceptance_mean, rate)
 
 
+EXACT_RATES = {
+    "rrs_w_rate_exact": rrs_w_rate_exact,
+    "rrs_wo_rate_exact": rrs_wo_rate_exact,
+    "kseq_solve": lambda p, q, n: kseq_solve(p, q, n).alpha_closed,
+}
+
+
+@pytest.mark.parametrize("name", EXACT_RATES)
+def test_exact_rates_take_the_schemes_draft_count(name):
+    # The `DraftScheme` rule: an integral count of at least 1, taken as a
+    # plain int, so a NumPy count gives a plain float.
+    rate = EXACT_RATES[name]
+    for count in (2.5, 1.0):
+        with pytest.raises(ValueError, match="draft count must be an integer"):
+            rate(P559, Q532, count)
+    with pytest.raises(ValueError, match="draft count must be >= 1"):
+        rate(P559, Q532, 0)
+    value = rate(P559, Q532, np.int64(2))
+    assert type(value) is float
+    assert value == rate(P559, Q532, 2)
+
+
 class TestKseqSolve:
     def test_newton_root_matches_bisection(self, rng):
         # Within 2 ulps of the bisection root, plus the span of h's
@@ -412,6 +434,22 @@ class TestKseqSolve:
             rho, ref = kseq_solve(p, q, n).rho, bisected_rho(p, q, n)
             noise = root_noise(p, q, n, ref)
             assert abs(rho - ref) <= 2 * math.ulp(ref) + noise, (rho, ref, noise)
+            close += abs(rho - ref) <= 2 * math.ulp(ref)
+        assert close >= 270
+
+    def test_one_search_across_many_breakpoints(self):
+        # One Newton search on [1, n] crosses every kink of h between 1 and
+        # the root; at up to 2000 tokens there are hundreds of them. The
+        # bounds are those above, the share 9 in 10.
+        rng = np.random.default_rng(5)
+        close = 0
+        for _ in range(300):
+            v = int(rng.integers(2, 2001))
+            n = int(rng.integers(1, 9))
+            p, q = random_pq(rng, v)
+            rho, ref = kseq_solve(p, q, n).rho, bisected_rho(p, q, n)
+            noise = root_noise(p, q, n, ref)
+            assert abs(rho - ref) <= 2 * math.ulp(ref) + noise, (v, n, rho, ref, noise)
             close += abs(rho - ref) <= 2 * math.ulp(ref)
         assert close >= 270
 
