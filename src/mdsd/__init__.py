@@ -3,7 +3,6 @@ speculative decoding."""
 
 from .alpha import (
     ScanResult,
-    alpha_greedy_closed,
     alpha_scan,
     alpha_single_draft,
     ratio_order,
@@ -40,8 +39,7 @@ from .verify import (
     RrsWoKernel,
     kseq_solve,
     make_kernel,
-    rrs_w_rate_exact,
-    rrs_wo_rate_exact,
+    rrs_rate_exact,
     supports,
 )
 

@@ -4,8 +4,10 @@ The optimal acceptance rate of a draft scheme equals
 ``1 + min_H (P(H) - Q(H))`` over token subsets H, where P sums the target
 mass and Q is the probability that every draft lands in H. With and without
 replacement, Q has the convexity structure that puts the minimum on a prefix
-of a ratio ordering, so a sort plus one linear scan suffices; the greedy and
-single-draft optima have closed forms.
+of a ratio ordering, so a sort plus one linear scan suffices. The
+single-draft optimum is the overlap sum min(p, q), and greedy, whose
+drafts are fixed tokens and one draw, has no Q form: its optimum is the
+rate rejection sampling attains, `mdsd.verify.rrs_rate_exact`.
 
 The sort is `ratio_order`, and `residual_table` keeps the sums along it that
 the scan and the exact verifier rates read: one table per (p, q) pair, the
@@ -31,7 +33,6 @@ __all__ = [
     "residual_table",
     "residual_value",
     "alpha_scan",
-    "alpha_greedy_closed",
 ]
 
 
@@ -223,7 +224,7 @@ def alpha_scan(p: Dist, scheme: DraftScheme) -> ScanResult:
 
     Runs in O(V log V + n V). Only a scheme whose row has a Q(H) form
     (``scheme.q_form``) has the structure this relies on; the greedy optimum
-    is `alpha_greedy_closed`.
+    is `mdsd.verify.rrs_rate_exact`.
     """
     if scheme.q_form is None:
         raise ValueError(f"no prefix scan for {scheme.kind.value} drafts")
@@ -236,14 +237,3 @@ def alpha_scan(p: Dist, scheme: DraftScheme) -> ScanResult:
         ordering=table.order,
         f_values=f_values,
     )
-
-
-def alpha_greedy_closed(p: Dist, q: Dist, n: int) -> float:
-    """Closed-form optimal acceptance rate of the greedy draft scheme:
-    target mass on the deterministic top tokens plus the overlap between p
-    and the last-draft distribution, clamped to 1 against rounding."""
-    if p.vocab_size != q.vocab_size:
-        raise ValueError("size mismatch between p and q")
-    top, tail = DraftScheme.greedy(q, n).prefix_law
-    top_mass = float(p.mass[list(top)].sum()) if top else 0.0
-    return min(1.0, top_mass + alpha_single_draft(p, tail))

@@ -4,7 +4,9 @@ A `DraftScheme` describes how the n draft tokens of one decoding step are
 produced from the draft-model distribution q: n independent draws (with
 replacement), n distinct draws (without replacement), or the n - 1 most
 likely tokens and one draw from the rest (greedy). Each kind is one row of
-`_ROWS`, from which each scheme exposes
+`_ROWS`, from which each scheme exposes its fixed top-q drafts and the law
+of the others (`prefix_law`), whether those are drawn with replacement
+(`replace`), and
 
   * a batched sampler of draft tuples, `sample_tuples` (one tuple is a
     batch of one),
@@ -20,8 +22,9 @@ from the same runs.
 
 The row also gives the subset mass Q(H) = P(all n drafts land in H) along
 the prefixes of `mdsd.alpha.residual_table`'s ratio order, which
-`mdsd.alpha.alpha_scan` minimises, or None where the optimum has a closed
-form (greedy: `mdsd.alpha.alpha_greedy_closed`).
+`mdsd.alpha.alpha_scan` minimises, or None for greedy, whose one drawn
+draft puts its optimum at the rate single-draft rejection sampling attains
+(`mdsd.verify.rrs_rate_exact`).
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ class DraftScheme:
         fixed = row.fixed(self.n)
         if fixed >= self.q.vocab_size:
             raise ValueError(f"{self.kind.value} scheme's {fixed} fixed drafts need vocab_size > {fixed}")
-        if not row.replace and self.n - fixed > np.count_nonzero(self.prefix_law[1].mass):
+        if not self.replace and self.n - fixed > np.count_nonzero(self.prefix_law[1].mass):
             raise ValueError(f"{self.kind.value} draft count exceeds support size")
 
     @property
@@ -132,6 +135,11 @@ class DraftScheme:
         drafts are drawn from: () and q itself when none is fixed."""
         fixed = _ROWS[self.kind].fixed(self.n)
         return greedy_tail(self.q, fixed + 1) if fixed else ((), self.q)
+
+    @property
+    def replace(self) -> bool:
+        """Whether the drawn drafts are drawn with replacement."""
+        return _ROWS[self.kind].replace
 
     @property
     def q_form(self) -> Callable | None:
@@ -182,7 +190,7 @@ def sample_tuples(scheme: DraftScheme, count: int, rng: np.random.Generator) -> 
     """
     top, law = scheme.prefix_law
     m = scheme.n - len(top)
-    if _ROWS[scheme.kind].replace:
+    if scheme.replace:
         drawn = rng.choice(scheme.vocab_size, size=(count, m), p=law.mass)
     else:
         asc = law.ascending
@@ -210,7 +218,7 @@ def tuple_prob(scheme: DraftScheme, tokens) -> float:
     if t[: len(top)] != top:
         return 0.0
     drawn = t[len(top) :]
-    if _ROWS[scheme.kind].replace:
+    if scheme.replace:
         return float(np.prod([law.mass[x] for x in drawn]))
     # The remaining mass is summed over the tokens not yet drawn, not found
     # by subtraction, which cancels near a one-hot law.
@@ -230,6 +238,5 @@ def iter_support(scheme: DraftScheme):
     top, law = scheme.prefix_law
     pos = [int(x) for x in np.flatnonzero(law.mass > 0.0)]
     m = scheme.n - len(top)
-    replace = _ROWS[scheme.kind].replace
-    for rest in itertools.product(pos, repeat=m) if replace else itertools.permutations(pos, m):
+    for rest in itertools.product(pos, repeat=m) if scheme.replace else itertools.permutations(pos, m):
         yield top + rest

@@ -1,7 +1,7 @@
 """Seeded Monte Carlo estimation of acceptance rates.
 
 The report estimates rrs-wo here where the exact
-`mdsd.verify.rrs_wo_rate_exact` would walk a larger tree than the estimate
+`mdsd.verify.rrs_rate_exact` would walk a larger tree than the estimate
 walks (see `mdsd.cli`), and every other method has a closed form.
 
 Trials are processed in fixed-size blocks; block b draws from the

@@ -20,9 +20,10 @@ walk of `RrsWoKernel`: one residual table per (p, q) pair
 (`ResidualTable.next`) at the undrafted q mass s. With replacement nothing
 is drafted out, s = 1, and that walk is `RrsWKernel`; ot-single is it at
 one draft, and greedy's verifier is it at the one draft after the fixed
-prefix. `rrs_w_rate_exact` telescopes along the same update, and
-`rrs_wo_rate_exact` walks the tree of rejected draft prefixes through it
-level by level, at any draft count. The report takes that walk where its
+prefix. `rrs_rate_exact` states its exact rate once: the fixed drafts' p
+mass plus the overlap at one drawn draft, and at more a walk of the tree
+of rejected draft prefixes through the same update, level by level (one
+row per level with replacement). The report takes that walk where its
 tree is small, and estimates rrs-wo by `mdsd.mc` elsewhere. kseq's stages
 and terminal read the same table (`KseqKernel`).
 
@@ -52,8 +53,7 @@ __all__ = [
     "supports",
     "make_kernel",
     "kseq_solve",
-    "rrs_w_rate_exact",
-    "rrs_wo_rate_exact",
+    "rrs_rate_exact",
 ]
 
 
@@ -264,66 +264,62 @@ class _WoResidual:
         return self.table.draw(self.c[rows], self.up[rows], self.count[rows], y)
 
 
-def rrs_w_rate_exact(p: Dist, q: Dist, n: int) -> float:
-    """Exact acceptance rate of with-replacement rejection sampling.
+def rrs_rate_exact(p: Dist, scheme: DraftScheme) -> float:
+    """Exact acceptance rate of recursive rejection sampling of the scheme's
+    drafts: rrs-w, rrs-wo, ot-single and greedy's verifier.
 
-    The stage residuals do not depend on which tokens were drawn: with
-    r_k = max(p - c_k q, 0) / M_k and c_{k+1} = c_k + M_k, stage k accepts
-    sum min(r_k, q) = 1 - M_{k+1} / M_k, so the rate telescopes to
-    1 - M_n / M_0, n steps along `residual_table`. A stage whose residual
-    vanishes accepts surely, and the rate is then 1.
+    The fixed drafts of ``scheme.prefix_law`` add their p mass. One drawn
+    draft, as in every greedy scheme, is single-draft rejection sampling
+    against its law, whose rate is the overlap. With more, the walk goes
+    through the tree of rejected draft prefixes level by level: level k
+    holds every k-draft prefix that was drafted and rejected, with its
+    weight, the chance of that, and its residual. A row's stage accepts
+    sum min(r_k, q_k) = 1 - M_{k+1} / M_k whichever token it drafts, one
+    `ResidualTable.next` step, and adds that times its weight to the rate.
+    Without replacement its children are the undrafted tokens t, each of
+    weight (q_t / s) (1 - min(r_k(t) / q_k(t), 1)); a child that is accepted
+    surely has weight 0 and is dropped. With replacement the residual does
+    not depend on the drafts: a level is one row, s = 1, whose weight is
+    multiplied by M_{k+1} / M_k. A stage whose residual vanishes accepts
+    surely, as the kernel's does: such a row adds its weight and has no
+    children.
+
+    Without replacement, the last level holds up to perm(s, n - 1) rows, s
+    the tokens of positive q mass, at O(n + log V) each after the table's
+    set-up.
     """
-    n = DraftScheme.with_replacement(q, n).n  # the scheme's draft-count rule
-    table = residual_table(p, q)
-    state = table.start()
-    first = state[3]
-    for _ in range(n):
-        *state, _, dead = table.next(*state, 1.0)
-        if dead:
-            return 1.0
-    return 1.0 - float(state[3]) / first
-
-
-def rrs_wo_rate_exact(p: Dist, q: Dist, n: int) -> float:
-    """Exact acceptance rate of rrs-wo at any draft count.
-
-    One draft is ot-single's rule, so the rate is the overlap. With more,
-    the walk goes through the tree of rejected draft prefixes level by
-    level: level k holds every k-draft prefix that was drafted and
-    rejected, with its weight, the chance of that, and its residual. A
-    row's stage accepts sum min(r_k, q_k) = 1 - M_{k+1} / M_k whichever
-    token it drafts, one `ResidualTable.next` step, and adds that times
-    its weight to the rate. Its children are the undrafted tokens t, each
-    of weight (q_t / s) (1 - min(r_k(t) / q_k(t), 1)); a child that is
-    accepted surely has weight 0 and is dropped. A stage whose residual
-    vanishes accepts surely, as the kernel's does: such a row adds its
-    weight and has no children.
-
-    The last level holds up to perm(s, n - 1) rows, s the tokens of
-    positive q mass, at O(n + log V) each after the table's set-up.
-    """
-    n = DraftScheme.without_replacement(q, n).n  # the scheme's draft-count and support rules
+    fixed, law = scheme.prefix_law
+    n = scheme.n - len(fixed)
     if n == 1:
-        return alpha_single_draft(p, q)
-    table = residual_table(p, q)
-    asc = q.ascending
-    tokens = np.flatnonzero(q.mass > 0.0)
-    rank, pt, qt, top = asc.rank[tokens], p.mass[tokens], q.mass[tokens], table.top[tokens]
-    # A level's rows are columns (rows, 1): a row's weight, its stage's
-    # (c, u, other, M) and its drafted ranks, as `AscendingQ.insert` keeps
-    # them; against ``tokens`` they span the (rows, tokens) children. The
-    # root's state, which its children share, stays scalar.
-    weight = np.ones((1, 1))
+        mass = float(p.mass[list(fixed)].sum()) if fixed else 0.0
+        return min(1.0, mass + alpha_single_draft(p, law))
+    # More than one drawn draft, so none is fixed: greedy draws one.
+    table = residual_table(p, law)
+    replace = scheme.replace
+    if not replace:
+        asc = law.ascending
+        tokens = np.flatnonzero(law.mass > 0.0)
+        rank, pt, qt, top = asc.rank[tokens], p.mass[tokens], law.mass[tokens], table.top[tokens]
+    # Without replacement a level's rows are columns (rows, 1): a row's
+    # weight, its stage's (c, u, other, M) and its drafted ranks, as
+    # `AscendingQ.insert` keeps them; against ``tokens`` they span the
+    # (rows, tokens) children. The root's state, which its children share,
+    # stays scalar, and so does every state with replacement.
+    weight = 1.0 if replace else np.ones((1, 1))
     state = table.start()
     drawn = []
     rate = 0.0
     for k in range(n):
-        s = asc.undrawn(drawn)
+        s = 1.0 if replace else asc.undrawn(drawn)
         c, up, other, total = state
         *state, _, dead = table.next(c, up, other, total, s)
-        rate += float((weight * (1.0 - state[3] / total * ~dead)).sum())
-        if k == n - 1:
+        rejected = state[3] / total * ~dead
+        rate += float((weight * (1.0 - rejected)).sum())
+        if k == n - 1 or (replace and dead):
             break
+        if replace:
+            weight *= rejected
+            continue
         child = weight * (qt / s) * (1.0 - _rrs_accept(pt, qt, top, c, up, total, s))
         child *= ~dead
         for d in drawn:
@@ -346,9 +342,10 @@ class KseqParams:
     alpha_closed: float
 
 
-def kseq_solve(p: Dist, q: Dist, n: int) -> KseqParams:
+def kseq_solve(p: Dist, scheme: DraftScheme) -> KseqParams:
     """Solve 1 - (1 - beta(rho))^n = rho * beta(rho) for rho >= 1, where
-    beta(rho) = sum min(p/rho, q).
+    beta(rho) = sum min(p/rho, q), for the n drafts of a with-replacement
+    ``scheme`` from q.
 
     The breakpoints p_i/q_i are the ascending ratios of the
     `residual_table` of (p, q), ``ratios`` (-1 for a token with neither
@@ -366,8 +363,8 @@ def kseq_solve(p: Dist, q: Dist, n: int) -> KseqParams:
     the root keeps its relative precision both near rho = 1 and where beta
     is tiny.
     """
-    n = DraftScheme.with_replacement(q, n).n  # the scheme's draft-count rule
-    table = residual_table(p, q)
+    n = scheme.n
+    table = residual_table(p, scheme.q)
 
     def h(rho: float) -> tuple[float, float, float]:
         # h, its derivative in rho, and beta.
@@ -436,9 +433,11 @@ def _root(f, left: float, right: float, f_left: float, slope: float) -> float:
 
 
 class KseqKernel(_Kernel):
-    """Per-draft thresholded acceptance: each draft independently accepted
-    with probability min(p/(rho q), 1); if all fail, sample the terminal
-    distribution, the normalised positive part of p - rho q.
+    """Per-draft thresholded acceptance of the n drafts of a
+    with-replacement ``scheme``: each draft independently accepted with
+    probability min(p/(rho q), 1), rho from `kseq_solve`; if all fail,
+    sample the terminal distribution, the normalised positive part of
+    p - rho q.
 
     Both are the residual table's: a stage accepts as the table's start
     state would at mass rho and s = 1 (`_rrs_accept`), and the terminal is
@@ -453,9 +452,9 @@ class KseqKernel(_Kernel):
     rejection-sampling stage whose residual vanished does.
     """
 
-    def __init__(self, p: Dist, q: Dist, n: int):
-        super().__init__(p, q, n)
-        self.params = kseq_solve(p, q, n)
+    def __init__(self, p: Dist, scheme: DraftScheme):
+        super().__init__(p, scheme.q, scheme.n)
+        self.params = kseq_solve(p, scheme)
 
     def _stages(self, tuples):
         table, rho = self.table, self.params.rho
@@ -486,7 +485,7 @@ _WR, _WO = DraftKind.WITH_REPLACEMENT, DraftKind.WITHOUT_REPLACEMENT
 METHODS = {
     "ot-single": ((_WR, _WO), 1, lambda p, s: RrsWKernel(p, s.q, 1)),
     "rrs-w": ((_WR,), math.inf, _rrs_w),
-    "kseq": ((_WR,), math.inf, lambda p, s: KseqKernel(p, s.q, s.n)),
+    "kseq": ((_WR,), math.inf, KseqKernel),
     "rrs-wo": ((_WO,), math.inf, lambda p, s: RrsWoKernel(p, s.q, s.n)),
     "greedy": ((DraftKind.GREEDY,), math.inf, _rrs_w),
 }

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft
+from mdsd.alpha import alpha_scan, alpha_single_draft
 from mdsd.cli import ExperimentConfig, run_experiment, synth_positions
 from mdsd.dists import Dist, softmax_temp, tv_distance
 from mdsd.drafts import DraftKind, DraftScheme, iter_support, tuple_prob
@@ -32,7 +32,7 @@ from mdsd.verify import (
     RrsWoKernel,
     kseq_solve,
     make_kernel,
-    rrs_w_rate_exact,
+    rrs_rate_exact,
 )
 
 from conftest import (
@@ -111,7 +111,7 @@ class TestCriterion1:
                     scan = alpha_scan(p_d, floating).alpha_star
                     assert scan == pytest.approx(float(flow), abs=1e-9), rational.kind
                 if floating.kind is DraftKind.GREEDY:
-                    closed = alpha_greedy_closed(p_d, q_d, n_g)
+                    closed = rrs_rate_exact(p_d, floating)
                     assert closed == pytest.approx(float(flow), abs=1e-9)
                 triangles += 1
         elapsed = time.time() - started
@@ -163,10 +163,11 @@ def tiny_kernel_cases(rng):
     q = Dist(rng.dirichlet(np.ones(v)))
     n_g = min(n, v)
     greedy = DraftScheme.greedy(q, n_g)
+    with_replacement = DraftScheme.with_replacement(q, n)
     cases = [
         (DraftScheme.with_replacement(q, 1), RrsWKernel(p, q, 1)),
-        (DraftScheme.with_replacement(q, n), RrsWKernel(p, q, n)),
-        (DraftScheme.with_replacement(q, n), KseqKernel(p, q, n)),
+        (with_replacement, RrsWKernel(p, q, n)),
+        (with_replacement, KseqKernel(p, with_replacement)),
         (greedy, make_kernel("greedy", p, greedy)),
         (DraftScheme.without_replacement(q, n_g), RrsWoKernel(p, q, n_g)),
     ]
@@ -236,17 +237,17 @@ class TestCriterion4:
                 * float(sum(kern_g.conditional(t)[i] for i in set(t)))
                 for t in iter_support(scheme_g)
             )
-            assert enum_g == pytest.approx(alpha_greedy_closed(p, q, n_g), abs=1e-9)
+            assert enum_g == pytest.approx(rrs_rate_exact(p, scheme_g), abs=1e-9)
 
             # Thresholded scheme: fixed point residual and the closed form.
-            params = kseq_solve(p, q, n)
+            scheme_w = DraftScheme.with_replacement(q, n)
+            params = kseq_solve(p, scheme_w)
             residual = abs(
                 1 - (1 - params.beta_at_rho) ** n - params.rho * params.beta_at_rho
             )
             worst_rho_residual = max(worst_rho_residual, residual)
             assert residual <= 1e-12
-            scheme_w = DraftScheme.with_replacement(q, n)
-            kern_k = KseqKernel(p, q, n)
+            kern_k = KseqKernel(p, scheme_w)
             enum_k = sum(
                 tuple_prob(scheme_w, t)
                 * float(sum(kern_k.conditional(t)[i] for i in set(t)))
@@ -279,10 +280,9 @@ class TestCriterion5:
             n = int(rng.integers(1, 4))
             p = Dist(rng.dirichlet(np.ones(v)))
             q = Dist(rng.dirichlet(np.ones(v)))
-            rep = estimate_alpha(
-                p, DraftScheme.with_replacement(q, n), "rrs-w", 100_000, seed=1000 + i
-            )
-            z = abs(rep.acceptance_mean - rrs_w_rate_exact(p, q, n)) / max(
+            scheme = DraftScheme.with_replacement(q, n)
+            rep = estimate_alpha(p, scheme, "rrs-w", 100_000, seed=1000 + i)
+            z = abs(rep.acceptance_mean - rrs_rate_exact(p, scheme)) / max(
                 rep.acceptance_stderr, 1e-12
             )
             assert z <= 3.0, f"rrs-w instance {i}: z={z:.2f}"
@@ -316,14 +316,15 @@ class TestCriterion6:
                 for p0, q0 in base:
                     p = softmax_temp(np.log(p0.mass), temperature)
                     q = softmax_temp(np.log(q0.mass), temperature)
-                    star_w = alpha_scan(p, DraftScheme.with_replacement(q, 3)).alpha_star
+                    scheme_w = DraftScheme.with_replacement(q, 3)
+                    star_w = alpha_scan(p, scheme_w).alpha_star
                     star_wo = alpha_scan(
                         p, DraftScheme.without_replacement(q, 3)
                     ).alpha_star
                     w_sum += star_w
                     wo_sum += star_wo
-                    rrs_gap += star_w - rrs_w_rate_exact(p, q, 3)
-                    kseq_gap += star_w - kseq_solve(p, q, 3).alpha_closed
+                    rrs_gap += star_w - rrs_rate_exact(p, scheme_w)
+                    kseq_gap += star_w - kseq_solve(p, scheme_w).alpha_closed
             n = self.N_POSITIONS
             means = (wo_sum / n, w_sum / n, rrs_gap / n, kseq_gap / n)
             lines.append(

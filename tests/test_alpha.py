@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from mdsd.alpha import (
-    alpha_greedy_closed,
     alpha_scan,
     alpha_single_draft,
     ratio_order,
@@ -17,6 +16,7 @@ from mdsd.alpha import (
 from mdsd.dists import Dist, softmax_temp
 from mdsd.drafts import DraftKind, DraftScheme
 from mdsd.oracle import RationalScheme, alpha_subset_exact
+from mdsd.verify import rrs_rate_exact
 
 from conftest import (
     conditional_poisson_probs,
@@ -138,7 +138,8 @@ class TestAlphaScan:
                 assert sorted(res.ordering) == list(range(v))
 
     def test_rejects_greedy(self):
-        # The greedy optimum has its closed form, alpha_greedy_closed.
+        # The greedy optimum is the rate rejection sampling of its one
+        # drawn draft attains, rrs_rate_exact.
         with pytest.raises(ValueError, match="no prefix scan for greedy"):
             alpha_scan(P631, DraftScheme.greedy(Q253, 2))
 
@@ -194,7 +195,7 @@ class TestScanMatchesBruteForce:
             exact = alpha_subset_exact(
                 grid_fracs(wp), RationalScheme(DraftKind.GREEDY, grid_fracs(wq), n)
             )
-            closed = alpha_greedy_closed(grid_dist(wp), grid_dist(wq), n)
+            closed = rrs_rate_exact(grid_dist(wp), DraftScheme.greedy(grid_dist(wq), n))
             assert closed == pytest.approx(float(exact), abs=1e-9)
 
     def test_adversarial_greedy_ordering(self):
@@ -205,26 +206,29 @@ class TestScanMatchesBruteForce:
         exact = alpha_subset_exact(
             grid_fracs(wp), RationalScheme(DraftKind.GREEDY, grid_fracs(wq), 2)
         )
-        closed = alpha_greedy_closed(grid_dist(wp), grid_dist(wq), 2)
+        closed = rrs_rate_exact(grid_dist(wp), DraftScheme.greedy(grid_dist(wq), 2))
         assert closed == pytest.approx(float(exact), abs=1e-12)
 
 
 class TestAlphaGreedyClosed:
+    """Greedy's optimum in closed form, P(top) + sum min(p, tail), as
+    `rrs_rate_exact` gives it for a greedy scheme."""
+
     def test_hand_value(self):
         p = Dist(np.array([0.2, 0.3, 0.5]))
-        assert alpha_greedy_closed(p, Q532, 2) == pytest.approx(0.9)
+        assert rrs_rate_exact(p, DraftScheme.greedy(Q532, 2)) == pytest.approx(0.9)
 
     def test_n1_reduces_to_single_draft(self, rng):
         for _ in range(50):
             p = dirichlet_dist(rng, 5)
             q = dirichlet_dist(rng, 5)
-            assert alpha_greedy_closed(p, q, 1) == pytest.approx(
+            assert rrs_rate_exact(p, DraftScheme.greedy(q, 1)) == pytest.approx(
                 alpha_single_draft(p, q), abs=1e-12
             )
 
     def test_target_inside_deterministic_drafts(self):
         p = Dist(np.array([1.0, 0.0, 0.0]))
-        assert alpha_greedy_closed(p, Q532, 2) == pytest.approx(1.0)
+        assert rrs_rate_exact(p, DraftScheme.greedy(Q532, 2)) == pytest.approx(1.0)
 
     def test_at_most_one_when_drafts_cover_everything(self):
         # n = V: the top n-1 tokens plus the last draft cover the vocabulary,
@@ -238,7 +242,7 @@ class TestAlphaGreedyClosed:
             0.0012886980304085364, 0.28212011367733625, 0.05888961732470188,
             0.5919415879517816, 0.001692937834746239, 0.06406704518102543,
         ]))
-        assert alpha_greedy_closed(p, q, 6) == 1.0
+        assert rrs_rate_exact(p, DraftScheme.greedy(q, 6)) == 1.0
 
     def test_no_token_left_for_the_last_draft(self):
         # n - 1 = V: the greedy scheme's own check, not a 0/0 rate of 1.
@@ -247,7 +251,7 @@ class TestAlphaGreedyClosed:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as closed_err:
-                alpha_greedy_closed(P631, Q532, 4)
+                rrs_rate_exact(P631, DraftScheme.greedy(Q532, 4))
         assert str(closed_err.value) == str(scheme_err.value)
 
     def test_tiny_remainder_is_not_exhausted(self):
@@ -259,7 +263,7 @@ class TestAlphaGreedyClosed:
         exact = alpha_subset_exact(p_exact, RationalScheme(DraftKind.GREEDY, q_exact, 2))
         assert exact == pytest.approx(5 / 6, abs=1e-12)
         p, q = (Dist(np.array([float(x) for x in d])) for d in (p_exact, q_exact))
-        assert alpha_greedy_closed(p, q, 2) == pytest.approx(float(exact), abs=1e-12)
+        assert rrs_rate_exact(p, DraftScheme.greedy(q, 2)) == pytest.approx(float(exact), abs=1e-12)
 
 
 class TestOrderingProperties:

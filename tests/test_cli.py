@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdsd import cli
-from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft, ratio_order, residual_table
+from mdsd.alpha import alpha_scan, ratio_order, residual_table
 from mdsd.cli import (
     ExperimentConfig,
     MalformedInputError,
@@ -33,7 +33,7 @@ from mdsd.cli import (
 from mdsd.dists import Dist, _check_logits, softmax_temp, tv_distance
 from mdsd.drafts import DraftKind, DraftScheme
 from mdsd.mc import estimate_alpha
-from mdsd.verify import METHODS, kseq_solve, rrs_w_rate_exact, rrs_wo_rate_exact
+from mdsd.verify import METHODS, kseq_solve, rrs_rate_exact
 
 
 def write_jsonl(path, records):
@@ -412,15 +412,16 @@ class TestRunExperiment:
 
     def test_greedy_gap_is_structurally_zero(self, tmp_path, monkeypatch):
         # The greedy verifier attains its scheme's optimum, so its row reuses
-        # the one closed-form optimum computed per position.
+        # the one closed-form optimum computed per position, rejection
+        # sampling's rate of its one drawn draft.
         calls = []
-        closed = cli.alpha_greedy_closed
+        closed = cli.rrs_rate_exact
 
         def counted(*args):
             calls.append(args)
             return closed(*args)
 
-        monkeypatch.setattr(cli, "alpha_greedy_closed", counted)
+        monkeypatch.setattr(cli, "rrs_rate_exact", counted)
         monkeypatch.setenv("MDSD_THREADS", "1")
         cfg = self.config(tmp_path, schemes=("greedy",), methods=("greedy",))
         rows = run_experiment(cfg)
@@ -624,14 +625,14 @@ class TestRunExperiment:
             n = row["sweep_value"]
             scheme = DraftScheme(DraftKind(row["scheme"]), q, n)
             if scheme.kind is DraftKind.GREEDY:
-                star = alpha_greedy_closed(p, q, n)
+                star = rrs_rate_exact(p, scheme)
             else:
                 star = alpha_scan(p, scheme).alpha_star
             rate = {
-                "rrs-w": lambda: rrs_w_rate_exact(p, q, n),
-                "kseq": lambda: kseq_solve(p, q, n).alpha_closed,
-                "ot-single": lambda: alpha_single_draft(p, q),
-                "rrs-wo": lambda: rrs_wo_rate_exact(p, q, n),
+                "rrs-w": lambda: rrs_rate_exact(p, scheme),
+                "kseq": lambda: kseq_solve(p, scheme).alpha_closed,
+                "ot-single": lambda: rrs_rate_exact(p, scheme),
+                "rrs-wo": lambda: rrs_rate_exact(p, scheme),
                 "greedy": lambda: star,
             }[row["method"]]()
             assert (row["alpha_star"], row["alpha"], row["stderr"]) == (star, rate, 0.0), row
@@ -676,20 +677,42 @@ class TestRunExperiment:
             for n in (1, 2, 3):
                 row = by_key[(n, position)]
                 assert row["stderr"] == 0.0
-                assert row["alpha"] == rrs_wo_rate_exact(p, q, n)
+                assert row["alpha"] == rrs_rate_exact(p, DraftScheme.without_replacement(q, n))
 
     def test_rrs_wo_exact_rule(self):
         # Exact at one or two drafts, or where perm(s, n - 1) <= n * trials,
-        # trials counted up to one Monte Carlo block.
+        # trials counted up to one Monte Carlo block; with replacement the
+        # walk is one row per level, and always exact.
+        def exact(q, n, trials):
+            return cli._rrs_exact(DraftScheme.without_replacement(q, n), trials)
+
         q8, q50, q500 = (Dist(np.ones(v)) for v in (8, 50, 500))
-        assert cli._rrs_wo_exact(q500, 2, 1)
-        assert cli._rrs_wo_exact(q8, 3, 256)  # 56 <= 768
-        assert not cli._rrs_wo_exact(q50, 3, 256)  # 2450 > 768
-        assert cli._rrs_wo_exact(q50, 3, 1000)  # 2450 <= 3000
-        assert not cli._rrs_wo_exact(q500, 3, 10**6)  # 249500 > 3 * 65536
+        assert exact(q500, 2, 1)
+        assert exact(q8, 3, 256)  # 56 <= 768
+        assert not exact(q50, 3, 256)  # 2450 > 768
+        assert exact(q50, 3, 1000)  # 2450 <= 3000
+        assert not exact(q500, 3, 10**6)  # 249500 > 3 * 65536
         # Only the tokens of positive mass count: 8 * 7 <= 3 * 20 < 16 * 15.
-        assert cli._rrs_wo_exact(Dist(np.array([1.0] * 8 + [0.0] * 8)), 3, 20)
-        assert not cli._rrs_wo_exact(Dist(np.ones(16)), 3, 20)
+        assert exact(Dist(np.array([1.0] * 8 + [0.0] * 8)), 3, 20)
+        assert not exact(Dist(np.ones(16)), 3, 20)
+        assert cli._rrs_exact(DraftScheme.with_replacement(q500, 8), 1)
+
+    def test_rrs_w_at_one_draft_is_ot_single(self, tmp_path):
+        # At one draft rrs-w is ot-single's verifier, and the report gives
+        # the two one rate, bit for bit.
+        cfg = self.config(
+            tmp_path, synth="dirichlet:1.0", vocab=8, positions=12, num_drafts=1,
+            methods=("rrs-w", "ot-single"),
+        )
+        rows = run_experiment(cfg)
+        alpha = {
+            (r["position"], r["method"]): r["alpha"]
+            for r in rows
+            if r["position"] != "mean" and r["scheme"] == "with-replacement"
+        }
+        assert len(alpha) == 2 * cfg.positions
+        for position in range(cfg.positions):
+            assert alpha[position, "rrs-w"] == alpha[position, "ot-single"], position
 
     def test_rrs_wo_exact_below_three_drafts(self, tmp_path):
         # rrs-wo is reported exactly at one and two drafts, where at one it
@@ -712,7 +735,7 @@ class TestRunExperiment:
                 row = by_key[(n, position, "without-replacement", "rrs-wo")]
                 if n <= 2:
                     assert row["stderr"] == 0.0
-                    assert row["alpha"] == rrs_wo_rate_exact(p, q, n)
+                    assert row["alpha"] == rrs_rate_exact(p, DraftScheme.without_replacement(q, n))
                 else:
                     scheme = DraftScheme.without_replacement(q, n)
                     rep = estimate_alpha(p, scheme, "rrs-wo", cfg.trials, seed)

@@ -12,6 +12,7 @@ from mdsd.dists import (
     top_k_desc,
     tv_distance,
 )
+from mdsd.drafts import DraftScheme
 from mdsd.verify import KseqKernel
 
 from conftest import dirichlet_dist
@@ -132,7 +133,7 @@ class TestSoftmaxTemp:
 def kseq_terminal(p: Dist, q: Dist, n: int):
     """`KseqKernel`'s rho and the terminal its stages give (None where it
     vanished), for a tuple of q's likeliest token."""
-    kern = KseqKernel(p, q, n)
+    kern = KseqKernel(p, DraftScheme.with_replacement(q, n))
     _, _, final = kern._stages(np.full((1, n), int(q.mass.argmax())))
     return kern.params.rho, final
 

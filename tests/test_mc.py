@@ -4,11 +4,11 @@ total variation preservation test on sampled marginals."""
 import numpy as np
 import pytest
 
-from mdsd.alpha import alpha_greedy_closed, alpha_single_draft
+from mdsd.alpha import alpha_single_draft
 from mdsd.dists import Dist
 from mdsd.drafts import DraftScheme
 from mdsd.mc import BLOCK_TRIALS, _block_rng, estimate_alpha
-from mdsd.verify import kseq_solve, rrs_w_rate_exact
+from mdsd.verify import kseq_solve, rrs_rate_exact
 
 from conftest import dirichlet_dist, first_draft_marginal, sampled_marginal, tv_test
 
@@ -99,14 +99,14 @@ class TestAgreementWithExactRates:
     def test_kseq(self):
         scheme = DraftScheme.with_replacement(Q532, 3)
         rep = estimate_alpha(P559, scheme, "kseq", self.TRIALS, seed=23)
-        assert self.within_3_sigma(rep, kseq_solve(P559, Q532, 3).alpha_closed)
+        assert self.within_3_sigma(rep, kseq_solve(P559, scheme).alpha_closed)
 
     def test_greedy(self, rng):
         p = dirichlet_dist(rng, 20)
         q = dirichlet_dist(rng, 20)
         scheme = DraftScheme.greedy(q, 3)
         rep = estimate_alpha(p, scheme, "greedy", self.TRIALS, seed=24)
-        assert self.within_3_sigma(rep, alpha_greedy_closed(p, q, 3))
+        assert self.within_3_sigma(rep, rrs_rate_exact(p, scheme))
 
     def test_rrs_w_random_instances(self):
         rng = np.random.default_rng(123)
@@ -117,7 +117,7 @@ class TestAgreementWithExactRates:
             q = dirichlet_dist(rng, v)
             scheme = DraftScheme.with_replacement(q, n)
             rep = estimate_alpha(p, scheme, "rrs-w", 50_000, seed=int(rng.integers(1 << 30)))
-            assert self.within_3_sigma(rep, rrs_w_rate_exact(p, q, n))
+            assert self.within_3_sigma(rep, rrs_rate_exact(p, scheme))
 
 
 class TestTvTest:

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdsd.alpha import (
-    alpha_greedy_closed,
     alpha_scan,
     alpha_single_draft,
     ratio_order,
@@ -32,8 +31,7 @@ from mdsd.verify import (
     RrsWoKernel,
     kseq_solve,
     make_kernel,
-    rrs_w_rate_exact,
-    rrs_wo_rate_exact,
+    rrs_rate_exact,
 )
 
 from conftest import (
@@ -121,7 +119,7 @@ def test_rrs_wo_exact_rate_matches_reference(case):
             tuple_prob(scheme, t) * float(sum(rrs_wo_table(p, q, t)[x] for x in set(t)))
             for t in iter_support(scheme)
         )
-        assert abs(rrs_wo_rate_exact(p, q, n) - exact) <= VANISHED_TABLE_BOUND, (n, exact)
+        assert abs(rrs_rate_exact(p, scheme) - exact) <= VANISHED_TABLE_BOUND, (n, exact)
 
 
 @PROPERTY
@@ -134,8 +132,8 @@ def test_rrs_w_matches_rational_ladder(case):
     p, q, n = case
     n = min(n, 3)
     ladder = rrs_w_ladder(p, q, n)
-    assert abs(rrs_w_rate_exact(p, q, n) - float(rrs_w_ladder_rate(ladder, q))) <= VANISHED_TABLE_BOUND
     scheme = DraftScheme.with_replacement(q, n)
+    assert abs(rrs_rate_exact(p, scheme) - float(rrs_w_ladder_rate(ladder, q))) <= VANISHED_TABLE_BOUND
     kern = RrsWKernel(p, q, n)
     for t in iter_support(scheme):
         exact = np.array(rrs_w_ladder_conditional(ladder, q, t), dtype=float)
@@ -161,11 +159,12 @@ def test_verifier_rates_within_optimum(case):
     # No verifier of n drafts with replacement beats their optimum, and
     # neither does the optimum of the first draft alone.
     p, q, n = case
-    star = alpha_scan(p, DraftScheme.with_replacement(q, n)).alpha_star
+    scheme = DraftScheme.with_replacement(q, n)
+    star = alpha_scan(p, scheme).alpha_star
     assert 0.0 <= star <= 1.0
-    assert 0.0 <= alpha_greedy_closed(p, q, n) <= 1.0
-    assert rrs_w_rate_exact(p, q, n) <= star + 1e-9
-    assert kseq_solve(p, q, n).alpha_closed <= star + 1e-9
+    assert 0.0 <= rrs_rate_exact(p, DraftScheme.greedy(q, n)) <= 1.0
+    assert rrs_rate_exact(p, scheme) <= star + 1e-9
+    assert kseq_solve(p, scheme).alpha_closed <= star + 1e-9
     assert alpha_single_draft(p, q) <= star + 1e-9
 
 
@@ -175,7 +174,7 @@ def test_kseq_newton_root_matches_bisection(case):
     # Within 2 ulps of the bisection root, plus the span of h's rounding
     # noise, which is wide where h is flat (near-one-hot p and q).
     p, q, n = case
-    rho, ref = kseq_solve(p, q, n).rho, bisected_rho(p, q, n)
+    rho, ref = kseq_solve(p, DraftScheme.with_replacement(q, n)).rho, bisected_rho(p, q, n)
     assert abs(rho - ref) <= 2 * math.ulp(ref) + root_noise(p, q, n, ref), (rho, ref)
 
 
@@ -185,7 +184,7 @@ def test_kseq_solves_its_fixed_point(case):
     # The root of h, whose masses are read from the residual table, is a
     # root of the direct definition.
     p, q, n = case
-    params = kseq_solve(p, q, n)
+    params = kseq_solve(p, DraftScheme.with_replacement(q, n))
     rho, beta = params.rho, params.beta_at_rho
     assert rho >= 1.0
     assert abs(1.0 - (1.0 - beta) ** n - rho * beta) <= 1e-12
@@ -201,7 +200,8 @@ def test_kseq_kernel_preserves_target(case):
     # can be enumerated the kernel's exact output marginal is p, however
     # small the miss probability (1 - beta)^n gets.
     p, q, n = case
-    kern = KseqKernel(p, q, n)
+    scheme = DraftScheme.with_replacement(q, n)
+    kern = KseqKernel(p, scheme)
     _, accept, final = kern._stages(np.full((1, n), int(q.mass.argmax())))
     if final is None:
         assert (accept[:, -1] == 1.0).all()
@@ -209,7 +209,7 @@ def test_kseq_kernel_preserves_target(case):
         assert ((final >= 0.0) & (final <= 1.0)).all()
         assert abs(final.sum() - 1.0) <= 1e-12
     if p.vocab_size**n <= MAX_TUPLE_NODES:
-        marg = verifier_marginal_exact(p, DraftScheme.with_replacement(q, n), kern)
+        marg = verifier_marginal_exact(p, scheme, kern)
         assert tv_distance(marg, p) <= 1e-9
 
 
@@ -290,15 +290,19 @@ REPORTS = {
         p, DraftScheme.with_replacement(q, n)
     ).alpha_star,
     "alpha_scan without-replacement": _without_replacement_scan,
-    "alpha_greedy_closed": alpha_greedy_closed,
-    "rrs_w_rate_exact": rrs_w_rate_exact,
-    "rrs_wo_rate_exact": rrs_wo_rate_exact,
-    "kseq_solve": lambda p, q, n: kseq_solve(p, q, n).alpha_closed,
+    "rrs_rate_exact greedy": lambda p, q, n: rrs_rate_exact(p, DraftScheme.greedy(q, n)),
+    "rrs_rate_exact with-replacement": lambda p, q, n: rrs_rate_exact(p, DraftScheme.with_replacement(q, n)),
+    "rrs_rate_exact without-replacement": lambda p, q, n: rrs_rate_exact(
+        p, DraftScheme.without_replacement(q, n)
+    ),
+    "kseq_solve": lambda p, q, n: kseq_solve(p, DraftScheme.with_replacement(q, n)).alpha_closed,
     "estimate_alpha rrs-wo": lambda p, q, n: estimate_alpha(
         p, DraftScheme.without_replacement(q, n), "rrs-wo", 64, 0
     ).acceptance_mean,
 }
-WITHOUT_REPLACEMENT = {"alpha_scan without-replacement", "rrs_wo_rate_exact", "estimate_alpha rrs-wo"}
+WITHOUT_REPLACEMENT = {
+    "alpha_scan without-replacement", "rrs_rate_exact without-replacement", "estimate_alpha rrs-wo"
+}
 # The conditional-Poisson recurrence of the without-replacement scan loses
 # products of tiny masses that underflow before it rescales them, and then
 # finds fewer than n tokens of support (ROADMAP item 1).

@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mdsd.alpha import alpha_greedy_closed, alpha_scan, alpha_single_draft, residual_table
-from mdsd.cli import _RATES, ExperimentConfig, _rrs_wo_exact, synth_positions
+from mdsd.alpha import alpha_scan, alpha_single_draft, residual_table
+from mdsd.cli import _RATES, ExperimentConfig, _rrs_exact, synth_positions
 from mdsd.dists import _ZERO_MASS, Dist, softmax_temp, top_k_desc, tv_distance
 from mdsd.drafts import DraftKind, DraftScheme, iter_support, sample_tuples, tuple_prob
 from mdsd.mc import estimate_alpha
@@ -20,8 +20,7 @@ from mdsd.verify import (
     METHODS,
     kseq_solve,
     make_kernel,
-    rrs_w_rate_exact,
-    rrs_wo_rate_exact,
+    rrs_rate_exact,
     supports,
 )
 
@@ -125,10 +124,10 @@ class TestRrsWithReplacement:
         assert kern.sample([(2, 0, 1)], rng)[0] == 2
 
     def test_hand_rate(self):
-        assert rrs_w_rate_exact(P559, Q532, 2) == pytest.approx(0.44)
+        assert rrs_rate_exact(P559, DraftScheme.with_replacement(Q532, 2)) == pytest.approx(0.44)
 
     def test_rate_identical_is_one(self):
-        assert rrs_w_rate_exact(Q532, Q532, 1) == 1.0
+        assert rrs_rate_exact(Q532, DraftScheme.with_replacement(Q532, 1)) == 1.0
 
     def test_rate_matches_enumeration(self, rng):
         for _ in range(60):
@@ -138,7 +137,7 @@ class TestRrsWithReplacement:
             scheme = DraftScheme.with_replacement(q, n)
             kern = RrsWKernel(p, q, n)
             assert enumerated_acceptance(scheme, kern) == pytest.approx(
-                rrs_w_rate_exact(p, q, n), abs=1e-9
+                rrs_rate_exact(p, scheme), abs=1e-9
             )
 
     def test_marginal_preserved(self, rng):
@@ -159,9 +158,10 @@ class TestRrsWithReplacement:
             n = int(rng.integers(1, 4))
             p, q = random_pq(rng, v)
             ladder = rrs_w_ladder(p, q, n)
-            assert rrs_w_rate_exact(p, q, n) == pytest.approx(float(rrs_w_ladder_rate(ladder, q)), abs=1e-14)
+            scheme = DraftScheme.with_replacement(q, n)
+            assert rrs_rate_exact(p, scheme) == pytest.approx(float(rrs_w_ladder_rate(ladder, q)), abs=1e-14)
             kern = RrsWKernel(p, q, n)
-            for t in iter_support(DraftScheme.with_replacement(q, n)):
+            for t in iter_support(scheme):
                 exact = np.array(rrs_w_ladder_conditional(ladder, q, t), dtype=float)
                 assert np.abs(kern.conditional(t) - exact).max() <= 1e-12
 
@@ -174,7 +174,7 @@ class TestRrsWithReplacement:
         p = Dist(np.array([0.5 + 1e-13, 0.5 - 1e-13]))
         q = Dist(np.array([0.5, 0.5]))
         ladder = rrs_w_ladder(p, q, 2)
-        assert rrs_w_rate_exact(p, q, 2) == 1.0
+        assert rrs_rate_exact(p, DraftScheme.with_replacement(q, 2)) == 1.0
         assert 0.0 < 1.0 - float(rrs_w_ladder_rate(ladder, q)) <= VANISHED_TABLE_BOUND
         # On every tuple both stages accept surely and no final is drawn:
         # the output is the first draft.
@@ -345,14 +345,14 @@ class TestRrsWoRateExact:
 
     def test_identical_accepts_surely(self):
         q = Dist(np.array([0.5, 0.25, 0.125, 0.125]))
-        assert rrs_wo_rate_exact(q, q, 1) == 1.0
-        assert rrs_wo_rate_exact(q, q, 2) == 1.0
+        assert rrs_rate_exact(q, DraftScheme.without_replacement(q, 1)) == 1.0
+        assert rrs_rate_exact(q, DraftScheme.without_replacement(q, 2)) == 1.0
 
     def test_disjoint_supports_never_accept(self):
         p = Dist(np.array([0.5, 0.5, 0.0, 0.0]))
         q = Dist(np.array([0.0, 0.0, 0.5, 0.5]))
-        assert rrs_wo_rate_exact(p, q, 1) == 0.0
-        assert rrs_wo_rate_exact(p, q, 2) == 0.0
+        assert rrs_rate_exact(p, DraftScheme.without_replacement(q, 1)) == 0.0
+        assert rrs_rate_exact(p, DraftScheme.without_replacement(q, 2)) == 0.0
 
     def test_hand_rate(self):
         # The residual after the first stage is (0, 0, 1) whichever draft
@@ -361,8 +361,9 @@ class TestRrsWoRateExact:
         # stage 2 accepts 0.4. Draft 1 (q 0.3) is accepted with probability
         # 1/6, and then 2/7 of (5/7, 0, 2/7). Draft 2 is accepted surely.
         rate = 0.5 * (0.1 + 0.9 * 0.4) + 0.3 * (1 / 6 + 5 / 6 * 2 / 7) + 0.2
-        assert rrs_wo_rate_exact(P559, Q532, 2) == pytest.approx(rate, abs=1e-15)
-        assert rrs_wo_rate_exact(P559, Q532, 1) == pytest.approx(0.3, abs=1e-15)
+        wo = DraftScheme.without_replacement
+        assert rrs_rate_exact(P559, wo(Q532, 2)) == pytest.approx(rate, abs=1e-15)
+        assert rrs_rate_exact(P559, wo(Q532, 1)) == pytest.approx(0.3, abs=1e-15)
 
     def test_vanished_second_stage_accepts_surely(self):
         # After first draft 0 the residual on tokens 1 and 2 is within
@@ -372,7 +373,7 @@ class TestRrsWoRateExact:
         # accepted at the first stage.
         p = Dist(np.array([0.1, 0.45, 0.45 + 3e-13]))
         q = Dist(np.array([0.5, 0.25, 0.25]))
-        rate = rrs_wo_rate_exact(p, q, 2)
+        rate = rrs_rate_exact(p, DraftScheme.without_replacement(q, 2))
         exact = self.rational_rate(p, q, 2)
         assert rate == pytest.approx(1.0, abs=1e-15)
         assert exact < 1.0 - 1e-14
@@ -383,9 +384,9 @@ class TestRrsWoRateExact:
 
     def test_bad_draft_count(self):
         with pytest.raises(ValueError, match=">= 1"):
-            rrs_wo_rate_exact(P559, Q532, 0)
+            rrs_rate_exact(P559, DraftScheme.without_replacement(Q532, 0))
         with pytest.raises(ValueError, match="support"):
-            rrs_wo_rate_exact(P559, Dist(np.array([1.0, 0.0, 0.0])), 2)
+            rrs_rate_exact(P559, DraftScheme.without_replacement(Dist(np.array([1.0, 0.0, 0.0])), 2))
 
     def test_matches_monte_carlo_large_vocab(self):
         # At V = 1000 the estimate of 200k trials lies within 5 sigma of the
@@ -394,32 +395,34 @@ class TestRrsWoRateExact:
         rng = np.random.default_rng(1000)
         for _ in range(2):
             p, q = dirichlet_dist(rng, 1000), dirichlet_dist(rng, 1000)
-            rate = rrs_wo_rate_exact(p, q, 2)
+            rate = rrs_rate_exact(p, DraftScheme.without_replacement(q, 2))
             rep = estimate_alpha(p, DraftScheme.without_replacement(q, 2), "rrs-wo", trials, seed=11)
             sd = max(rep.acceptance_stderr, 1.0 / trials)
             assert abs(rep.acceptance_mean - rate) <= 5.0 * sd, (rep.acceptance_mean, rate)
 
 
+# Each exact rate, from (p, scheme), and the draft kinds it reads.
 EXACT_RATES = {
-    "rrs_w_rate_exact": rrs_w_rate_exact,
-    "rrs_wo_rate_exact": rrs_wo_rate_exact,
-    "kseq_solve": lambda p, q, n: kseq_solve(p, q, n).alpha_closed,
+    "rrs_rate_exact": (rrs_rate_exact, tuple(DraftKind)),
+    "kseq_solve": (lambda p, s: kseq_solve(p, s).alpha_closed, (DraftKind.WITH_REPLACEMENT,)),
 }
 
 
 @pytest.mark.parametrize("name", EXACT_RATES)
 def test_exact_rates_take_the_schemes_draft_count(name):
-    # The `DraftScheme` rule: an integral count of at least 1, taken as a
-    # plain int, so a NumPy count gives a plain float.
-    rate = EXACT_RATES[name]
-    for count in (2.5, 1.0):
-        with pytest.raises(ValueError, match="draft count must be an integer"):
-            rate(P559, Q532, count)
-    with pytest.raises(ValueError, match="draft count must be >= 1"):
-        rate(P559, Q532, 0)
-    value = rate(P559, Q532, np.int64(2))
-    assert type(value) is float
-    assert value == rate(P559, Q532, 2)
+    # The count comes from the `DraftScheme`, whose rule (an integral count
+    # of at least 1, taken as a plain int) rejects a bad one before any
+    # rate runs, so a NumPy count gives a plain float.
+    rate, kinds = EXACT_RATES[name]
+    for kind in kinds:
+        for count in (2.5, 1.0):
+            with pytest.raises(ValueError, match="draft count must be an integer"):
+                rate(P559, DraftScheme(kind, Q532, count))
+        with pytest.raises(ValueError, match="draft count must be >= 1"):
+            rate(P559, DraftScheme(kind, Q532, 0))
+        value = rate(P559, DraftScheme(kind, Q532, np.int64(2)))
+        assert type(value) is float
+        assert value == rate(P559, DraftScheme(kind, Q532, 2))
 
 
 class TestKseqSolve:
@@ -431,7 +434,7 @@ class TestKseqSolve:
             v = int(rng.integers(2, 40))
             n = int(rng.integers(1, 9))
             p, q = random_pq(rng, v)
-            rho, ref = kseq_solve(p, q, n).rho, bisected_rho(p, q, n)
+            rho, ref = kseq_solve(p, DraftScheme.with_replacement(q, n)).rho, bisected_rho(p, q, n)
             noise = root_noise(p, q, n, ref)
             assert abs(rho - ref) <= 2 * math.ulp(ref) + noise, (rho, ref, noise)
             close += abs(rho - ref) <= 2 * math.ulp(ref)
@@ -447,14 +450,14 @@ class TestKseqSolve:
             v = int(rng.integers(2, 2001))
             n = int(rng.integers(1, 9))
             p, q = random_pq(rng, v)
-            rho, ref = kseq_solve(p, q, n).rho, bisected_rho(p, q, n)
+            rho, ref = kseq_solve(p, DraftScheme.with_replacement(q, n)).rho, bisected_rho(p, q, n)
             noise = root_noise(p, q, n, ref)
             assert abs(rho - ref) <= 2 * math.ulp(ref) + noise, (v, n, rho, ref, noise)
             close += abs(rho - ref) <= 2 * math.ulp(ref)
         assert close >= 270
 
     def test_identical_fixed_point_at_one(self):
-        params = kseq_solve(Q532, Q532, 3)
+        params = kseq_solve(Q532, DraftScheme.with_replacement(Q532, 3))
         assert params.rho == 1.0
         assert params.beta_at_rho == 1.0
         assert params.alpha_closed == 1.0
@@ -464,7 +467,7 @@ class TestKseqSolve:
         # rho = 2, so the fixed point solves 1 - 1/4 = rho / 2.
         p = Dist(np.array([1.0, 0.0, 0.0]))
         q = Dist(np.array([0.5, 0.25, 0.25]))
-        params = kseq_solve(p, q, 2)
+        params = kseq_solve(p, DraftScheme.with_replacement(q, 2))
         assert params.rho == pytest.approx(1.5, abs=1e-10)
         assert params.alpha_closed == pytest.approx(0.75, abs=1e-10)
 
@@ -474,7 +477,7 @@ class TestKseqSolve:
         eps = 1.075e-13
         p = Dist(np.array([eps, 1.0 - eps]))
         q = Dist(np.array([0.0, 1.0]))
-        params = kseq_solve(p, q, 2)
+        params = kseq_solve(p, DraftScheme.with_replacement(q, 2))
         assert params.rho - 1.0 == pytest.approx(3.28e-7, rel=1e-3)
         beta = params.beta_at_rho
         assert abs(1 - (1 - beta) ** 2 - params.rho * beta) <= 1e-15
@@ -482,7 +485,7 @@ class TestKseqSolve:
     def test_disjoint_supports(self):
         p = Dist(np.array([1.0, 0.0, 0.0]))
         q = Dist(np.array([0.0, 0.5, 0.5]))
-        params = kseq_solve(p, q, 3)
+        params = kseq_solve(p, DraftScheme.with_replacement(q, 3))
         assert (params.rho, params.beta_at_rho, params.alpha_closed) == (1.0, 0.0, 0.0)
 
     def test_residual_tolerance(self, rng):
@@ -490,7 +493,7 @@ class TestKseqSolve:
             v = int(rng.integers(2, 8))
             n = int(rng.integers(1, 5))
             p, q = random_pq(rng, v)
-            params = kseq_solve(p, q, n)
+            params = kseq_solve(p, DraftScheme.with_replacement(q, n))
             g = 1 - (1 - params.beta_at_rho) ** n - params.rho * params.beta_at_rho
             assert abs(g) <= 1e-10
             assert params.alpha_closed == pytest.approx(
@@ -505,12 +508,12 @@ class TestKseqSolve:
             n = int(rng.integers(1, 4))
             p, q = random_pq(rng, v)
             star = alpha_scan(p, DraftScheme.with_replacement(q, n)).alpha_star
-            assert kseq_solve(p, q, n).alpha_closed >= bound * star - 1e-9
+            assert kseq_solve(p, DraftScheme.with_replacement(q, n)).alpha_closed >= bound * star - 1e-9
 
 
 class TestKseqKernel:
     def test_identical_accepts_first(self):
-        kern = KseqKernel(Q532, Q532, 2)
+        kern = KseqKernel(Q532, DraftScheme.with_replacement(Q532, 2))
         rng = np.random.default_rng(0)
         assert kern.sample([(1, 2)], rng)[0] == 1
 
@@ -523,7 +526,7 @@ class TestKseqKernel:
             n = int(rng.integers(1, 4))
             p, q = random_pq(rng, v)
             scheme = DraftScheme.with_replacement(q, n)
-            kern = KseqKernel(p, q, n)
+            kern = KseqKernel(p, scheme)
             assert enumerated_acceptance(scheme, kern) == pytest.approx(
                 kern.params.alpha_closed, abs=1e-9
             )
@@ -533,9 +536,8 @@ class TestKseqKernel:
             v = int(rng.integers(2, 5))
             n = int(rng.integers(1, 4))
             p, q = random_pq(rng, v)
-            marg = verifier_marginal_exact(
-                p, DraftScheme.with_replacement(q, n), KseqKernel(p, q, n)
-            )
+            scheme = DraftScheme.with_replacement(q, n)
+            marg = verifier_marginal_exact(p, scheme, KseqKernel(p, scheme))
             assert tv_distance(marg, p) <= 1e-9
 
     @pytest.mark.parametrize(
@@ -548,11 +550,12 @@ class TestKseqKernel:
         # has vanished, the last stage accepts surely, and no final is
         # drawn, so `sample` draws only the stage coins.
         for n in (1, 2, 3):
-            kern = KseqKernel(p, Q532, n)
+            scheme = DraftScheme.with_replacement(Q532, n)
+            kern = KseqKernel(p, scheme)
             table = kern.table
             terminal = table.dense(kern.params.rho, max(table.top_ratio - kern.params.rho, 0.0))
             assert terminal.sum() <= _ZERO_MASS
-            tuples = np.array(list(iter_support(DraftScheme.with_replacement(Q532, n))))
+            tuples = np.array(list(iter_support(scheme)))
             _, accept, final = kern._stages(tuples)
             assert final is None
             assert (accept[:, -1] == 1.0).all()
@@ -567,15 +570,15 @@ class TestKseqKernel:
         # kseq's stages and terminal read the residual table that
         # `kseq_solve` built for the pair: no second sort.
         p, q = Dist(P559.mass.copy()), Dist(Q532.mass.copy())
-        kseq_solve(p, q, 2)
+        kseq_solve(p, DraftScheme.with_replacement(q, 2))
         misses = residual_table.cache_info().misses
-        kern = KseqKernel(p, q, 2)
+        kern = KseqKernel(p, DraftScheme.with_replacement(q, 2))
         kern.sample([(0, 1), (2, 2)], np.random.default_rng(0))
         assert residual_table.cache_info().misses == misses
         assert kern.table is residual_table(p, q)
 
     def test_batch_shape(self):
-        kern = KseqKernel(P559, Q532, 2)
+        kern = KseqKernel(P559, DraftScheme.with_replacement(Q532, 2))
         out = kern.sample([(0, 1), (2, 2), (1, 0)], np.random.default_rng(3))
         assert out.shape == (3,)
         assert ((0 <= out) & (out < 3)).all()
@@ -598,7 +601,7 @@ class TestGreedyVerify:
         kern = make_kernel("greedy", p, scheme)
         assert enumerated_acceptance(scheme, kern) == pytest.approx(0.9, abs=1e-12)
         assert enumerated_acceptance(scheme, kern) == pytest.approx(
-            alpha_greedy_closed(p, Q532, 2), abs=1e-12
+            rrs_rate_exact(p, scheme), abs=1e-12
         )
 
     def test_matches_optimum_everywhere(self, rng):
@@ -608,7 +611,7 @@ class TestGreedyVerify:
             p, q = random_pq(rng, v)
             scheme = DraftScheme.greedy(q, n)
             kern = make_kernel("greedy", p, scheme)
-            closed = alpha_greedy_closed(p, q, n)
+            closed = rrs_rate_exact(p, scheme)
             assert enumerated_acceptance(scheme, kern) == pytest.approx(closed, abs=1e-9)
             assert subset_alpha(p, support_probs(scheme)) == pytest.approx(closed, abs=1e-9)
 
@@ -676,11 +679,11 @@ class TestMethodTables:
                     for n in range(1, min(most, v, 3) + 1):
                         scheme = DraftScheme(kind, q, n)
                         if scheme.q_form is None:
-                            alpha_star = alpha_greedy_closed(p, q, n)
+                            alpha_star = rrs_rate_exact(p, scheme)
                         else:
                             alpha_star = alpha_scan(p, scheme).alpha_star
                         # rrs-wo is covered where the report walks it exactly.
-                        assert method != "rrs-wo" or _rrs_wo_exact(q, n, cfg.trials)
+                        assert method != "rrs-wo" or _rrs_exact(scheme, cfg.trials)
                         rate, stderr = _RATES[method](p, scheme, alpha_star, cfg, 0)
                         assert stderr == 0.0
                         kern = make_kernel(method, p, scheme)
@@ -704,8 +707,8 @@ class TestMethodTables:
 
     def test_replacement_kernels_leave_q_unsorted(self, rng):
         # The ascending sort of q is the without-replacement walk's alone:
-        # rrs-w, ot-single and greedy's verifier, built and walked, leave
-        # q and greedy's law without it.
+        # rrs-w, ot-single and greedy's verifier, built and walked, and
+        # their exact rates leave q and greedy's law without it.
         for method, kind, n in (
             ("rrs-w", DraftKind.WITH_REPLACEMENT, 3),
             ("ot-single", DraftKind.WITH_REPLACEMENT, 1),
@@ -718,6 +721,7 @@ class TestMethodTables:
             kern.sample(tuples, rng)
             kern.accepted(tuples, rng)
             kern.conditional(tuples[0])
+            rrs_rate_exact(p, scheme)
             for dist in (q, scheme.prefix_law[1]):
                 assert "ascending" not in dist.__dict__, method
 
@@ -728,7 +732,7 @@ class TestDeterminism:
             lambda: RrsWKernel(P559, Q532, 1),
             lambda: RrsWKernel(P559, Q532, 2),
             lambda: RrsWoKernel(P559, Q532, 2),
-            lambda: KseqKernel(P559, Q532, 2),
+            lambda: KseqKernel(P559, DraftScheme.with_replacement(Q532, 2)),
             lambda: make_kernel("greedy", P559, DraftScheme.greedy(Q532, 2)),
         ):
             kern = make()
