@@ -401,9 +401,13 @@ class TestRrsWoRateExact:
             assert abs(rep.acceptance_mean - rate) <= 5.0 * sd, (rep.acceptance_mean, rate)
 
 
-# Each exact rate, from (p, scheme), and the draft kinds it reads.
+# Each exact rate, from (p, scheme), and the draft kinds it is checked on.
+# The rrs-w and rrs-wo cases keep the names of the two rates that
+# `rrs_rate_exact` now states once.
 EXACT_RATES = {
-    "rrs_rate_exact": (rrs_rate_exact, tuple(DraftKind)),
+    "rrs_w_rate_exact": (rrs_rate_exact, (DraftKind.WITH_REPLACEMENT,)),
+    "rrs_wo_rate_exact": (rrs_rate_exact, (DraftKind.WITHOUT_REPLACEMENT,)),
+    "rrs_rate_exact greedy": (rrs_rate_exact, (DraftKind.GREEDY,)),
     "kseq_solve": (lambda p, s: kseq_solve(p, s).alpha_closed, (DraftKind.WITH_REPLACEMENT,)),
 }
 
