@@ -279,40 +279,41 @@ def _position_seed(seed: int, position: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _rrs_exact(scheme: DraftScheme, trials: int) -> bool:
-    """Whether rejection sampling is reported by its exact walk: always with
-    replacement (one row per level), at one or two drafts, or where the
-    walk's last level, perm(s, n - 1) rows for the s tokens of positive q
-    mass, is no larger than the n stages of the estimate's trials. Trials
-    count up to one block (`mc.BLOCK_TRIALS`): the estimate holds one block
-    at a time, and the walk all its rows."""
-    n = scheme.n
-    if scheme.replace or n <= 2:
+def _rrs_wo_exact(q: Dist, n: int, trials: int) -> bool:
+    """Whether rrs-wo is reported by its exact tree walk: at one or two
+    drafts, or where the walk's last level, perm(s, n - 1) rows for the s
+    tokens of positive q mass, is no larger than the n stages of the
+    estimate's trials. Trials count up to one block (`mc.BLOCK_TRIALS`):
+    the estimate holds one block at a time, and the walk all its rows."""
+    if n <= 2:
         return True
-    return math.perm(int(np.count_nonzero(scheme.q.mass)), n - 1) <= n * min(trials, BLOCK_TRIALS)
+    return math.perm(int(np.count_nonzero(q.mass)), n - 1) <= n * min(trials, BLOCK_TRIALS)
 
 
-def _rrs_rate(p: Dist, scheme: DraftScheme, alpha_star, cfg: ExperimentConfig, position: int):
-    """rrs-w's, rrs-wo's or ot-single's (alpha, stderr): `rrs_rate_exact`
-    where `_rrs_exact` allows it, else rrs-wo's estimate from the position's
-    seed."""
-    if _rrs_exact(scheme, cfg.trials):
+def _rrs_wo_rate(p: Dist, scheme: DraftScheme, alpha_star, cfg: ExperimentConfig, position: int):
+    """rrs-wo's (alpha, stderr): `rrs_rate_exact` where `_rrs_wo_exact`
+    allows it, else the estimate from the position's seed."""
+    if _rrs_wo_exact(scheme.q, scheme.n, cfg.trials):
         return rrs_rate_exact(p, scheme), 0.0
     rep = estimate_alpha(p, scheme, "rrs-wo", cfg.trials, _position_seed(cfg.seed, position))
     return rep.acceptance_mean, rep.acceptance_stderr
 
+
+# The benchmark's tracer (bench/runner.py) times these names as three spans of the
+# rejection-sampling rate. Each is `rrs_rate_exact` until it wraps that (ROADMAP item 11).
+alpha_single_draft = alpha_greedy_closed = rrs_w_rate_exact = rrs_rate_exact
 
 # Each method's (alpha, stderr) at a position, from (p, scheme, alpha_star,
 # cfg, position); one entry per `verify.METHODS` row. An entry looks this
 # module's functions up when it runs, so a wrapper set on them later (the
 # benchmark's tracer) sees every call.
 _RATES = {
-    "ot-single": _rrs_rate,
-    "rrs-w": _rrs_rate,
+    "ot-single": lambda p, s, *_: (alpha_single_draft(p, s), 0.0),
+    "rrs-w": lambda p, s, *_: (rrs_w_rate_exact(p, s), 0.0),
     "kseq": lambda p, s, *_: (kseq_solve(p, s).alpha_closed, 0.0),
     # The greedy verifier attains the optimum of its scheme.
     "greedy": lambda p, s, alpha_star, *_: (alpha_star, 0.0),
-    "rrs-wo": _rrs_rate,
+    "rrs-wo": _rrs_wo_rate,
 }
 
 
@@ -333,9 +334,8 @@ def _run_position(cfg: ExperimentConfig, position: int, source) -> list[list[dic
         for name, kind, methods in schemes:
             scheme = DraftScheme(kind, q, n)
             if scheme.q_form is None:
-                # Greedy draws one draft, and single-draft rejection
-                # sampling attains its optimum.
-                alpha_star = rrs_rate_exact(p, scheme)
+                # Greedy draws one draft; rejection sampling of it attains the optimum.
+                alpha_star = alpha_greedy_closed(p, scheme)
             else:
                 alpha_star = alpha_scan(p, scheme).alpha_star
             for method in methods:

@@ -21,11 +21,11 @@ walk of `RrsWoKernel`: one residual table per (p, q) pair
 is drafted out, s = 1, and that walk is `RrsWKernel`; ot-single is it at
 one draft, and greedy's verifier is it at the one draft after the fixed
 prefix. `rrs_rate_exact` states its exact rate once: the fixed drafts' p
-mass plus the overlap at one drawn draft, and at more a walk of the tree
-of rejected draft prefixes through the same update, level by level (one
-row per level with replacement). The report takes that walk where its
-tree is small, and estimates rrs-wo by `mdsd.mc` elsewhere. kseq's stages
-and terminal read the same table (`KseqKernel`).
+mass plus the overlap at one drawn draft, and at more the same update n
+times with replacement, or a walk of the tree of rejected draft prefixes
+through it without. The report takes that walk where its tree is small,
+and estimates rrs-wo by `mdsd.mc` elsewhere. kseq's stages and terminal
+read the same table (`KseqKernel`).
 
 Methods: recursive rejection sampling against a running residual (with- and
 without-replacement variants, ot-single and greedy's verifier), and the
@@ -268,58 +268,56 @@ def rrs_rate_exact(p: Dist, scheme: DraftScheme) -> float:
     """Exact acceptance rate of recursive rejection sampling of the scheme's
     drafts: rrs-w, rrs-wo, ot-single and greedy's verifier.
 
-    The fixed drafts of ``scheme.prefix_law`` add their p mass. One drawn
-    draft, as in every greedy scheme, is single-draft rejection sampling
-    against its law, whose rate is the overlap. With more, the walk goes
-    through the tree of rejected draft prefixes level by level: level k
-    holds every k-draft prefix that was drafted and rejected, with its
-    weight, the chance of that, and its residual. A row's stage accepts
-    sum min(r_k, q_k) = 1 - M_{k+1} / M_k whichever token it drafts, one
-    `ResidualTable.next` step, and adds that times its weight to the rate.
-    Without replacement its children are the undrafted tokens t, each of
-    weight (q_t / s) (1 - min(r_k(t) / q_k(t), 1)); a child that is accepted
-    surely has weight 0 and is dropped. With replacement the residual does
-    not depend on the drafts: a level is one row, s = 1, whose weight is
-    multiplied by M_{k+1} / M_k. A stage whose residual vanishes accepts
-    surely, as the kernel's does: such a row adds its weight and has no
-    children.
-
-    Without replacement, the last level holds up to perm(s, n - 1) rows, s
-    the tokens of positive q mass, at O(n + log V) each after the table's
-    set-up.
+    The fixed drafts of ``scheme.prefix_law`` add their p mass, and one
+    drawn draft (every greedy scheme) is single-draft rejection sampling
+    against its law, whose rate is the overlap. More drawn drafts are
+    walked with none fixed. With r_k the residual before stage k, of mass
+    M_k, a stage accepts sum min(r_k, q_k) = 1 - M_{k+1} / M_k whichever
+    token it drafts, one `ResidualTable.next` step, and a stage whose
+    residual vanishes accepts surely. With replacement the residuals do not
+    depend on the drafts, so the rate telescopes to 1 - M_n / M_0, or is 1
+    where a stage vanishes. Without replacement the walk goes through the
+    tree of rejected draft prefixes level by level: level k holds every
+    k-draft prefix drafted and rejected, with its weight, the chance of
+    that, and its residual, and each row adds its stage's acceptance times
+    its weight. Its children are the undrafted tokens t, each of weight
+    (q_t / s) (1 - min(r_k(t) / q_k(t), 1)); a child accepted surely has
+    weight 0 and is dropped, and a row whose residual vanished has none.
+    The last level holds up to perm(s, n - 1) rows, s the tokens of
+    positive q mass, at O(n + log V) each after the table's set-up.
     """
     fixed, law = scheme.prefix_law
     n = scheme.n - len(fixed)
     if n == 1:
         mass = float(p.mass[list(fixed)].sum()) if fixed else 0.0
         return min(1.0, mass + alpha_single_draft(p, law))
-    # More than one drawn draft, so none is fixed: greedy draws one.
+    assert not fixed, "the walk adds no fixed drafts' mass"  # greedy draws one draft
     table = residual_table(p, law)
-    replace = scheme.replace
-    if not replace:
-        asc = law.ascending
-        tokens = np.flatnonzero(law.mass > 0.0)
-        rank, pt, qt, top = asc.rank[tokens], p.mass[tokens], law.mass[tokens], table.top[tokens]
-    # Without replacement a level's rows are columns (rows, 1): a row's
-    # weight, its stage's (c, u, other, M) and its drafted ranks, as
-    # `AscendingQ.insert` keeps them; against ``tokens`` they span the
-    # (rows, tokens) children. The root's state, which its children share,
-    # stays scalar, and so does every state with replacement.
-    weight = 1.0 if replace else np.ones((1, 1))
     state = table.start()
+    if scheme.replace:
+        first = state[3]
+        for _ in range(n):
+            *state, _, dead = table.next(*state, 1.0)
+            if dead:
+                return 1.0
+        return 1.0 - float(state[3]) / first
+    asc = law.ascending
+    tokens = np.flatnonzero(law.mass > 0.0)
+    rank, pt, qt, top = asc.rank[tokens], p.mass[tokens], law.mass[tokens], table.top[tokens]
+    # A level's rows are columns (rows, 1): a row's weight, its stage's
+    # (c, u, other, M) and its drafted ranks, as `AscendingQ.insert` keeps
+    # them; against ``tokens`` they span the (rows, tokens) children. The
+    # root's state, which its children share, stays scalar.
+    weight = np.ones((1, 1))
     drawn = []
     rate = 0.0
     for k in range(n):
-        s = 1.0 if replace else asc.undrawn(drawn)
+        s = asc.undrawn(drawn)
         c, up, other, total = state
         *state, _, dead = table.next(c, up, other, total, s)
-        rejected = state[3] / total * ~dead
-        rate += float((weight * (1.0 - rejected)).sum())
-        if k == n - 1 or (replace and dead):
+        rate += float((weight * (1.0 - state[3] / total * ~dead)).sum())
+        if k == n - 1:
             break
-        if replace:
-            weight *= rejected
-            continue
         child = weight * (qt / s) * (1.0 - _rrs_accept(pt, qt, top, c, up, total, s))
         child *= ~dead
         for d in drawn:
@@ -345,7 +343,7 @@ class KseqParams:
 def kseq_solve(p: Dist, scheme: DraftScheme) -> KseqParams:
     """Solve 1 - (1 - beta(rho))^n = rho * beta(rho) for rho >= 1, where
     beta(rho) = sum min(p/rho, q), for the n drafts of a with-replacement
-    ``scheme`` from q.
+    ``scheme`` from q; a scheme of another kind raises ValueError.
 
     The breakpoints p_i/q_i are the ascending ratios of the
     `residual_table` of (p, q), ``ratios`` (-1 for a token with neither
@@ -363,6 +361,8 @@ def kseq_solve(p: Dist, scheme: DraftScheme) -> KseqParams:
     the root keeps its relative precision both near rho = 1 and where beta
     is tiny.
     """
+    if scheme.kind is not DraftKind.WITH_REPLACEMENT:
+        raise ValueError(f"kseq verifies with-replacement drafts, not {scheme.kind.value}")
     n = scheme.n
     table = residual_table(p, scheme.q)
 

@@ -410,18 +410,25 @@ class TestRunExperiment:
         assert all(r["config_hash"] == cfg.config_hash() for r in rows)
         assert all(r["seed"] == 5 for r in rows)
 
+    def test_traced_rate_names_are_the_one_rate(self):
+        # The report calls rejection sampling's exact rate under the names
+        # the benchmark's tracer times (ot-single's, rrs-w's and greedy's
+        # optimum); each is `rrs_rate_exact`, not a rate of its own.
+        for name in ("alpha_single_draft", "rrs_w_rate_exact", "alpha_greedy_closed"):
+            assert getattr(cli, name) is rrs_rate_exact, name
+
     def test_greedy_gap_is_structurally_zero(self, tmp_path, monkeypatch):
         # The greedy verifier attains its scheme's optimum, so its row reuses
         # the one closed-form optimum computed per position, rejection
         # sampling's rate of its one drawn draft.
         calls = []
-        closed = cli.rrs_rate_exact
+        closed = cli.alpha_greedy_closed
 
         def counted(*args):
             calls.append(args)
             return closed(*args)
 
-        monkeypatch.setattr(cli, "rrs_rate_exact", counted)
+        monkeypatch.setattr(cli, "alpha_greedy_closed", counted)
         monkeypatch.setenv("MDSD_THREADS", "1")
         cfg = self.config(tmp_path, schemes=("greedy",), methods=("greedy",))
         rows = run_experiment(cfg)
@@ -681,21 +688,16 @@ class TestRunExperiment:
 
     def test_rrs_wo_exact_rule(self):
         # Exact at one or two drafts, or where perm(s, n - 1) <= n * trials,
-        # trials counted up to one Monte Carlo block; with replacement the
-        # walk is one row per level, and always exact.
-        def exact(q, n, trials):
-            return cli._rrs_exact(DraftScheme.without_replacement(q, n), trials)
-
+        # trials counted up to one Monte Carlo block.
         q8, q50, q500 = (Dist(np.ones(v)) for v in (8, 50, 500))
-        assert exact(q500, 2, 1)
-        assert exact(q8, 3, 256)  # 56 <= 768
-        assert not exact(q50, 3, 256)  # 2450 > 768
-        assert exact(q50, 3, 1000)  # 2450 <= 3000
-        assert not exact(q500, 3, 10**6)  # 249500 > 3 * 65536
+        assert cli._rrs_wo_exact(q500, 2, 1)
+        assert cli._rrs_wo_exact(q8, 3, 256)  # 56 <= 768
+        assert not cli._rrs_wo_exact(q50, 3, 256)  # 2450 > 768
+        assert cli._rrs_wo_exact(q50, 3, 1000)  # 2450 <= 3000
+        assert not cli._rrs_wo_exact(q500, 3, 10**6)  # 249500 > 3 * 65536
         # Only the tokens of positive mass count: 8 * 7 <= 3 * 20 < 16 * 15.
-        assert exact(Dist(np.array([1.0] * 8 + [0.0] * 8)), 3, 20)
-        assert not exact(Dist(np.ones(16)), 3, 20)
-        assert cli._rrs_exact(DraftScheme.with_replacement(q500, 8), 1)
+        assert cli._rrs_wo_exact(Dist(np.array([1.0] * 8 + [0.0] * 8)), 3, 20)
+        assert not cli._rrs_wo_exact(Dist(np.ones(16)), 3, 20)
 
     def test_rrs_w_at_one_draft_is_ot_single(self, tmp_path):
         # At one draft rrs-w is ot-single's verifier, and the report gives

@@ -284,25 +284,23 @@ def _without_replacement_scan(p, q, n):
     return alpha_scan(p, DraftScheme.without_replacement(q, n)).alpha_star
 
 
-# Every function whose value the report prints, as (p, q, n) -> float.
+# Every function whose value the report prints, as (p, q, n) -> float. The
+# greedy, rrs-w and rrs-wo cases keep the names of the three rates that
+# `rrs_rate_exact` now states once.
 REPORTS = {
     "alpha_scan with-replacement": lambda p, q, n: alpha_scan(
         p, DraftScheme.with_replacement(q, n)
     ).alpha_star,
     "alpha_scan without-replacement": _without_replacement_scan,
-    "rrs_rate_exact greedy": lambda p, q, n: rrs_rate_exact(p, DraftScheme.greedy(q, n)),
-    "rrs_rate_exact with-replacement": lambda p, q, n: rrs_rate_exact(p, DraftScheme.with_replacement(q, n)),
-    "rrs_rate_exact without-replacement": lambda p, q, n: rrs_rate_exact(
-        p, DraftScheme.without_replacement(q, n)
-    ),
+    "alpha_greedy_closed": lambda p, q, n: rrs_rate_exact(p, DraftScheme.greedy(q, n)),
+    "rrs_w_rate_exact": lambda p, q, n: rrs_rate_exact(p, DraftScheme.with_replacement(q, n)),
+    "rrs_wo_rate_exact": lambda p, q, n: rrs_rate_exact(p, DraftScheme.without_replacement(q, n)),
     "kseq_solve": lambda p, q, n: kseq_solve(p, DraftScheme.with_replacement(q, n)).alpha_closed,
     "estimate_alpha rrs-wo": lambda p, q, n: estimate_alpha(
         p, DraftScheme.without_replacement(q, n), "rrs-wo", 64, 0
     ).acceptance_mean,
 }
-WITHOUT_REPLACEMENT = {
-    "alpha_scan without-replacement", "rrs_rate_exact without-replacement", "estimate_alpha rrs-wo"
-}
+WITHOUT_REPLACEMENT = {"alpha_scan without-replacement", "rrs_wo_rate_exact", "estimate_alpha rrs-wo"}
 # The conditional-Poisson recurrence of the without-replacement scan loses
 # products of tiny masses that underflow before it rescales them, and then
 # finds fewer than n tokens of support (ROADMAP item 1).

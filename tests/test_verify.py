@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mdsd.alpha import alpha_scan, alpha_single_draft, residual_table
-from mdsd.cli import _RATES, ExperimentConfig, _rrs_exact, synth_positions
+from mdsd.cli import _RATES, ExperimentConfig, _rrs_wo_exact, synth_positions
 from mdsd.dists import _ZERO_MASS, Dist, softmax_temp, top_k_desc, tv_distance
 from mdsd.drafts import DraftKind, DraftScheme, iter_support, sample_tuples, tuple_prob
 from mdsd.mc import estimate_alpha
@@ -460,6 +460,15 @@ class TestKseqSolve:
             close += abs(rho - ref) <= 2 * math.ulp(ref)
         assert close >= 270
 
+    def test_only_with_replacement_schemes(self):
+        # kseq's fixed point is that of n drafts drawn with replacement
+        # from q; a scheme of another kind is refused, not solved as one.
+        for scheme in (DraftScheme.without_replacement(Q532, 2), DraftScheme.greedy(Q532, 2)):
+            with pytest.raises(ValueError, match="kseq verifies with-replacement drafts"):
+                kseq_solve(P559, scheme)
+            with pytest.raises(ValueError, match="kseq verifies with-replacement drafts"):
+                KseqKernel(P559, scheme)
+
     def test_identical_fixed_point_at_one(self):
         params = kseq_solve(Q532, DraftScheme.with_replacement(Q532, 3))
         assert params.rho == 1.0
@@ -687,7 +696,7 @@ class TestMethodTables:
                         else:
                             alpha_star = alpha_scan(p, scheme).alpha_star
                         # rrs-wo is covered where the report walks it exactly.
-                        assert method != "rrs-wo" or _rrs_exact(scheme, cfg.trials)
+                        assert method != "rrs-wo" or _rrs_wo_exact(q, n, cfg.trials)
                         rate, stderr = _RATES[method](p, scheme, alpha_star, cfg, 0)
                         assert stderr == 0.0
                         kern = make_kernel(method, p, scheme)
